@@ -17,7 +17,7 @@ def main() -> None:
     args = ap.parse_args()
 
     for chi in range(1, args.max_euler + 1):
-        for g in range(chi // 2 + 1):
+        for g in range((chi + 1) // 2 + 1):
             k = chi + 2 - 2 * g
             if k < 1:
                 continue

@@ -1,6 +1,7 @@
 """Command-line front end: one subcommand per computation.
 
-Exit codes: 0 success, 1 expression syntax error, 2 domain error.
+Exit codes: 0 success, 1 expression syntax error, 2 domain error (including
+input nested too deeply for the recursive algebra).
 Output is deterministic (canonical ordering everywhere); --json switches the
 sum/polynomial commands to their JSON forms.
 """
@@ -43,22 +44,12 @@ def _single_graph(text: str) -> loopgraphs.LoopGraph:
     return b
 
 
-def _single_tree(text: str) -> trees.Tree:
-    g = _single_graph(text)
-    if g.genus != 0:
-        raise ValueError(f"expected an unmarked tree, got genus {g.genus}: {g}")
-    return loopgraphs.underlying_tree(g)
-
-
-def _tree_sum_to_graphs(x: LinComb) -> LinComb:
-    return x.map_basis(loopgraphs.from_tree)
-
-
-def _graph_sum_to_trees(x: LinComb) -> LinComb:
+def _parse_tree_sum(text: str) -> LinComb:
+    x = _parse_graph_sum(text)
     for t, _ in x.items():
         if isinstance(t, tuple) or t.genus != 0:
             raise ValueError(f"expected an unmarked tree sum, got {x}")
-    return x.map_basis(loopgraphs.underlying_tree)
+    return x
 
 
 def cmd_enumerate(args) -> int:
@@ -81,11 +72,10 @@ def cmd_enumerate(args) -> int:
 
 def cmd_product(args) -> int:
     if args.algebra == "classical":
-        x = _graph_sum_to_trees(_parse_graph_sum(args.left))
-        y = _graph_sum_to_trees(_parse_graph_sum(args.right))
-        from .freemodule import bilinear_extend
-
-        result = bilinear_extend(hopfops.star)(x, y)
+        # On trees the loop-graph product is the classical one.
+        x = _parse_tree_sum(args.left)
+        y = _parse_tree_sum(args.right)
+        result = hopfops.star_h_sum(x, y)
     else:
         x = _parse_graph_sum(args.left)
         y = _parse_graph_sum(args.right)
@@ -131,18 +121,17 @@ def cmd_tree_of_perm(args) -> int:
 
 
 def cmd_face(args) -> int:
-    print(trees.face(args.index, _single_tree(args.tree)))
+    print(trees.face(args.index, _single_graph(args.tree)))
     return 0
 
 
 def cmd_degeneracy(args) -> int:
-    print(trees.degeneracy(args.index, _single_tree(args.tree)))
+    print(trees.degeneracy(args.index, _single_graph(args.tree)))
     return 0
 
 
 def cmd_border(args) -> int:
-    x = _graph_sum_to_trees(_parse_graph_sum(args.expr))
-    return _emit_sum(args, _tree_sum_to_graphs(complexes.border(x)))
+    return _emit_sum(args, complexes.border(_parse_tree_sum(args.expr)))
 
 
 def cmd_dh(args) -> int:
@@ -328,6 +317,9 @@ def run(argv: list[str]) -> int:
         return 1
     except (ValueError, IndexError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: input nested too deeply", file=sys.stderr)
         return 2
 
 

@@ -18,8 +18,8 @@ from .loopgraphs import LoopGraph, contract, enumerate_graphs, is_regular, loop_
 from .subalgebras import enumerate_words, project_regular, psi_word
 
 
-def border_tree(t: trees.Tree) -> LinComb:
-    """Alternating sum of faces of a single tree of order >= 1."""
+def border_tree(t: LoopGraph) -> LinComb:
+    """Alternating sum of faces of a single (genus-0) tree of order >= 1."""
     if t.is_leaf:
         raise ValueError("border undefined in order 0")
     out = []
@@ -213,19 +213,8 @@ def border_homology_dim(n: int) -> int:
     here = trees.enumerate_trees(n)
     below = trees.enumerate_trees(n - 1)
     above = trees.enumerate_trees(n + 1)
-
-    def rows(source, target):
-        index = {b: i for i, b in enumerate(target)}
-        out = []
-        for t in source:
-            row = [Fraction(0)] * len(target)
-            for s, c in border_tree(t).items():
-                row[index[s]] = c
-            out.append(row)
-        return out
-
-    rank_down = matrix_rank(rows(here, below))
-    rank_in = matrix_rank(rows(above, here))
+    rank_down = matrix_rank(_coords([border_tree(t) for t in here], below))
+    rank_in = matrix_rank(_coords([border_tree(t) for t in above], here))
     return len(here) - rank_down - rank_in
 
 

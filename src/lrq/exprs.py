@@ -113,21 +113,31 @@ class _Parser:
     # --- atoms ---
 
     def parse_graph(self) -> LoopGraph:
-        ch = self.peek()
-        if ch == "|":
+        # Iterative, so that nesting depth is not bounded by the recursion
+        # limit.  Each open vertex holds None until its left branch is read,
+        # then (left branch, looped).
+        open_vertices = []
+        while True:
+            ch = self.peek()
+            if ch == "(":
+                self.pos += 1
+                open_vertices.append(None)
+                continue
+            if ch != "|":
+                self.error("expected '|' or '('")
             self.pos += 1
-            return LEAF
-        if ch == "(":
-            self.pos += 1
-            left = self.parse_graph()
+            node = LEAF
+            while open_vertices and open_vertices[-1] is not None:
+                left, looped = open_vertices.pop()
+                self.expect(")")
+                node = LoopGraph(left, node, looped)
+            if not open_vertices:
+                return node
             mark = self.peek()
             if mark not in ("v", "o"):
                 self.error("expected 'v' or 'o'")
             self.pos += 1
-            right = self.parse_graph()
-            self.expect(")")
-            return LoopGraph(left, right, mark == "o")
-        self.error("expected '|' or '('")
+            open_vertices[-1] = (node, mark == "o")
 
     def parse_permutation(self) -> Permutation:
         self.expect("[")

@@ -174,11 +174,6 @@ class LinComb:
         return f"LinComb<{self}>"
 
 
-# Tensor powers are LinCombs over tuples of basis elements.
-Tensor2 = LinComb
-Tensor3 = LinComb
-
-
 def as_lincomb(v) -> LinComb:
     """Coerce a basis element (or None, meaning zero) to a LinComb."""
     if v is None:

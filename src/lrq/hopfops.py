@@ -1,43 +1,21 @@
 """Products, coproducts, counit, and antipode on loop-graph sums.
 
-The classical star product on trees and its loop-graph extension are kept as
-two independent recursions; the second restricts to the first on unmarked
-graphs.  The unit of both products is the bare leaf graph.
+There is one star product.  On unmarked graphs, which are the planar binary
+trees, it is the classical Loday-Ronco product of trees.  Its unit is the
+bare leaf graph.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from . import trees
 from .freemodule import LinComb, Rational, bilinear_extend
-from .loopgraphs import LEAF, LoopGraph, enumerate_graphs, from_tree
+from .loopgraphs import LEAF, LoopGraph, enumerate_graphs
 
 # A GraphSum is a LinComb over LoopGraph basis elements.
 GraphSum = LinComb
 
 UNIT = LinComb.basis(LEAF)
-
-
-@lru_cache(maxsize=None)
-def star_tree(t: trees.Tree, u: trees.Tree) -> LinComb:
-    """Classical star product of two trees, as a LinComb over trees.
-
-    Recursion on the branch decompositions t = t1 v t2, u = u1 v u2:
-    t * u = t1 v (t2 * u) + (t * u1) v u2, with the leaf as two-sided unit.
-    """
-    if t.is_leaf:
-        return LinComb.basis(u)
-    if u.is_leaf:
-        return LinComb.basis(t)
-    left = star_tree(t.right, u).map_basis(lambda s: trees.Tree(t.left, s))
-    right = star_tree(t, u.left).map_basis(lambda s: trees.Tree(s, u.right))
-    return left + right
-
-
-def star(t: trees.Tree, u: trees.Tree) -> GraphSum:
-    """Classical star product of two trees as a sum of unmarked graphs."""
-    return star_tree(t, u).map_basis(from_tree)
 
 
 @lru_cache(maxsize=None)

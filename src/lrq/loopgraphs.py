@@ -1,5 +1,8 @@
 """Loop graphs: planar binary trees whose vertices may carry a loop mark.
 
+This is the package's one node type: a planar binary tree is a loop graph of
+genus 0 (see `lrq.trees` for the tree operators).
+
 A loop joining the consecutive leaves (i, i+1) of the underlying tree is
 stored as a mark on the unique vertex that is the lowest common ancestor of
 those leaves; the index i is the vertex's slot.  Genus counts the marks, and
@@ -14,8 +17,12 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb
 
-from . import trees
-from .trees import rank_string
+# Canonical order on printed strings puts "|" before "(".
+_RANK = str.maketrans("|()vo@", "012345")
+
+
+def rank_string(s: str) -> str:
+    return s.translate(_RANK)
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,18 +104,11 @@ def decompose(t: LoopGraph) -> tuple[LoopGraph, LoopGraph, bool]:
     return t.left, t.right, t.looped
 
 
-def from_tree(t: trees.Tree) -> LoopGraph:
-    """Embed a planar binary tree as the genus-0 graph with the same shape."""
-    if t.is_leaf:
-        return LEAF
-    return LoopGraph(from_tree(t.left), from_tree(t.right), False)
-
-
-def underlying_tree(t: LoopGraph) -> trees.Tree:
-    """Forget the loop marks."""
-    if t.is_leaf:
-        return trees.LEAF
-    return trees.Tree(underlying_tree(t.left), underlying_tree(t.right))
+def underlying_tree(t: LoopGraph) -> LoopGraph:
+    """Forget the loop marks: the genus-0 graph of the same shape."""
+    if t.genus == 0:
+        return t
+    return LoopGraph(underlying_tree(t.left), underlying_tree(t.right), False)
 
 
 def loop_slots(t: LoopGraph) -> frozenset[int]:

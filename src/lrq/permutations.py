@@ -95,24 +95,19 @@ def star_perm(rho: Permutation, sigma: Permutation) -> LinComb:
 def split(sigma: Permutation, i: int) -> tuple[Permutation, Permutation, Permutation]:
     """The unique (sigma_i, sigma'_{n-i}, w) with sigma = (sigma_i x sigma') . w^{-1}.
 
-    Found by searching the binomial(n, i) shuffles w of type (i, n-i) for the
-    one making sigma . w a block permutation; uniqueness is asserted.
+    The (i, n-i)-shuffle w lists the positions holding the values <= i, then
+    the other positions, each group in increasing order; sigma . w is then
+    the block permutation of the two subwords, standardized.  O(n).
     """
     n = len(sigma)
     if not 0 <= i <= n:
         raise IndexError(f"split index {i} out of range 0..{n}")
-    matches = []
-    for w in shuffles(i, n - i):
-        cand = compose(sigma, w)
-        head = cand.word[:i]
-        if all(x <= i for x in head):
-            tail = tuple(x - i for x in cand.word[i:])
-            matches.append((Permutation(head), Permutation(tail), w))
-    if len(matches) != 1:
-        raise AssertionError(
-            f"shuffle decomposition of {sigma} at {i} is not unique: {matches}"
-        )
-    return matches[0]
+    word = sigma.word
+    low = tuple(p for p, x in enumerate(word, start=1) if x <= i)
+    high = tuple(p for p, x in enumerate(word, start=1) if x > i)
+    head = tuple(x for x in word if x <= i)
+    tail = tuple(x - i for x in word if x > i)
+    return Permutation(head), Permutation(tail), Permutation(low + high)
 
 
 def coproduct_perm(sigma: Permutation) -> LinComb:

@@ -14,19 +14,18 @@ from fractions import Fraction
 from itertools import combinations
 from math import factorial
 
-from . import trees
-from .freemodule import LinComb, bilinear_extend
+from .freemodule import LinComb
 from .hopfops import (
     GraphSum,
     UNIT,
+    _tensor_star,
     delta_h,
     delta_h_sum,
     graphs_up_to_total_order,
     star_h,
     star_h_sum,
-    star_tree,
 )
-from .loopgraphs import ONELOOP, TREE, from_tree, is_regular
+from .loopgraphs import ONELOOP, TREE, is_regular
 
 _GENERATOR = {"T": TREE, "L": ONELOOP}
 
@@ -86,18 +85,6 @@ def psi_word(w: Word) -> GraphSum:
     for letter in w.letters:
         acc = star_h_sum(acc, LinComb.basis(_GENERATOR[letter]))
     return project_regular(acc)
-
-
-def psi_genus0(n: int) -> GraphSum:
-    """The n-fold classical star power of the elementary tree."""
-    if n < 0:
-        raise ValueError("order must be nonnegative")
-    gen = trees.Tree(trees.LEAF, trees.LEAF)
-    acc = LinComb.basis(trees.LEAF)
-    prod = bilinear_extend(star_tree)
-    for _ in range(n):
-        acc = prod(acc, LinComb.basis(gen))
-    return acc.map_basis(from_tree)
 
 
 def enumerate_words(n: int, g: int) -> list[Word]:
@@ -164,16 +151,6 @@ def delta_h_quotient_counterexample(max_total_order: int):
             if is_regular(a) and is_regular(b)
         )
 
-    def tensor_star(x: LinComb, y: LinComb) -> LinComb:
-        out = []
-        for (a, b), c in x.items():
-            for (d, e), f in y.items():
-                coeff = c * f
-                for s1, c1 in star_h(a, d).items():
-                    for s2, c2 in star_h(b, e).items():
-                        out.append(((s1, s2), coeff * c1 * c2))
-        return LinComb(out)
-
     basis = [t for t in graphs_up_to_total_order(max_total_order) if is_regular(t)]
     for x in basis:
         for y in basis:
@@ -181,7 +158,7 @@ def delta_h_quotient_counterexample(max_total_order: int):
                 continue
             product = project_regular(star_h(x, y))
             lhs = proj_tensor(delta_h_sum(product))
-            rhs = proj_tensor(tensor_star(delta_h(x), delta_h(y)))
+            rhs = proj_tensor(_tensor_star(delta_h(x), delta_h(y)))
             if lhs != rhs:
                 return x, y
     return None

@@ -1,75 +1,31 @@
-"""Planar binary trees: enumeration, grafting, and the simplicial operators.
+"""Planar binary trees as the genus-0 loop graphs: enumeration, grafting, and
+the simplicial operators.
 
-A tree is either the bare leaf ``|`` or an ordered pair of subtrees; its
-order is the number of internal vertices, and the leaves of an order-n tree
-are numbered 0..n from left to right.  The printed grammar is
-``tree := "|" | "(" tree "v" tree ")"``.
+A tree is a `LoopGraph` without loop marks: the bare leaf ``|`` or an ordered
+pair of subtrees under an unlooped root.  Its order is the number of internal
+vertices, and the leaves of an order-n tree are numbered 0..n from left to
+right.  The printed grammar is ``tree := "|" | "(" tree "v" tree ")"``.  The
+simplicial operators reject graphs that carry loops.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 
-# Canonical order on printed strings puts "|" before "(".
-_RANK = str.maketrans("|()vo@", "012345")
+from .loopgraphs import LEAF, LoopGraph, _graphs
 
 
-def rank_string(s: str) -> str:
-    return s.translate(_RANK)
+def _require_tree(t: LoopGraph) -> None:
+    if t.genus:
+        raise ValueError(f"expected an unmarked tree, got genus {t.genus}: {t}")
 
 
-@dataclass(frozen=True, eq=False)
-class Tree:
-    """An immutable planar binary tree (leaf when both children are None)."""
-
-    left: "Tree | None" = None
-    right: "Tree | None" = None
-    order: int = field(init=False, compare=False, repr=False, default=0)
-
-    def __post_init__(self):
-        if (self.left is None) != (self.right is None):
-            raise ValueError("a tree vertex needs both subtrees")
-        if self.left is not None:
-            object.__setattr__(self, "order", self.left.order + self.right.order + 1)
-            object.__setattr__(self, "_str", f"({self.left}v{self.right})")
-        else:
-            object.__setattr__(self, "_str", "|")
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
-
-    def __str__(self) -> str:
-        return self._str
-
-    def __repr__(self) -> str:
-        return f"Tree<{self._str}>"
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Tree):
-            return NotImplemented
-        return self._str == other._str
-
-    def __hash__(self) -> int:
-        return hash(self._str)
-
-    def __lt__(self, other: "Tree") -> bool:
-        return self.sort_key() < other.sort_key()
-
-    def sort_key(self) -> str:
-        return rank_string(self._str)
-
-
-LEAF = Tree()
-
-
-def graft(t1: Tree, t2: Tree) -> Tree:
+def graft(t1: LoopGraph, t2: LoopGraph) -> LoopGraph:
     """Join t1 (left) and t2 (right) under a new root vertex."""
-    return Tree(t1, t2)
+    return LoopGraph(t1, t2)
 
 
-def ungraft(t: Tree) -> tuple[Tree, Tree]:
+def ungraft(t: LoopGraph) -> tuple[LoopGraph, LoopGraph]:
     """The unique decomposition of a non-leaf tree into its two branches."""
     if t.is_leaf:
         raise ValueError("leaf has no decomposition")
@@ -77,56 +33,50 @@ def ungraft(t: Tree) -> tuple[Tree, Tree]:
 
 
 @lru_cache(maxsize=None)
-def _trees(n: int) -> tuple[Tree, ...]:
-    if n == 0:
-        return (LEAF,)
-    out = [
-        Tree(a, b)
-        for p in range(n)
-        for a in _trees(p)
-        for b in _trees(n - 1 - p)
-    ]
-    out.sort(key=Tree.sort_key)
-    return tuple(out)
+def _trees(n: int) -> tuple[LoopGraph, ...]:
+    return _graphs(n, 0)
 
 
-def enumerate_trees(n: int) -> list[Tree]:
+def enumerate_trees(n: int) -> list[LoopGraph]:
     """All trees of order n, each exactly once, in canonical order."""
     if n < 0:
         raise ValueError("order must be nonnegative")
     return list(_trees(n))
 
 
-def face(i: int, t: Tree) -> Tree:
+def face(i: int, t: LoopGraph) -> LoopGraph:
     """Erase the leaf in position i, fusing the freed edge through its parent."""
+    _require_tree(t)
     if t.is_leaf:
         raise ValueError("face undefined on the bare leaf")
     if not 0 <= i <= t.order:
         raise IndexError(f"leaf index {i} out of range 0..{t.order}")
     p = t.left.order
     if i <= p:
-        return t.right if t.left.is_leaf else Tree(face(i, t.left), t.right)
-    return t.left if t.right.is_leaf else Tree(t.left, face(i - p - 1, t.right))
+        return t.right if t.left.is_leaf else LoopGraph(face(i, t.left), t.right)
+    return t.left if t.right.is_leaf else LoopGraph(t.left, face(i - p - 1, t.right))
 
 
-def degeneracy(i: int, t: Tree) -> Tree:
+def degeneracy(i: int, t: LoopGraph) -> LoopGraph:
     """Bifurcate the leaf in position i (replace it by a new vertex)."""
+    _require_tree(t)
     if not 0 <= i <= t.order:
         raise IndexError(f"leaf index {i} out of range 0..{t.order}")
     if t.is_leaf:
-        return Tree(LEAF, LEAF)
+        return LoopGraph(LEAF, LEAF)
     p = t.left.order
     if i <= p:
-        return Tree(degeneracy(i, t.left), t.right)
-    return Tree(t.left, degeneracy(i - p - 1, t.right))
+        return LoopGraph(degeneracy(i, t.left), t.right)
+    return LoopGraph(t.left, degeneracy(i - p - 1, t.right))
 
 
-def extra_degeneracy(t: Tree) -> Tree:
+def extra_degeneracy(t: LoopGraph) -> LoopGraph:
     """Graft a bare leaf on the left; a contracting homotopy for the border."""
-    return Tree(LEAF, t)
+    _require_tree(t)
+    return LoopGraph(LEAF, t)
 
 
-def perm_to_tree(perm) -> Tree:
+def perm_to_tree(perm) -> LoopGraph:
     """Tree of a permutation word, forgetting levels.
 
     The word (one-line notation) labels the vertex slots 1..n left to right;
@@ -137,10 +87,10 @@ def perm_to_tree(perm) -> Tree:
     if sorted(word) != list(range(1, len(word) + 1)):
         raise ValueError(f"not a permutation word: {word!r}")
 
-    def build(w: tuple[int, ...]) -> Tree:
+    def build(w: tuple[int, ...]) -> LoopGraph:
         if not w:
             return LEAF
         i = w.index(max(w))
-        return Tree(build(w[:i]), build(w[i + 1:]))
+        return LoopGraph(build(w[:i]), build(w[i + 1:]))
 
     return build(word)

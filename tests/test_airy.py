@@ -1,7 +1,10 @@
 """Airy-curve recursion: series kernels, residues, exact correlators."""
 
+import runpy
+import sys
 from fractions import Fraction
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 
@@ -199,3 +202,16 @@ def test_one_point_functions_match_intersection_numbers():
     assert airy_correlator(3, 1).coeff == mono(
         1, (-16,), Fraction(2027025, 82944) / 32
     )
+
+
+def test_airy_table_lists_the_one_leg_pairs(monkeypatch, capsys):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "airy_table.py"
+    main = runpy.run_path(str(script))["main"]
+    monkeypatch.setattr(sys, "argv", ["airy_table.py", "--max-euler", "3"])
+    main()
+    lines = capsys.readouterr().out.splitlines()
+    assert "g=1 k=1:  1/16 * p^-4" in lines
+    assert any(line.startswith("g=2 k=1:") for line in lines)
+    pairs = [line.split(":")[0] for line in lines]
+    assert pairs == ["g=0 k=3", "g=1 k=1", "g=0 k=4", "g=1 k=2",
+                     "g=0 k=5", "g=1 k=3", "g=2 k=1"]

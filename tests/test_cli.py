@@ -197,3 +197,22 @@ def test_help_text_renders(capsys):
         assert name in out
     assert run(["airy", "--help"]) == 0
     capsys.readouterr()
+
+
+def test_parse_check_deeply_nested_graph(capsys):
+    deep = "(" * 5000 + "|" + "v|)" * 5000
+    code, out, err = invoke(capsys, "parse-check", deep)
+    assert code == 0
+    assert out == deep + "\n"
+    assert err == ""
+    looped = "(|o" * 5000 + "|" + ")" * 5000
+    code, out, _ = invoke(capsys, "parse-check", looped)
+    assert (code, out) == (0, looped + "\n")
+
+
+def test_too_deep_for_the_algebra_is_a_domain_error(capsys):
+    deep = "(" * 1200 + "|" + "v|)" * 1200
+    code, out, err = invoke(capsys, "dh", deep)
+    assert code == 2
+    assert out == ""
+    assert err == "error: input nested too deeply\n"

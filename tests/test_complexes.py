@@ -25,7 +25,7 @@ from lrq.complexes import (
 from lrq.exprs import parse
 from lrq.freemodule import LinComb
 from lrq.hopfops import star_h
-from lrq.loopgraphs import LEAF, ONELOOP, TREE, enumerate_graphs, underlying_tree
+from lrq.loopgraphs import LEAF, ONELOOP, TREE, enumerate_graphs
 from lrq.subalgebras import Word, project_regular, psi_word
 
 T = LinComb.basis(TREE)
@@ -40,10 +40,6 @@ def gsum(s: str) -> LinComb:
     return parse(s, "graph-sum").value
 
 
-def tsum(s: str) -> LinComb:
-    return gsum(s).map_basis(underlying_tree)
-
-
 def all_graphs(max_order: int):
     for n in range(max_order + 1):
         for gg in range(n + 1):
@@ -53,7 +49,7 @@ def all_graphs(max_order: int):
 def test_border_examples():
     v = trees.graft(trees.LEAF, trees.LEAF)
     assert border_tree(v).is_zero()
-    assert border(tsum("(|v(|v|))")) == tsum("(|v|)")
+    assert border(gsum("(|v(|v|))")) == gsum("(|v|)")
 
 
 def test_border_squares_to_zero():
@@ -64,7 +60,7 @@ def test_border_squares_to_zero():
 
 def test_border_input_validation():
     with pytest.raises(ValueError):
-        border(tsum("(|v|) + (|v(|v|))"))
+        border(gsum("(|v|) + (|v(|v|))"))
     with pytest.raises(ValueError):
         border(LinComb.basis(trees.LEAF))
     assert border(LinComb.zero()).is_zero()

@@ -1,12 +1,13 @@
 """Products, coproducts, counit, antipode: worked values and axiom sweeps."""
 
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
 from lrq import trees
 from lrq.exprs import parse
-from lrq.freemodule import LinComb
+from lrq.freemodule import LinComb, bilinear_extend
 from lrq.hopfops import (
     UNIT,
     antipode,
@@ -15,12 +16,10 @@ from lrq.hopfops import (
     delta_h,
     delta_h_sum,
     graphs_up_to_total_order,
-    star,
     star_h,
     star_h_sum,
-    star_tree,
 )
-from lrq.loopgraphs import LEAF, ONELOOP, TREE, from_tree
+from lrq.loopgraphs import LEAF, ONELOOP, TREE
 
 
 def g(s: str):
@@ -31,22 +30,38 @@ def gsum(s: str) -> LinComb:
     return parse(s, "graph-sum").value
 
 
+@lru_cache(maxsize=None)
+def star_tree(t, u) -> LinComb:
+    """Oracle: the classical star product of two trees (Loday-Ronco 1998).
+
+    Recursion on the branch decompositions t = t1 v t2, u = u1 v u2:
+    t * u = t1 v (t2 * u) + (t * u1) v u2, with the leaf as two-sided unit.
+    """
+    if t.is_leaf:
+        return LinComb.basis(u)
+    if u.is_leaf:
+        return LinComb.basis(t)
+    t1, t2 = trees.ungraft(t)
+    u1, u2 = trees.ungraft(u)
+    left = star_tree(t2, u).map_basis(lambda s: trees.graft(t1, s))
+    right = star_tree(t, u1).map_basis(lambda s: trees.graft(s, u2))
+    return left + right
+
+
 TV = trees.graft(trees.LEAF, trees.LEAF)
 
 
 def test_star_one_step():
-    assert star(TV, TV) == gsum("(|v(|v|)) + ((|v|)v|)")
+    assert star_tree(TV, TV) == gsum("(|v(|v|)) + ((|v|)v|)")
 
 
 def test_star_unit_laws():
     for t in trees.enumerate_trees(3):
-        assert star(t, trees.LEAF) == LinComb.basis(from_tree(t))
-        assert star(trees.LEAF, t) == LinComb.basis(from_tree(t))
+        assert star_tree(t, trees.LEAF) == LinComb.basis(t)
+        assert star_tree(trees.LEAF, t) == LinComb.basis(t)
 
 
 def test_star_cube_covers_y3():
-    from lrq.freemodule import bilinear_extend
-
     acc = LinComb.basis(trees.LEAF)
     mul = bilinear_extend(star_tree)
     for _ in range(3):
@@ -56,12 +71,13 @@ def test_star_cube_covers_y3():
 
 
 def test_star_h_restricted_to_trees_equals_star():
-    # Two independent recursions must agree on unmarked inputs (order <= 6).
+    # The loop-graph product restricts to the classical oracle on unmarked
+    # inputs (order <= 6).
     for n1 in range(7):
         for n2 in range(7 - n1):
             for a in trees.enumerate_trees(n1):
                 for b in trees.enumerate_trees(n2):
-                    assert star_h(from_tree(a), from_tree(b)) == star(a, b)
+                    assert star_h(a, b) == star_tree(a, b)
 
 
 def test_star_h_worked_examples():

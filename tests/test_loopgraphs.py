@@ -15,7 +15,6 @@ from lrq.loopgraphs import (
     count_graphs,
     decompose,
     enumerate_graphs,
-    from_tree,
     is_regular,
     loop_slots,
     signature,
@@ -200,12 +199,13 @@ def test_enumerate_distinct_and_sorted():
             assert keys == sorted(keys)
 
 
-def test_from_tree_roundtrip():
-    from lrq.trees import enumerate_trees
-
-    for t in enumerate_trees(4):
-        assert underlying_tree(from_tree(t)) == t
-        assert from_tree(t).genus == 0
+def test_underlying_tree_forgets_loops():
+    for t in all_graphs(4):
+        tree = underlying_tree(t)
+        assert tree.genus == 0
+        assert str(tree) == str(t).replace("o", "v")
+        if t.genus == 0:
+            assert tree is t
 
 
 def test_signature_examples():

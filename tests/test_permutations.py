@@ -105,6 +105,24 @@ def test_split_satisfies_defining_identity():
                 assert compose(sigma, w) == times(left, right)
 
 
+def _split_by_search(sigma, i):
+    # Oracle: every (i, n-i)-shuffle w that makes sigma . w a block permutation.
+    out = []
+    for w in shuffles(i, len(sigma) - i):
+        cand = compose(sigma, w).word
+        if all(x <= i for x in cand[:i]):
+            tail = tuple(x - i for x in cand[i:])
+            out.append((Permutation(cand[:i]), Permutation(tail), w))
+    return out
+
+
+def test_split_is_the_unique_shuffle_decomposition():
+    for n in range(7):
+        for sigma in all_permutations(n):
+            for i in range(n + 1):
+                assert _split_by_search(sigma, i) == [split(sigma, i)]
+
+
 def test_coproduct_examples():
     assert coproduct_perm(IDENTITY) == LinComb.basis((IDENTITY, IDENTITY))
     assert coproduct_perm(P(1)) == LinComb(

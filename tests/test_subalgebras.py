@@ -6,14 +6,13 @@ from fractions import Fraction
 import pytest
 
 from lrq.exprs import parse
-from lrq.freemodule import LinComb
+from lrq.freemodule import LinComb, bilinear_extend
 from lrq.hopfops import delta_h, delta_h_sum, graphs_up_to_total_order, star_h, star_h_sum
 from lrq.loopgraphs import (
     LEAF,
     ONELOOP,
     TREE,
     enumerate_graphs,
-    from_tree,
     signature,
 )
 from lrq.subalgebras import (
@@ -23,14 +22,23 @@ from lrq.subalgebras import (
     full_correlator,
     generating_function,
     project_regular,
-    psi_genus0,
     psi_word,
     star_reg,
 )
 from lrq.trees import enumerate_trees
+from test_hopfops import star_tree
 
 L = LinComb.basis(ONELOOP)
 T = LinComb.basis(TREE)
+
+
+def psi_genus0(n: int) -> LinComb:
+    """The n-fold classical star power of the elementary tree (oracle)."""
+    acc = LinComb.basis(LEAF)
+    prod = bilinear_extend(star_tree)
+    for _ in range(n):
+        acc = prod(acc, T)
+    return acc
 
 
 def gsum(s: str) -> LinComb:
@@ -90,7 +98,7 @@ def test_psi_word_ttt_equals_genus0():
 def test_psi_genus0_small():
     assert psi_genus0(0) == LinComb.basis(LEAF)
     assert psi_genus0(1) == T
-    assert psi_genus0(3) == LinComb((from_tree(t), 1) for t in enumerate_trees(3))
+    assert psi_genus0(3) == LinComb((t, 1) for t in enumerate_trees(3))
 
 
 def test_psi_word_summands_regular_with_word_bidegree():

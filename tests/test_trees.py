@@ -4,9 +4,10 @@ from math import comb
 
 import pytest
 
+from lrq.exprs import parse
+from lrq.loopgraphs import LoopGraph
 from lrq.trees import (
     LEAF,
-    Tree,
     degeneracy,
     enumerate_trees,
     extra_degeneracy,
@@ -19,12 +20,9 @@ from lrq.trees import (
 V = graft(LEAF, LEAF)  # the one-vertex tree (|v|)
 
 
-def t(s: str) -> Tree:
+def t(s: str) -> LoopGraph:
     """Tiny tree literal helper for tests."""
-    from lrq.exprs import parse
-    from lrq.loopgraphs import underlying_tree
-
-    return underlying_tree(parse(s, "graph-sum").single_basis())
+    return parse(s, "graph-sum").single_basis()
 
 
 def catalan(n: int) -> int:
@@ -84,6 +82,19 @@ def test_face_errors():
         face(3, V)
     with pytest.raises(IndexError):
         face(-1, V)
+
+
+def test_simplicial_operators_reject_loops():
+    loop = t("(|o|)")
+    with pytest.raises(ValueError):
+        face(0, loop)
+    with pytest.raises(ValueError):
+        degeneracy(0, loop)
+    with pytest.raises(ValueError):
+        extra_degeneracy(loop)
+    # A loop below the root is rejected too, before the index is checked.
+    with pytest.raises(ValueError):
+        face(5, t("(|v(|o|))"))
 
 
 def test_degeneracy_examples():
