@@ -1,15 +1,15 @@
 """Border operator on trees, the loop-raising differential with signs, and
 exact cohomology dimensions for the full, regular, and word complexes.
 
-All ranks are computed by fraction-free Gaussian elimination over exact
-rationals, so every dimension reported here is exact.
+All ranks are computed by sparse exact elimination: rows stay sparse maps
+from basis graphs to integers, so every dimension reported here is exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from . import trees
 from .freemodule import LinComb
@@ -102,60 +102,44 @@ def d_h_reg(x: Cochain) -> Cochain:
     return Cochain(x.order, x.genus + 1, project_regular(d_h_sum(x.value)))
 
 
-def matrix_rank(rows: list[list[Fraction]]) -> int:
-    """Rank by fraction-free (integer) Gaussian elimination.
+def matrix_rank(rows: list) -> int:
+    """Exact rank of a list of sparse rows.
 
-    Rows are scaled to integers first; the Bareiss pivoting scheme then keeps
-    every intermediate value an exact integer.
+    A row is a LinComb, or anything whose ``items()`` gives (column,
+    coefficient) pairs with int or Fraction coefficients; columns may be any
+    hashable value and zero coefficients are ignored.  Columns are ordered by
+    first appearance.  Each row is scaled to integers and reduced at its
+    first column against the pivot rows kept so far, by fraction-free integer
+    updates divided by the gcd of the result, so entries stay small; what is
+    left, if anything, becomes a new pivot row.  Rows whose supports share no
+    column never mix, so a block-diagonal input is reduced block by block.
     """
-    m = []
+    index: dict = {}
+    pivots: dict[int, dict[int, int]] = {}
     for row in rows:
-        fracs = [Fraction(x) for x in row]
-        scale = 1
-        for f in fracs:
-            scale = scale * f.denominator // gcd(scale, f.denominator)
-        m.append([int(f * scale) for f in fracs])
-    if not m or not m[0]:
-        return 0
-    nrows, ncols = len(m), len(m[0])
-    rank = 0
-    prev = 1
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, nrows) if m[r][col]), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        for r in range(rank + 1, nrows):
-            for c in range(col + 1, ncols):
-                m[r][c] = (m[rank][col] * m[r][c] - m[r][col] * m[rank][c]) // prev
-            m[r][col] = 0
-        prev = m[rank][col]
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
-
-
-def _coords(vectors: list[GraphSum], basis: list[LoopGraph]) -> list[list[Fraction]]:
-    index = {b: i for i, b in enumerate(basis)}
-    rows = []
-    for v in vectors:
-        row = [Fraction(0)] * len(basis)
-        for t, c in v.items():
-            row[index[t]] = c
-        rows.append(row)
-    return rows
-
-
-def _span_dims(images: list[GraphSum], span: list[GraphSum], basis: list[LoopGraph]):
-    # dim(image), dim(span), dim(image + span) over the ambient graph basis.
-    rows_im = _coords(images, basis)
-    rows_sp = _coords(span, basis)
-    return (
-        matrix_rank(rows_im),
-        matrix_rank(rows_sp),
-        matrix_rank(rows_im + rows_sp),
-    )
+        entries = [(index.setdefault(col, len(index)), c) for col, c in row.items() if c]
+        scale = lcm(*(c.denominator for _, c in entries))
+        work = {col: c.numerator * (scale // c.denominator) for col, c in entries}
+        while work:
+            lead = min(work)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                pivots[lead] = work
+                break
+            # work <- a * work - b * pivot, which clears the lead column.
+            common = gcd(pivot[lead], work[lead])
+            a, b = pivot[lead] // common, work[lead] // common
+            work = {col: a * c for col, c in work.items()}
+            for col, c in pivot.items():
+                new = work.get(col, 0) - b * c
+                if new:
+                    work[col] = new
+                else:
+                    del work[col]
+            content = gcd(*work.values())
+            if content > 1:
+                work = {col: c // content for col, c in work.items()}
+    return len(pivots)
 
 
 def cohomology_dim(n: int, g: int, space: str) -> int:
@@ -167,43 +151,31 @@ def cohomology_dim(n: int, g: int, space: str) -> int:
     regular graphs, closed up and divided exactly as the subspace definitions
     require (cocycles inside the span, coboundaries of the span one genus
     lower intersected with the span).
+
+    With W the span of the degree-g cochains and V that of the degree-(g-1)
+    cochains (empty when g = 0), every space is computed the same way:
+    dim H = dim W - rank d(W) - dim(d(V) meet W), where
+    dim(d(V) meet W) = rank d(V) + dim W - rank(d(V) + W).
     """
-    if space in ("full", "reg"):
-        regular_only = space == "reg"
-        source = enumerate_graphs(n, g, regular_only)
-        target = enumerate_graphs(n, g + 1, regular_only)
+    if space not in ("full", "reg", "toprec"):
+        raise ValueError(f"unknown space {space!r}")
+    if n < 0 or g < 0:
+        raise ValueError("order and genus must be nonnegative")
 
-        def diff(t: LoopGraph) -> GraphSum:
-            img = d_h_graph(t)
-            return project_regular(img) if regular_only else img
+    def cochains(genus: int) -> list[GraphSum]:
+        if space == "toprec":
+            return [psi_word(w) for w in enumerate_words(n, genus)]
+        return [LinComb.basis(t) for t in enumerate_graphs(n, genus, space == "reg")]
 
-        rank_here = matrix_rank(_coords([diff(t) for t in source], target))
-        dim_kernel = len(source) - rank_here
-        if g == 0:
-            dim_image = 0
-        else:
-            below = enumerate_graphs(n, g - 1, regular_only)
-            dim_image = matrix_rank(_coords([diff(t) for t in below], source))
-        return dim_kernel - dim_image
+    def d(x: GraphSum) -> GraphSum:
+        return d_h_sum(x) if space == "full" else project_regular(d_h_sum(x))
 
-    if space == "toprec":
-        ambient = enumerate_graphs(n, g, regular_only=True)
-        span = [psi_word(w) for w in enumerate_words(n, g)]
-        span_images = [project_regular(d_h_sum(v)) for v in span]
-        target = enumerate_graphs(n, g + 1, regular_only=True)
-        dim_span = matrix_rank(_coords(span, ambient))
-        rank_d_on_span = matrix_rank(_coords(span_images, target))
-        dim_cocycles = dim_span - rank_d_on_span
-        if g == 0:
-            dim_cobound = 0
-        else:
-            below = [psi_word(w) for w in enumerate_words(n, g - 1)]
-            images = [project_regular(d_h_sum(v)) for v in below]
-            dim_im, dim_sp, dim_sum = _span_dims(images, span, ambient)
-            dim_cobound = dim_im + dim_sp - dim_sum
-        return dim_cocycles - dim_cobound
-
-    raise ValueError(f"unknown space {space!r}")
+    here = cochains(g)
+    image_below = [d(x) for x in cochains(g - 1)] if g else []
+    dim_here = matrix_rank(here)
+    cocycles = dim_here - matrix_rank([d(x) for x in here])
+    coboundaries = matrix_rank(image_below) + dim_here - matrix_rank(image_below + here)
+    return cocycles - coboundaries
 
 
 def border_homology_dim(n: int) -> int:
@@ -211,10 +183,8 @@ def border_homology_dim(n: int) -> int:
     if n < 1:
         raise ValueError("homology considered in positive orders only")
     here = trees.enumerate_trees(n)
-    below = trees.enumerate_trees(n - 1)
-    above = trees.enumerate_trees(n + 1)
-    rank_down = matrix_rank(_coords([border_tree(t) for t in here], below))
-    rank_in = matrix_rank(_coords([border_tree(t) for t in above], here))
+    rank_down = matrix_rank([border_tree(t) for t in here])
+    rank_in = matrix_rank([border_tree(t) for t in trees.enumerate_trees(n + 1)])
     return len(here) - rank_down - rank_in
 
 

@@ -2,6 +2,7 @@
 
 import json
 
+import pytest
 from hypothesis import given, strategies as st
 
 from lrq.cli import run
@@ -55,6 +56,16 @@ def test_domain_error_exit_code(capsys):
     assert "unstable" in err
     code, _, err = invoke(capsys, "face", "(|v|)", "--index", "7")
     assert code == 2
+
+
+@pytest.mark.parametrize("space", ["full", "reg", "toprec"])
+@pytest.mark.parametrize("order, genus", [("3", "-1"), ("-1", "0")])
+def test_cohomology_rejects_negative_bidegree(capsys, space, order, genus):
+    code, out, err = invoke(
+        capsys, "cohomology", "--order", order, "--genus", genus, "--space", space
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: order and genus must be nonnegative\n"
 
 
 def test_enumerate_commands(capsys):

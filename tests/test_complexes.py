@@ -1,6 +1,7 @@
 """Border and loop-raising differentials, exact ranks, cohomology dimensions."""
 
 from fractions import Fraction
+from math import ceil, comb
 
 import pytest
 from hypothesis import given, strategies as st
@@ -26,7 +27,7 @@ from lrq.exprs import parse
 from lrq.freemodule import LinComb
 from lrq.hopfops import star_h
 from lrq.loopgraphs import LEAF, ONELOOP, TREE, enumerate_graphs
-from lrq.subalgebras import Word, project_regular, psi_word
+from lrq.subalgebras import Word, enumerate_words, project_regular, psi_word
 
 T = LinComb.basis(TREE)
 L = LinComb.basis(ONELOOP)
@@ -176,6 +177,55 @@ def test_word_span_preserved_at_2_1():
     assert image == psi_word(Word("LT")) - psi_word(Word("TL"))
 
 
+def plain_rank(rows) -> int:
+    """Independent oracle: ordinary Gaussian elimination on dense Fraction rows."""
+    work = [[Fraction(x) for x in r] for r in rows]
+    width = len(work[0]) if work else 0
+    rank = 0
+    for col in range(width):
+        pivot = next((r for r in range(rank, len(work)) if work[r][col]), None)
+        if pivot is None:
+            continue
+        work[rank], work[pivot] = work[pivot], work[rank]
+        for r in range(rank + 1, len(work)):
+            factor = work[r][col] / work[rank][col]
+            for c in range(col, width):
+                work[r][c] -= factor * work[rank][c]
+        rank += 1
+    return rank
+
+
+def dense(vectors, basis):
+    """Coordinates of graph sums over an explicit basis, as dense Fraction rows."""
+    index = {b: i for i, b in enumerate(basis)}
+    rows = []
+    for v in vectors:
+        row = [Fraction(0)] * len(basis)
+        for t, c in v.items():
+            row[index[t]] = c
+        rows.append(row)
+    return rows
+
+
+def toprec_dim_dense(n: int, gg: int) -> int:
+    """Word-complex cohomology over dense coordinates in the regular graphs."""
+
+    def d(v):
+        return project_regular(d_h_sum(v))
+
+    ambient = enumerate_graphs(n, gg, regular_only=True)
+    span = [psi_word(w) for w in enumerate_words(n, gg)]
+    above = enumerate_graphs(n, gg + 1, regular_only=True)
+    dim_span = plain_rank(dense(span, ambient))
+    cocycles = dim_span - plain_rank(dense([d(v) for v in span], above))
+    if gg == 0:
+        return cocycles
+    images = dense([d(psi_word(w)) for w in enumerate_words(n, gg - 1)], ambient)
+    span_rows = dense(span, ambient)
+    coboundaries = plain_rank(images) + dim_span - plain_rank(images + span_rows)
+    return cocycles - coboundaries
+
+
 def test_cohomology_dims_toprec():
     assert cohomology_dim(2, 1, "toprec") == 1
     assert cohomology_dim(1, 1, "toprec") == 0
@@ -189,18 +239,45 @@ def test_cohomology_dims_full_small():
     assert cohomology_dim(1, 0, "full") == 0
 
 
+def test_full_complex_is_acyclic():
+    # Per tree the full complex is the Koszul complex of exterior
+    # multiplication by a nonzero vector, so only the empty graph survives.
+    for n in range(6):
+        for gg in range(n + 1):
+            assert cohomology_dim(n, gg, "full") == (1 if (n, gg) == (0, 0) else 0)
+
+
+def test_regular_complex_matches_kozlov():
+    # Per tree the regular complex is the independence complex of a path
+    # (Kozlov, "Complexes of directed trees", JCTA 88, 1999).
+    for n in range(7):
+        top = ceil(n / 3)
+        for gg in range(n + 1):
+            expected = comb(2 * n, n) // (n + 1) if n % 3 != 1 and gg == top else 0
+            assert cohomology_dim(n, gg, "reg") == expected, (n, gg)
+
+
+def test_toprec_matches_dense_elimination():
+    for n in range(6):
+        for gg in range(n + 1):
+            assert cohomology_dim(n, gg, "toprec") == toprec_dim_dense(n, gg), (n, gg)
+
+
 def test_cohomology_rejects_unknown_space():
     with pytest.raises(ValueError):
         cohomology_dim(1, 1, "everything")
 
 
 def test_matrix_rank_exact():
-    assert matrix_rank([]) == 0
-    assert matrix_rank([[Fraction(0), Fraction(0)]]) == 0
-    assert matrix_rank([[1, 2], [2, 4]]) == 1
-    assert matrix_rank([[1, 2], [2, 5]]) == 2
+    def rank(rows):
+        return matrix_rank([LinComb(enumerate(row)) for row in rows])
+
+    assert rank([]) == 0
+    assert rank([[Fraction(0), Fraction(0)]]) == 0
+    assert rank([[1, 2], [2, 4]]) == 1
+    assert rank([[1, 2], [2, 5]]) == 2
     assert (
-        matrix_rank(
+        rank(
             [
                 [Fraction(1, 2), Fraction(1, 3), 0],
                 [Fraction(1, 4), Fraction(1, 6), 0],
@@ -211,29 +288,60 @@ def test_matrix_rank_exact():
     )
 
 
+FRACTIONS = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+
+
 @given(
     st.lists(
-        st.lists(st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)),
-                 min_size=4, max_size=4),
+        st.lists(FRACTIONS, min_size=4, max_size=4),
         min_size=1,
         max_size=5,
     )
 )
 def test_matrix_rank_matches_plain_elimination(rows):
-    # Independent oracle: ordinary Gaussian elimination on Fractions.
-    work = [list(r) for r in rows]
-    rank = 0
-    for col in range(4):
-        pivot = next((r for r in range(rank, len(work)) if work[r][col]), None)
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        for r in range(rank + 1, len(work)):
-            factor = work[r][col] / work[rank][col]
-            for c in range(col, 4):
-                work[r][c] -= factor * work[rank][c]
-        rank += 1
-    assert matrix_rank(rows) == rank
+    assert matrix_rank([LinComb(enumerate(r)) for r in rows]) == plain_rank(rows)
+
+
+BLOCK_COLUMNS = [enumerate_graphs(3, 1)[i::3] for i in range(3)]
+
+
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 2), st.lists(FRACTIONS, min_size=5, max_size=5)),
+        max_size=12,
+    )
+)
+def test_matrix_rank_adds_over_blocks(tagged_rows):
+    # Rows of block k live on the graph columns BLOCK_COLUMNS[k] only.
+    blocks = [[row for k, row in tagged_rows if k == b] for b in range(3)]
+    sparse = [LinComb(zip(BLOCK_COLUMNS[k], row)) for k, row in tagged_rows]
+    assert matrix_rank(sparse) == sum(plain_rank(block) for block in blocks)
+
+
+SPARSE_ROWS = st.lists(
+    st.dictionaries(st.integers(0, 5), FRACTIONS, max_size=4), max_size=6
+)
+
+
+@given(SPARSE_ROWS)
+def test_matrix_rank_ignores_zero_coefficients_and_empty_rows(rows):
+    padded = [{**row, ("fresh", i): 0} for i, row in enumerate(rows)]
+    padded += [{}, LinComb(), {("fresh", -1): Fraction(0)}]
+    assert matrix_rank(padded) == matrix_rank(rows)
+
+
+@given(SPARSE_ROWS, st.randoms(use_true_random=False), st.lists(FRACTIONS, max_size=6))
+def test_matrix_rank_invariant_under_row_operations(rows, rng, multipliers):
+    rank = matrix_rank(rows)
+    shuffled = list(rows)
+    rng.shuffle(shuffled)
+    assert matrix_rank(shuffled) == rank
+    assert matrix_rank(rows + rows) == rank
+    assert matrix_rank([{col: -c for col, c in row.items()} for row in rows]) == rank
+    combination = LinComb()
+    for row, c in zip(rows, multipliers):
+        combination += c * LinComb(row)
+    assert matrix_rank(rows + [combination]) == rank
 
 
 def test_leibniz_probe_generator_instance():
