@@ -10,21 +10,49 @@ differential leg.
 Series truncation is tracked explicitly: a QSeries knows the highest q
 exponent it is trusted through, and a residue is only read inside the
 trusted range.
+
+Every coefficient of W^g_k is dyadic: 4^(3g-2+k) W^g_k has integer
+coefficients (the kernel's only divisor is its 1/4, and the two sides of a
+splitting term carry powers of 4 that add up to the whole).  The recursion
+therefore runs on these integer numerators, with four times the kernel, and
+divides by 4^(3g-2+k) once, when a correlator is stored.  Since the kernel
+starts at q^(-1), the bracket it multiplies is only needed through q^0: each
+splitting product is cut there, and the residue is read off the diagonal
+sum_e kernel[e] * bracket[-1-e] without forming the whole product.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from operator import add
 
 _EXACT = 10**9  # "trusted through any exponent we will ever look at"
 
 MAX_NEG_EULER = 12  # recursion bound on 2g - 2 + k
 
 
+def _owning(nvars: int, acc: dict) -> "LaurentPoly":
+    """A LaurentPoly taking over the dict `acc`, with its zero entries dropped."""
+    out = LaurentPoly.__new__(LaurentPoly)
+    out.nvars = nvars
+    out.coeffs = acc if all(acc.values()) else {e: c for e, c in acc.items() if c}
+    return out
+
+
+def _accumulate(acc: dict, coeffs: dict) -> None:
+    """Add the coefficients `coeffs` into `acc` in place (zeros may remain)."""
+    for exps, c in coeffs.items():
+        acc[exps] = acc.get(exps, 0) + c
+
+
 class LaurentPoly:
-    """Multivariate Laurent polynomial: exponent vectors -> nonzero rationals."""
+    """Multivariate Laurent polynomial: exponent vectors -> nonzero rationals.
+
+    Coefficients are ints or Fractions; other numbers are converted to
+    Fraction.  Integer polynomials stay in ints under +, - and *.
+    """
 
     __slots__ = ("nvars", "coeffs")
 
@@ -32,14 +60,14 @@ class LaurentPoly:
         acc: dict = {}
         items = coeffs.items() if isinstance(coeffs, dict) else coeffs
         for exps, c in items:
-            if not isinstance(c, Fraction):
+            if not isinstance(c, (int, Fraction)):
                 c = Fraction(c)
             if not c:
                 continue
             exps = tuple(exps)
             if len(exps) != nvars:
                 raise ValueError(f"exponent vector {exps} needs {nvars} slots")
-            new = acc.get(exps, Fraction(0)) + c
+            new = acc.get(exps, 0) + c
             if new:
                 acc[exps] = new
             else:
@@ -74,7 +102,7 @@ class LaurentPoly:
             raise ValueError("variable counts differ")
         acc = dict(self.coeffs)
         for exps, c in other.coeffs.items():
-            new = acc.get(exps, Fraction(0)) + c
+            new = acc.get(exps, 0) + c
             if new:
                 acc[exps] = new
             else:
@@ -95,18 +123,12 @@ class LaurentPoly:
         acc: dict = {}
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                new = acc.get(exps, Fraction(0)) + c1 * c2
-                if new:
-                    acc[exps] = new
-                else:
-                    del acc[exps]
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.nvars, out.coeffs = self.nvars, acc
-        return out
+                exps = tuple(map(add, e1, e2))
+                acc[exps] = acc.get(exps, 0) + c1 * c2
+        return _owning(self.nvars, acc)
 
     def scale(self, c) -> "LaurentPoly":
-        if not isinstance(c, Fraction):
+        if not isinstance(c, (int, Fraction)):
             c = Fraction(c)
         out = LaurentPoly.__new__(LaurentPoly)
         out.nvars = self.nvars
@@ -195,36 +217,52 @@ class QSeries:
             and self.coeffs == other.coeffs
         )
 
-    def __add__(self, other: "QSeries") -> "QSeries":
-        if self.nvars != other.nvars:
-            raise ValueError("variable counts differ")
-        valid = min(self.valid, other.valid)
-        acc = {e: p for e, p in self.coeffs.items() if e <= valid}
-        for e, p in other.coeffs.items():
-            if e > valid:
-                continue
-            have = acc.get(e)
-            acc[e] = p if have is None else have + p
-        return QSeries(self.nvars, acc, valid)
-
-    def __mul__(self, other: "QSeries") -> "QSeries":
+    def _valid_of_product(self, other: "QSeries") -> int:
         if self.nvars != other.nvars:
             raise ValueError("variable counts differ")
         # Terms above `valid` are unknown; they first pollute the product at
         # exponent (valid of one factor) + (lowest exponent of the other).
         la = self.lowest() if self.coeffs else self.valid + 1
         lb = other.lowest() if other.coeffs else other.valid + 1
-        valid = min(self.valid + lb, other.valid + la, _EXACT)
-        acc: dict = {}
+        return min(self.valid + lb, other.valid + la, _EXACT)
+
+    def __mul__(self, other: "QSeries") -> "QSeries":
+        valid = self._valid_of_product(other)
+        acc: dict[int, dict] = {}
         for i, ci in self.coeffs.items():
             for j, cj in other.coeffs.items():
                 e = i + j
                 if e > valid:
                     continue
-                prod = ci * cj
+                prod = (ci * cj).coeffs
                 have = acc.get(e)
-                acc[e] = prod if have is None else have + prod
-        return QSeries(self.nvars, acc, valid)
+                if have is None:
+                    acc[e] = prod
+                else:
+                    _accumulate(have, prod)
+        return QSeries(
+            self.nvars, {e: _owning(self.nvars, d) for e, d in acc.items()}, valid
+        )
+
+    def truncate(self, upto: int) -> "QSeries":
+        """The series trusted only through q^upto (if that is lower)."""
+        if upto >= self.valid:
+            return self
+        return QSeries(
+            self.nvars, {e: p for e, p in self.coeffs.items() if e <= upto}, upto
+        )
+
+    def mul_through(self, other: "QSeries", upto: int) -> "QSeries":
+        """The product trusted through q^upto at most, computed only that far.
+
+        It equals ``self * other`` at every exponent it keeps, and its
+        ``valid`` is the lower of that product's and ``upto``.  Each factor is
+        cut where its terms can no longer reach q^upto.
+        """
+        la, lb = self.lowest(), other.lowest()
+        if la is None or lb is None or la + lb > upto:
+            return QSeries(self.nvars, (), min(self._valid_of_product(other), upto))
+        return self.truncate(upto - lb) * other.truncate(upto - la)
 
     def scale(self, c) -> "QSeries":
         return QSeries(
@@ -252,11 +290,12 @@ def bergman_series(leg: int, order: int, nvars: int | None = None) -> QSeries:
     return QSeries(nvars, coeffs, valid=order)
 
 
-def kernel_series(order: int, nvars: int = 1) -> QSeries:
+def kernel_series(order: int, nvars: int = 1, coeff=Fraction(-1, 4)) -> QSeries:
     """Expansion of the recursion kernel 1/(4q(q^2 - p^2)) through q^order.
 
     Equal to -(1/(4 p^2)) q^(-1) sum_m (q/p)^(2m); only odd powers of q
-    appear, starting at q^(-1), and p is variable 0.
+    appear, starting at q^(-1), and p is variable 0.  Every term carries
+    ``coeff``; the integer recursion passes -1, four times the kernel.
     """
     if order < 0:
         raise ValueError("truncation order must be nonnegative")
@@ -265,7 +304,7 @@ def kernel_series(order: int, nvars: int = 1) -> QSeries:
     while 2 * m - 1 <= order:
         exps = [0] * nvars
         exps[0] = -(2 * m + 2)
-        coeffs[2 * m - 1] = LaurentPoly.monomial(nvars, exps, Fraction(-1, 4))
+        coeffs[2 * m - 1] = LaurentPoly.monomial(nvars, exps, coeff)
         m += 1
     return QSeries(nvars, coeffs, valid=order)
 
@@ -288,13 +327,47 @@ def residue_at_zero(s: QSeries) -> LaurentPoly:
     return s.coeffs.get(-1, LaurentPoly(s.nvars))
 
 
+def residue_of_product(a: QSeries, b: QSeries) -> LaurentPoly:
+    """Residue of a * b, read off the diagonal sum_e a[e] * b[-1-e].
+
+    Only the q^(-1) coefficient is formed; it is trusted as far as the full
+    product would be, so a short truncation raises in residue_at_zero.
+    """
+    acc: dict = {}
+    for e, ca in a.coeffs.items():
+        cb = b.coeffs.get(-1 - e)
+        if cb is not None:
+            _accumulate(acc, (ca * cb).coeffs)
+    diagonal = QSeries(a.nvars, {-1: _owning(a.nvars, acc)}, a._valid_of_product(b))
+    return residue_at_zero(diagonal)
+
+
+def sum_series(nvars: int, terms) -> QSeries:
+    """The sum of series in `nvars` variables, trusted as far as all of them."""
+    terms = list(terms)
+    if any(t.nvars != nvars for t in terms):
+        raise ValueError("variable counts differ")
+    valid = min((t.valid for t in terms), default=_EXACT)
+    acc: dict[int, dict] = {}
+    for t in terms:
+        for e, p in t.coeffs.items():
+            if e <= valid:
+                _accumulate(acc.setdefault(e, {}), p.coeffs)
+    return QSeries(nvars, {e: _owning(nvars, d) for e, d in acc.items()}, valid)
+
+
 @dataclass(frozen=True)
 class Correlator:
-    """A genus-g, k-leg correlator; variables are p, p1, ..., p_(k-1)."""
+    """A genus-g, k-leg correlator; variables are p, p1, ..., p_(k-1).
+
+    ``numerators`` is 4^(3g-2+k) * coeff, with integer coefficients: the
+    form in which the recursion feeds the correlator back into itself.
+    """
 
     genus: int
     legs: int
     coeff: LaurentPoly
+    numerators: LaurentPoly = field(compare=False, repr=False)
 
     def __str__(self) -> str:
         return format_laurent(self.coeff)
@@ -329,20 +402,18 @@ def _attach(poly: LaurentPoly, roles: list, nvars: int) -> QSeries:
                 pexps[role] += e
         key = tuple(pexps)
         bucket = acc.setdefault(qe, {})
-        bucket[key] = bucket.get(key, Fraction(0)) + sign * c
-    return QSeries(
-        nvars, {e: LaurentPoly(nvars, d) for e, d in acc.items()}, _EXACT
-    )
+        bucket[key] = bucket.get(key, 0) + sign * c
+    return QSeries(nvars, {e: _owning(nvars, d) for e, d in acc.items()}, _EXACT)
 
 
 def _factor(h: int, sub_legs: list[int], which: str, nvars: int, order: int) -> QSeries:
-    """One factor W^h(q or qbar, sub_legs) of a splitting term."""
+    """One factor 4^(3h-1+|sub_legs|) W^h(q or qbar, sub_legs) of a splitting term."""
     k_f = len(sub_legs) + 1
     if h == 0 and k_f == 2:
         s = bergman_series(sub_legs[0], order, nvars)
         return conjugate_leg(s) if which == "qbar" else s
     sub = airy_correlator(h, k_f)
-    return _attach(sub.coeff, [which] + list(sub_legs), nvars)
+    return _attach(sub.numerators, [which] + list(sub_legs), nvars)
 
 
 def _subsets(items: list[int]):
@@ -351,18 +422,23 @@ def _subsets(items: list[int]):
 
 
 def _residue_recursion(g: int, k: int, order: int) -> LaurentPoly:
+    """4^(3g-2+k) W^g_k, with integer coefficients.
+
+    The Bergman factors and the kernel are expanded through q^order at most;
+    an order too small for the residue raises ValueError.
+    """
     nv = k
     legs = list(range(1, k))
-    bracket = QSeries(nv)
+    # The bracket, scaled by 4^(3g-2+k) and multiplied against four times the
+    # kernel; the kernel starts at q^(-1), so it is needed through q^0 only.
+    terms = []
     if g >= 1:
         if g == 1 and k == 1:
-            # W_2^0(q, qbar) = 1/(q - qbar)^2 at qbar = -q, with the leg sign.
-            bracket = bracket + QSeries(
-                nv, {-2: LaurentPoly.const(nv, Fraction(-1, 4))}
-            )
+            # 4 W_2^0(q, qbar) = 4/(q - qbar)^2 at qbar = -q, with the leg sign.
+            terms.append(QSeries(nv, {-2: LaurentPoly.const(nv, -1)}))
         else:
             sub = airy_correlator(g - 1, k + 1)
-            bracket = bracket + _attach(sub.coeff, ["q", "qbar"] + legs, nv)
+            terms.append(_attach(sub.numerators, ["q", "qbar"] + legs, nv).scale(4))
     for h in range(g + 1):
         for chosen in _subsets(legs):
             rest = [v for v in legs if v not in chosen]
@@ -372,8 +448,12 @@ def _residue_recursion(g: int, k: int, order: int) -> LaurentPoly:
                 continue
             f1 = _factor(h, chosen, "q", nv, order)
             f2 = _factor(g - h, rest, "qbar", nv, order)
-            bracket = bracket + f1 * f2
-    return residue_at_zero(kernel_series(order, nv) * bracket)
+            terms.append(f1.mul_through(f2, 0))
+    bracket = sum_series(nv, terms)
+    # The kernel term at q^e meets the bracket at q^(-1-e).
+    lowest = bracket.lowest()
+    reach = order if lowest is None else max(0, min(order, -1 - lowest))
+    return residue_of_product(kernel_series(reach, nv, coeff=-1), bracket)
 
 
 # Memo of finished correlators; values are immutable and recomputation is
@@ -402,15 +482,19 @@ def airy_correlator(g: int, k: int) -> Correlator:
     if got is not None:
         return got
     order = default_truncation(g, k)
-    coeff = _residue_recursion(g, k, order)
+    numerators = _residue_recursion(g, k, order)
     for _ in range(8):
         recheck = _residue_recursion(g, k, order + 4)
-        if recheck == coeff:
+        if recheck == numerators:
             break
         order *= 2
-        coeff = _residue_recursion(g, k, order)
+        numerators = _residue_recursion(g, k, order)
     else:
         raise RuntimeError(f"residue failed to stabilize for ({g}, {k})")
-    corr = Correlator(g, k, coeff)
+    scale = 4 ** (3 * g - 2 + k)
+    coeff = LaurentPoly(
+        k, {e: Fraction(u, scale) for e, u in numerators.coeffs.items()}
+    )
+    corr = Correlator(g, k, coeff, numerators)
     _CACHE[(g, k)] = corr
     return corr

@@ -3,7 +3,9 @@
 import runpy
 import sys
 from fractions import Fraction
-from itertools import permutations
+from functools import lru_cache
+from itertools import combinations, permutations
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -20,6 +22,8 @@ from lrq.airy import (
     kernel_series,
     laurent_json,
     residue_at_zero,
+    residue_of_product,
+    sum_series,
 )
 
 
@@ -116,6 +120,66 @@ def test_residue_linear_and_kills_exact_powers():
         assert res.is_zero() == (m != -1)
 
 
+def test_bounded_product_is_the_full_product_cut_at_the_bound():
+    a = QSeries(2, {
+        -4: mono(2, (-2, 0), 3), -1: mono(2, (0, -2)), 0: LaurentPoly.const(2, 5),
+        2: mono(2, (1, 1), -2),
+    }, valid=3)
+    b = QSeries(2, {
+        -2: mono(2, (0, -4), Fraction(1, 2)), 1: mono(2, (-1, 0), 7),
+        4: LaurentPoly.const(2, 1),
+    })
+    empty = QSeries(2, (), valid=-3)
+    for x, y in [(a, b), (b, a), (a, a), (a, empty), (empty, b)]:
+        full = x * y
+        for bound in range(-9, 6):
+            cut = x.mul_through(y, bound)
+            assert cut.valid == min(full.valid, bound)
+            assert cut.coeffs == {e: p for e, p in full.coeffs.items() if e <= bound}
+
+
+def test_sum_series_adds_inside_the_common_trusted_range():
+    a = QSeries(1, {-2: LaurentPoly.const(1, 3), 1: mono(1, (-2,), 2), 4: mono(1, (1,))},
+                valid=4)
+    b = QSeries(1, {-2: LaurentPoly.const(1, -3), 0: mono(1, (2,), 5),
+                    2: LaurentPoly.const(1, 7)}, valid=2)
+    total = sum_series(1, [a, b, QSeries(1)])
+    assert total.valid == 2
+    assert total.coeffs == {0: mono(1, (2,), 5), 1: mono(1, (-2,), 2),
+                            2: LaurentPoly.const(1, 7)}
+    assert sum_series(1, []) == QSeries(1)
+    with pytest.raises(ValueError):
+        sum_series(1, [a, QSeries(2)])
+
+
+def test_residue_of_product_reads_the_diagonal():
+    kernel = kernel_series(5)
+    bracket = QSeries(1, {-6: mono(1, (2,), 3), -2: LaurentPoly.const(1, -1),
+                          0: mono(1, (-2,), 4), 1: LaurentPoly.const(1, 9)}, valid=1)
+    assert residue_of_product(kernel, bracket) == residue_at_zero(kernel * bracket)
+    # The kernel through q^4 cannot reach the q^-6 term: too short, so it raises.
+    with pytest.raises(ValueError):
+        residue_of_product(kernel_series(4), bracket)
+
+
+@pytest.mark.parametrize("g,k", [(1, 1), (0, 4), (1, 2), (2, 1), (1, 3)])
+def test_short_truncation_raises_and_never_misreads(g, k):
+    # Below the smallest order that covers the residue the recursion raises;
+    # from there on it returns the exact numerators.
+    exact = airy_correlator(g, k).numerators
+    outcomes = []
+    for order in range(default_truncation(g, k) + 1):
+        try:
+            got = _residue_recursion(g, k, order)
+        except ValueError:
+            outcomes.append("raised")
+        else:
+            assert got == exact
+            outcomes.append("exact")
+    assert outcomes[0] == "raised" and outcomes[-1] == "exact"
+    assert outcomes == sorted(outcomes, key=("raised", "exact").index)
+
+
 def test_residue_requires_enough_truncation():
     s = QSeries(1, {-3: LaurentPoly.const(1, 1)}, valid=-2)
     with pytest.raises(ValueError):
@@ -204,6 +268,77 @@ def test_one_point_functions_match_intersection_numbers():
     )
 
 
+def double_factorial(n):
+    return prod(range(n, 0, -2))
+
+
+@lru_cache(maxsize=None)
+def witten_kontsevich(g, ds):
+    """<tau_d1 ... tau_dk>_g by the DVV (Virasoro) recursion, exactly."""
+    ds = tuple(sorted(ds))
+    if any(d < 0 for d in ds) or sum(ds) != 3 * g - 3 + len(ds):
+        return Fraction(0)
+    if 2 * g - 2 + len(ds) <= 0:
+        return Fraction(0)
+    if (g, ds) == (0, (0, 0, 0)):
+        return Fraction(1)
+    if (g, ds) == (1, (1,)):
+        return Fraction(1, 24)
+    # Remove the largest index: tau_(m+1) with m = ds[-1] - 1.
+    m, rest = ds[-1] - 1, ds[:-1]
+    total = Fraction(0)
+    for j, d in enumerate(rest):
+        moved = rest[:j] + (d + m,) + rest[j + 1:]
+        total += Fraction(double_factorial(2 * m + 2 * d + 1),
+                          double_factorial(2 * d - 1)) * witten_kontsevich(g, moved)
+    for r in range(m):
+        s = m - 1 - r
+        weight = Fraction(double_factorial(2 * r + 1) * double_factorial(2 * s + 1), 2)
+        total += weight * witten_kontsevich(g - 1, (r, s) + rest)
+        for h in range(g + 1):
+            for size in range(len(rest) + 1):
+                for chosen in combinations(range(len(rest)), size):
+                    left = tuple(rest[i] for i in chosen)
+                    right = tuple(rest[i] for i in range(len(rest)) if i not in chosen)
+                    total += (weight * witten_kontsevich(h, (r,) + left)
+                              * witten_kontsevich(g - h, (s,) + right))
+    return total / double_factorial(2 * m + 3)
+
+
+def test_witten_kontsevich_values():
+    # Classical values that pin the recursion's conventions down.
+    assert witten_kontsevich(2, (4,)) == Fraction(1, 1152)
+    assert witten_kontsevich(1, (1, 1)) == Fraction(1, 24)
+    assert witten_kontsevich(0, (1, 1, 0, 0, 0)) == 2
+    assert witten_kontsevich(2, (2, 3)) == Fraction(29, 5760)
+    assert witten_kontsevich(3, (7,)) == Fraction(1, 82944)
+
+
+def compositions(total, parts):
+    """Every tuple of `parts` nonnegative integers summing to `total`."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for tail in compositions(total - first, parts - 1):
+            yield (first,) + tail
+
+
+STABLE_UP_TO_6 = [(g, chi + 2 - 2 * g) for chi in range(1, 7)
+                  for g in range(chi // 2 + 2) if chi + 2 - 2 * g >= 1]
+
+
+@pytest.mark.parametrize("g,k", STABLE_UP_TO_6)
+def test_matches_witten_kontsevich(g, k):
+    # W^g_k = 2^-(2g-2+k) sum_d <tau_d1...tau_dk>_g prod (2d_i+1)!! p_i^-(2d_i+2)
+    want = {}
+    for ds in compositions(3 * g - 3 + k, k):
+        value = witten_kontsevich(g, ds) * prod(double_factorial(2 * d + 1) for d in ds)
+        if value:
+            want[tuple(-(2 * d + 2) for d in ds)] = value / 2 ** (2 * g - 2 + k)
+    assert airy_correlator(g, k).coeff.coeffs == want
+
+
 def test_airy_table_lists_the_one_leg_pairs(monkeypatch, capsys):
     script = Path(__file__).resolve().parents[1] / "scripts" / "airy_table.py"
     main = runpy.run_path(str(script))["main"]
@@ -215,3 +350,20 @@ def test_airy_table_lists_the_one_leg_pairs(monkeypatch, capsys):
     pairs = [line.split(":")[0] for line in lines]
     assert pairs == ["g=0 k=3", "g=1 k=1", "g=0 k=4", "g=1 k=2",
                      "g=0 k=5", "g=1 k=3", "g=2 k=1"]
+
+
+def test_airy_table_rejects_a_bound_beyond_the_recursion(monkeypatch, capsys):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "airy_table.py"
+    main = runpy.run_path(str(script))["main"]
+    monkeypatch.setattr(sys, "argv", ["airy_table.py", "--max-euler", "13"])
+
+    def computed(g, k):
+        raise AssertionError(f"computed ({g}, {k}) before checking the bound")
+
+    monkeypatch.setitem(main.__globals__, "airy_correlator", computed)
+    with pytest.raises(SystemExit) as exit_info:
+        main()
+    assert exit_info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: --max-euler 13 is beyond the recursion bound 2g-2+k <= 12\n"
