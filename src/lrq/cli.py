@@ -34,18 +34,22 @@ def _emit_sum(args, x: LinComb) -> int:
 
 
 def _parse_graph_sum(text: str) -> LinComb:
-    return parse(text, "graph-sum").value
+    x = parse(text, "graph-sum").value
+    if any(isinstance(t, tuple) for t, _ in x.items()):
+        raise ValueError(f"expected a graph sum without tensors, got {x}")
+    return x
 
 
-def _single_graph(text: str) -> loopgraphs.LoopGraph:
-    b = parse(text, "graph-sum").single_basis()
+def _single(text: str, kind: str):
+    b = parse(text, kind).single_basis()
     if isinstance(b, tuple):
-        raise ValueError("expected a single graph, not a tensor")
+        noun = kind.removesuffix("-sum")
+        raise ValueError(f"expected a single {noun}, not a tensor")
     return b
 
 
 def _parse_tree_sum(text: str) -> LinComb:
-    x = _parse_graph_sum(text)
+    x = parse(text, "graph-sum").value
     for t, _ in x.items():
         if isinstance(t, tuple) or t.genus != 0:
             raise ValueError(f"expected an unmarked tree sum, got {x}")
@@ -95,7 +99,7 @@ def cmd_antipode(args) -> int:
 
 
 def cmd_counit(args) -> int:
-    c = hopfops.counit(_parse_graph_sum(args.expr))
+    c = hopfops.counit(parse(args.expr, "graph-sum").value)
     if args.json:
         print(json.dumps([c.numerator, c.denominator]))
     else:
@@ -104,29 +108,29 @@ def cmd_counit(args) -> int:
 
 
 def cmd_perm_product(args) -> int:
-    left = parse(args.left, "permutation").single_basis()
-    right = parse(args.right, "permutation").single_basis()
+    left = _single(args.left, "permutation")
+    right = _single(args.right, "permutation")
     return _emit_sum(args, permutations.star_perm(left, right))
 
 
 def cmd_perm_coproduct(args) -> int:
-    sigma = parse(args.perm, "permutation").single_basis()
+    sigma = _single(args.perm, "permutation")
     return _emit_sum(args, permutations.coproduct_perm(sigma))
 
 
 def cmd_tree_of_perm(args) -> int:
-    sigma = parse(args.perm, "permutation").single_basis()
+    sigma = _single(args.perm, "permutation")
     print(trees.perm_to_tree(sigma))
     return 0
 
 
 def cmd_face(args) -> int:
-    print(trees.face(args.index, _single_graph(args.tree)))
+    print(trees.face(args.index, _single(args.tree, "graph-sum")))
     return 0
 
 
 def cmd_degeneracy(args) -> int:
-    print(trees.degeneracy(args.index, _single_graph(args.tree)))
+    print(trees.degeneracy(args.index, _single(args.tree, "graph-sum")))
     return 0
 
 
@@ -149,7 +153,7 @@ def cmd_cohomology(args) -> int:
 
 
 def cmd_psi(args) -> int:
-    w = parse(args.word, "word").single_basis()
+    w = _single(args.word, "word")
     return _emit_sum(args, subalgebras.psi_word(w))
 
 

@@ -8,13 +8,12 @@ from basis graphs to integers, so every dimension reported here is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, lcm
 
 from . import trees
 from .freemodule import LinComb
 from .hopfops import GraphSum, star_h_sum
-from .loopgraphs import LoopGraph, contract, enumerate_graphs, is_regular, loop_slots
+from .loopgraphs import LoopGraph, contract, enumerate_graphs, is_regular
 from .subalgebras import enumerate_words, project_regular, psi_word
 
 
@@ -24,7 +23,7 @@ def border_tree(t: LoopGraph) -> LinComb:
         raise ValueError("border undefined in order 0")
     out = []
     for i in range(t.order + 1):
-        out.append((trees.face(i, t), Fraction(-1) ** i))
+        out.append((trees.face(i, t), (-1) ** i))
     return LinComb(out)
 
 
@@ -59,7 +58,7 @@ class Cochain:
 
 def loops_before(i: int, t: LoopGraph) -> int:
     """Number of looped slots strictly below slot i (original leaf numbering)."""
-    return sum(1 for j in loop_slots(t) if j < i)
+    return (t.slots & ((1 << i) - 1)).bit_count()
 
 
 def signed_slot(i: int, t: LoopGraph) -> GraphSum:
@@ -67,21 +66,17 @@ def signed_slot(i: int, t: LoopGraph) -> GraphSum:
     c = contract(i, t)
     if c is None:
         return LinComb()
-    return LinComb.basis(c, Fraction(-1) ** loops_before(i, t))
+    return LinComb.basis(c, (-1) ** loops_before(i, t))
 
 
 def d_h_graph(t: LoopGraph) -> GraphSum:
     """Differential of one graph: sum over slots i of (-1)^(i + loops before i)
     times the contraction at i."""
     out = []
-    sign_loops = 0
-    slots = loop_slots(t)
     for i in range(t.order):
         c = contract(i, t)
         if c is not None:
-            out.append((c, Fraction(-1) ** (i + sign_loops)))
-        if i in slots:
-            sign_loops += 1
+            out.append((c, (-1) ** (i + loops_before(i, t))))
     return LinComb(out)
 
 

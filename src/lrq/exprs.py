@@ -90,8 +90,9 @@ class _Parser:
             self.error("expected digits")
         return int(self.text[start:self.pos])
 
-    def try_rational(self) -> Fraction | None:
-        """Parse int["/"uint] if the input starts with one; else None."""
+    def try_rational(self) -> int | Fraction | None:
+        """Parse int["/"uint] if the input starts with one; else None.
+        Only a written division gives a Fraction."""
         save = self.pos
         sign = 1
         ch = self.peek()
@@ -108,7 +109,7 @@ class _Parser:
             if den == 0:
                 self.error("zero denominator")
             return Fraction(sign * num, den)
-        return Fraction(sign * num)
+        return sign * num
 
     # --- atoms ---
 
@@ -202,8 +203,8 @@ class _Parser:
             # A bare zero stands for the empty sum.
             if self._digits() != 0:
                 self.error("expected '*' after a coefficient")
-            return None, Fraction(0)
-        return self.parse_basis(kind), Fraction(1)
+            return None, 0
+        return self.parse_basis(kind), 1
 
     def parse_sum(self, kind: str) -> LinComb:
         terms = []

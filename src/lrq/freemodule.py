@@ -1,19 +1,16 @@
-"""Exact-rational formal linear combinations over a hashable basis.
+"""Exact formal linear combinations over a hashable basis.
 
-Coefficients are always `fractions.Fraction`; no floating point is used
-anywhere in this package.  Basis elements must be hashable and expose a
-``sort_key()`` method returning something totally ordered; tensor factors
-are plain tuples of basis elements and compare componentwise.
+Coefficients stay as given when they are `int` or `fractions.Fraction`;
+any other number is converted to `Fraction` exactly, and no floating point
+is used anywhere in this package.  Basis elements must be hashable and
+expose a ``sort_key()`` method returning something totally ordered; tensor
+factors are plain tuples of basis elements and compare componentwise.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping
-
-Rational = Fraction
-
-_ZERO = Fraction(0)
 
 
 def sort_key(basis):
@@ -35,7 +32,7 @@ def basis_str(basis) -> str:
 
 
 class LinComb:
-    """A finite formal sum of basis elements with nonzero rational coefficients.
+    """A finite formal sum of basis elements with nonzero exact coefficients.
 
     Values are immutable.  Zero coefficients are never stored, so equality of
     normalized term maps is exact equality of the represented elements.
@@ -48,11 +45,11 @@ class LinComb:
         acc: dict = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for basis, coeff in items:
-            if not isinstance(coeff, Fraction):
+            if not isinstance(coeff, (int, Fraction)):
                 coeff = Fraction(coeff)
             if not coeff:
                 continue
-            new = acc.get(basis, _ZERO) + coeff
+            new = acc.get(basis, 0) + coeff
             if new:
                 acc[basis] = new
             else:
@@ -77,8 +74,8 @@ class LinComb:
     def support(self) -> list:
         return sorted(self._terms, key=sort_key)
 
-    def coeff(self, b) -> Fraction:
-        return self._terms.get(b, _ZERO)
+    def coeff(self, b) -> int | Fraction:
+        return self._terms.get(b, 0)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -109,7 +106,7 @@ class LinComb:
             return other
         acc = dict(self._terms)
         for b, c in other._terms.items():
-            new = acc.get(b, _ZERO) + c
+            new = acc.get(b, 0) + c
             if new:
                 acc[b] = new
             else:
@@ -125,7 +122,7 @@ class LinComb:
         return self.scale(-1)
 
     def scale(self, c) -> "LinComb":
-        if not isinstance(c, Fraction):
+        if not isinstance(c, (int, Fraction)):
             c = Fraction(c)
         if not c:
             return LinComb()
@@ -185,7 +182,7 @@ def as_lincomb(v) -> LinComb:
 
 def tensor(*factors: LinComb) -> LinComb:
     """Tensor product of LinCombs over atomic bases, as a LinComb over tuples."""
-    out = [((), Fraction(1))]
+    out = [((), 1)]
     for f in factors:
         out = [
             (key + (b,), c * c2)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .freemodule import LinComb, Rational, bilinear_extend
+from .freemodule import LinComb, bilinear_extend
 from .loopgraphs import LEAF, LoopGraph, enumerate_graphs
 
 # A GraphSum is a LinComb over LoopGraph basis elements.
@@ -55,7 +55,7 @@ def delta_h(t: LoopGraph) -> LinComb:
     """
     if t.is_leaf:
         return LinComb.basis((LEAF, LEAF))
-    out = [((t, LEAF), Rational(1))]
+    out = [((t, LEAF), 1)]
     for (a1, a2), ca in delta_h(t.left).items():
         for (b1, b2), cb in delta_h(t.right).items():
             joined = LoopGraph(a2, b2, t.looped)
@@ -69,8 +69,8 @@ def delta_h_sum(x: GraphSum) -> LinComb:
     return x.map_basis(delta_h)
 
 
-def counit(x: GraphSum) -> Rational:
-    """Coefficient of the unit graph."""
+def counit(x: GraphSum):
+    """Coefficient of the unit graph (an int, or a Fraction if x has one)."""
     return x.coeff(LEAF)
 
 

@@ -5,7 +5,10 @@ genus 0 (see `lrq.trees` for the tree operators).
 
 A loop joining the consecutive leaves (i, i+1) of the underlying tree is
 stored as a mark on the unique vertex that is the lowest common ancestor of
-those leaves; the index i is the vertex's slot.  Genus counts the marks, and
+those leaves; the index i is the vertex's slot.  Each graph carries its
+looped slots as one integer, ``slots``, with bit i set when the vertex in
+slot i is looped; it is built with the node from the children's masks, so
+reading the loop marks never walks the graph.  Genus counts the marks, and
 the total order of a graph is order + genus.  The printed grammar extends
 the tree grammar: ``graph := "|" | "(" graph "v" graph ")" | "(" graph "o" graph ")"``
 with "o" marking a looped root.
@@ -34,6 +37,7 @@ class LoopGraph:
     looped: bool = False
     order: int = field(init=False, compare=False, repr=False, default=0)
     genus: int = field(init=False, compare=False, repr=False, default=0)
+    slots: int = field(init=False, compare=False, repr=False, default=0)
 
     def __post_init__(self):
         if (self.left is None) != (self.right is None):
@@ -43,13 +47,11 @@ class LoopGraph:
                 raise ValueError("a bare leaf cannot carry a loop")
             object.__setattr__(self, "_str", "|")
         else:
-            object.__setattr__(
-                self, "order", self.left.order + self.right.order + 1
-            )
-            object.__setattr__(
-                self, "genus",
-                self.left.genus + self.right.genus + (1 if self.looped else 0),
-            )
+            p = self.left.order
+            slots = self.left.slots | self.looped << p | self.right.slots << (p + 1)
+            object.__setattr__(self, "order", p + self.right.order + 1)
+            object.__setattr__(self, "slots", slots)
+            object.__setattr__(self, "genus", slots.bit_count())
             mark = "o" if self.looped else "v"
             object.__setattr__(self, "_str", f"({self.left}{mark}{self.right})")
 
@@ -117,25 +119,12 @@ def loop_slots(t: LoopGraph) -> frozenset[int]:
     The vertex in slot i is the lowest common ancestor of leaves i and i+1,
     so its loop joins exactly that pair of leaves.
     """
-    out = set()
-
-    def walk(g: LoopGraph, offset: int) -> None:
-        if g.is_leaf:
-            return
-        p = g.left.order
-        walk(g.left, offset)
-        if g.looped:
-            out.add(offset + p)
-        walk(g.right, offset + p + 1)
-
-    walk(t, 0)
-    return frozenset(out)
+    return frozenset(i for i in range(t.order) if t.slots >> i & 1)
 
 
 def is_regular(t: LoopGraph) -> bool:
-    """True iff no leaf belongs to two loops (leaf pairs {i, i+1} disjoint)."""
-    slots = sorted(loop_slots(t))
-    return all(b - a >= 2 for a, b in zip(slots, slots[1:]))
+    """True iff no leaf belongs to two loops (no two adjacent looped slots)."""
+    return not t.slots & (t.slots >> 1)
 
 
 def contract(i: int, t: LoopGraph) -> LoopGraph | None:

@@ -68,6 +68,36 @@ def test_cohomology_rejects_negative_bidegree(capsys, space, order, genus):
     assert err == "error: order and genus must be nonnegative\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("product", "(|v|)@|", "(|o|)"),
+        ("product", "(|v|)", "|@(|o|)", "--algebra", "reg"),
+        ("coproduct", "(|v|)@|"),
+        ("antipode", "|@|"),
+        ("dh", "(|v|)@|"),
+        ("psi", "TLT@T"),
+        ("perm-product", "[1]@[1]", "[1]"),
+        ("perm-coproduct", "[1,2]@[1]"),
+        ("tree-of-perm", "[1,2]@[1]"),
+    ],
+)
+def test_tensor_input_is_a_domain_error(capsys, argv):
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.endswith("\n") and err.count("\n") == 1
+
+
+def test_tensor_input_where_it_was_already_handled(capsys):
+    assert invoke(capsys, "counit", "(|v|)@|") == (0, "0\n", "")
+    assert invoke(capsys, "face", "(|v|)@|", "--index", "0") == (
+        2, "", "error: expected a single graph, not a tensor\n"
+    )
+    assert invoke(capsys, "border", "(|v|)@|") == (
+        2, "", "error: expected an unmarked tree sum, got (|v|)@|\n"
+    )
+
+
 def test_enumerate_commands(capsys):
     code, out, _ = invoke(capsys, "enumerate", "trees", "--order", "2")
     assert code == 0

@@ -99,3 +99,18 @@ def test_as_lincomb():
     assert as_lincomb(None).is_zero()
     assert as_lincomb(a) == LinComb.basis(a)
     assert as_lincomb(LinComb.basis(a, 2)) == LinComb.basis(a, 2)
+
+
+def test_coefficients_keep_their_exact_type():
+    a = POOL[1]
+    three = LinComb.basis(a, 3)
+    assert type(three.coeff(a)) is int
+    assert type((three + three).coeff(a)) is int
+    assert type((2 * three).coeff(a)) is int
+    assert type(LinComb.basis(a, Fraction(1, 3)).coeff(a)) is Fraction
+    half = LinComb.basis(a, 0.5).coeff(a)
+    assert type(half) is Fraction and half == Fraction(1, 2)
+    two, also_two = LinComb.basis(a, Fraction(4, 2)), LinComb.basis(a, 2)
+    assert two == also_two
+    assert hash(two) == hash(also_two)
+    assert str(two) == str(also_two)

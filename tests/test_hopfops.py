@@ -6,10 +6,12 @@ from functools import lru_cache
 import pytest
 
 from lrq import trees
+from lrq.complexes import d_h_graph
 from lrq.exprs import parse
 from lrq.freemodule import LinComb, bilinear_extend
 from lrq.hopfops import (
     UNIT,
+    _antipode,
     antipode,
     check_axiom,
     counit,
@@ -217,3 +219,12 @@ def test_delta_h_sum_is_linear():
     x = gsum("2*(|o|) + 1/3*(|v|)")
     expected = 2 * delta_h(ONELOOP) + Fraction(1, 3) * delta_h(TREE)
     assert delta_h_sum(x) == expected
+
+
+def test_structure_constants_are_ints():
+    basis = graphs_up_to_total_order(5)
+    values = [star_h(x, y) for x in basis for y in basis
+              if x.total_order + y.total_order <= 5]
+    for t in basis:
+        values += [delta_h(t), _antipode(t), d_h_graph(t)]
+    assert all(type(c) is int for v in values for _, c in v.items())

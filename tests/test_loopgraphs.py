@@ -186,6 +186,15 @@ def test_enumerate_regular_counts_order_3():
     assert len(enumerate_graphs(3, 3, regular_only=True)) == 0
 
 
+def test_regular_count_closed_form():
+    # Choosing g pairwise non-adjacent slots among n: Catalan(n) * C(n-g+1, g).
+    for n in range(8):
+        catalan = comb(2 * n, n) // (n + 1)
+        for gg in range(n + 1):
+            expected = catalan * comb(n - gg + 1, gg)
+            assert len(enumerate_graphs(n, gg, regular_only=True)) == expected
+
+
 def test_enumerate_singleton():
     assert enumerate_graphs(1, 1) == [ONELOOP]
 
@@ -219,3 +228,16 @@ def test_signature_examples():
 def test_signature_rejects_irregular():
     with pytest.raises(ValueError):
         signature(g("(|o(|o|))"))
+
+
+def test_slot_readers_take_any_depth():
+    # Far deeper than the recursion limit: the readers use the slot mask.
+    comb_tree = g("(" * 5000 + "|" + "v|)" * 5000)
+    assert loop_slots(comb_tree) == frozenset()
+    assert is_regular(comb_tree)
+    assert signature(comb_tree) == (0, 5002, -5000)
+    all_looped = g("(|o" * 5000 + "|" + ")" * 5000)
+    assert loop_slots(all_looped) == frozenset(range(5000))
+    assert not is_regular(all_looped)
+    with pytest.raises(ValueError, match="irregular"):
+        signature(all_looped)
