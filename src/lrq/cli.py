@@ -99,7 +99,7 @@ def cmd_antipode(args) -> int:
 
 
 def cmd_counit(args) -> int:
-    c = hopfops.counit(parse(args.expr, "graph-sum").value)
+    c = hopfops.counit(_parse_graph_sum(args.expr))
     if args.json:
         print(json.dumps([c.numerator, c.denominator]))
     else:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lrq.cli import run
+from lrq.complexes import MAX_COHOMOLOGY_ORDER
 from lrq.loopgraphs import enumerate_graphs
 
 
@@ -68,6 +69,18 @@ def test_cohomology_rejects_negative_bidegree(capsys, space, order, genus):
     assert err == "error: order and genus must be nonnegative\n"
 
 
+@pytest.mark.parametrize("space", ["full", "reg", "toprec"])
+def test_cohomology_refuses_an_order_beyond_the_bound(capsys, space):
+    code, out, err = invoke(
+        capsys, "cohomology", "--order", "1000000", "--genus", "3", "--space", space
+    )
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: order 1000000 is beyond the cohomology bound "
+        f"n <= {MAX_COHOMOLOGY_ORDER}\n"
+    )
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -75,6 +88,7 @@ def test_cohomology_rejects_negative_bidegree(capsys, space, order, genus):
         ("product", "(|v|)", "|@(|o|)", "--algebra", "reg"),
         ("coproduct", "(|v|)@|"),
         ("antipode", "|@|"),
+        ("counit", "|@|"),
         ("dh", "(|v|)@|"),
         ("psi", "TLT@T"),
         ("perm-product", "[1]@[1]", "[1]"),
@@ -89,7 +103,9 @@ def test_tensor_input_is_a_domain_error(capsys, argv):
 
 
 def test_tensor_input_where_it_was_already_handled(capsys):
-    assert invoke(capsys, "counit", "(|v|)@|") == (0, "0\n", "")
+    assert invoke(capsys, "counit", "(|v|)@|") == (
+        2, "", "error: expected a graph sum without tensors, got (|v|)@|\n"
+    )
     assert invoke(capsys, "face", "(|v|)@|", "--index", "0") == (
         2, "", "error: expected a single graph, not a tensor\n"
     )

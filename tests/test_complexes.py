@@ -1,13 +1,17 @@
 """Border and loop-raising differentials, exact ranks, cohomology dimensions."""
 
+import runpy
+import sys
 from fractions import Fraction
 from math import ceil, comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-from lrq import trees
+from lrq import complexes, trees
 from lrq.complexes import (
+    MAX_COHOMOLOGY_ORDER,
     Cochain,
     LeibnizReport,
     border,
@@ -18,15 +22,24 @@ from lrq.complexes import (
     d_h_graph,
     d_h_reg,
     d_h_sum,
+    d_mask,
     leibniz_probe,
     loops_before,
     matrix_rank,
     signed_slot,
+    slot_masks,
 )
 from lrq.exprs import parse
 from lrq.freemodule import LinComb
 from lrq.hopfops import star_h
-from lrq.loopgraphs import LEAF, ONELOOP, TREE, enumerate_graphs
+from lrq.loopgraphs import (
+    LEAF,
+    ONELOOP,
+    TREE,
+    LoopGraph,
+    enumerate_graphs,
+    underlying_tree,
+)
 from lrq.subalgebras import Word, enumerate_words, project_regular, psi_word
 
 T = LinComb.basis(TREE)
@@ -261,6 +274,172 @@ def test_toprec_matches_dense_elimination():
     for n in range(6):
         for gg in range(n + 1):
             assert cohomology_dim(n, gg, "toprec") == toprec_dim_dense(n, gg), (n, gg)
+
+
+def cohomology_dim_graphs(n: int, gg: int, space: str) -> int:
+    """Oracle: the cohomology computed on graphs, word sums and their images.
+
+    With W the span of the degree-g cochains and V that of the degree-(g-1)
+    cochains, dim H = dim W - rank d(W) - dim(d(V) meet W), where
+    dim(d(V) meet W) = rank d(V) + dim W - rank(d(V) + W).
+    """
+
+    def cochains(genus: int) -> list:
+        if space == "toprec":
+            return [psi_word(w) for w in enumerate_words(n, genus)]
+        return [LinComb.basis(t) for t in enumerate_graphs(n, genus, space == "reg")]
+
+    def d(x):
+        return d_h_sum(x) if space == "full" else project_regular(d_h_sum(x))
+
+    here = cochains(gg)
+    image_below = [d(x) for x in cochains(gg - 1)] if gg else []
+    dim_here = matrix_rank(here)
+    cocycles = dim_here - matrix_rank([d(x) for x in here])
+    coboundaries = matrix_rank(image_below) + dim_here - matrix_rank(image_below + here)
+    return cocycles - coboundaries
+
+
+@pytest.mark.parametrize("space, top", [("full", 5), ("reg", 6), ("toprec", 6)])
+def test_slot_mask_complex_matches_graph_oracle(space, top):
+    for n in range(top + 1):
+        for gg in range(n + 2):
+            want = cohomology_dim_graphs(n, gg, space)
+            assert cohomology_dim(n, gg, space) == want, (n, gg, space)
+
+
+def with_slots(shape: LoopGraph, mask: int) -> LoopGraph:
+    """The graph of the given shape whose looped slots are the bits of mask."""
+    if shape.is_leaf:
+        return shape
+    p = shape.left.order
+    return LoopGraph(
+        with_slots(shape.left, mask & ((1 << p) - 1)),
+        with_slots(shape.right, mask >> (p + 1)),
+        bool(mask >> p & 1),
+    )
+
+
+def test_with_slots_rebuilds_every_graph():
+    for graph in all_graphs(4):
+        assert with_slots(underlying_tree(graph), graph.slots) == graph
+
+
+def test_product_is_tree_product_with_concatenated_masks():
+    by_order = {n: [t for gg in range(n + 1) for t in enumerate_graphs(n, gg)]
+                for n in range(5)}
+    for n in range(5):
+        for m in range(min(4, 6 - n) + 1):
+            for x in by_order[n]:
+                shape = underlying_tree(x)
+                for y in by_order[m]:
+                    mask = x.slots | y.slots << x.order
+                    tree_product = star_h(shape, underlying_tree(y))
+                    assert star_h(x, y) == tree_product.map_basis(
+                        lambda s, mask=mask: with_slots(s, mask)
+                    ), (x, y)
+
+
+def test_psi_word_is_every_tree_with_the_word_mask():
+    for n in range(8):
+        shapes = trees.enumerate_trees(n)
+        for gg in range(n + 1):
+            for w in enumerate_words(n, gg):
+                mask = sum(1 << i for i, x in enumerate(w.letters) if x == "L")
+                want = LinComb((with_slots(s, mask), 1) for s in shapes)
+                assert psi_word(w) == want, w
+
+
+def test_slot_mask_differential_squares_to_zero():
+    for n in range(11):
+        for regular in (False, True):
+            for gg in range(n + 1):
+                for m in slot_masks(n, gg, regular):
+                    twice = LinComb()
+                    for image, sign in d_mask(m, n, regular).items():
+                        twice += sign * LinComb(d_mask(image, n, regular))
+                    assert twice.is_zero(), (n, regular, m)
+
+
+def test_slot_masks_count_and_differential_degree():
+    for n in range(9):
+        for gg in range(n + 2):
+            assert len(slot_masks(n, gg, False)) == comb(n, gg)
+            # Sets of gg pairwise non-adjacent points on a path of n points.
+            assert len(slot_masks(n, gg, True)) == comb(n - gg + 1, gg)
+            for m in slot_masks(n, gg, True):
+                assert all(img.bit_count() == gg + 1 for img in d_mask(m, n, True))
+
+
+def test_reg_is_catalan_copies_of_toprec():
+    for n in range(8):
+        catalan = comb(2 * n, n) // (n + 1)
+        for gg in range(n + 2):
+            toprec = cohomology_dim(n, gg, "toprec")
+            assert cohomology_dim(n, gg, "reg") == catalan * toprec, (n, gg)
+
+
+def test_toprec_matches_kozlov():
+    # The word complex is the independence complex of a path of n vertices
+    # (Kozlov, "Complexes of directed trees", JCTA 88, 1999).
+    for n in range(13):
+        for gg in range(n + 2):
+            expected = 1 if n % 3 != 1 and gg == ceil(n / 3) else 0
+            assert cohomology_dim(n, gg, "toprec") == expected, (n, gg)
+
+
+@pytest.mark.parametrize("space", ["full", "reg", "toprec"])
+def test_cohomology_refuses_an_order_beyond_the_bound(monkeypatch, space):
+    def enumerated(*args):
+        raise AssertionError(f"enumerated {args} before checking the bound")
+
+    monkeypatch.setattr(complexes, "slot_masks", enumerated)
+    bound = f"cohomology bound n <= {MAX_COHOMOLOGY_ORDER}"
+    with pytest.raises(ValueError, match=bound):
+        cohomology_dim(MAX_COHOMOLOGY_ORDER + 1, 0, space)
+    with pytest.raises(ValueError, match="beyond the cohomology bound"):
+        cohomology_dim(10**6, 3, space)
+
+
+def cohomology_table_main():
+    script = Path(__file__).resolve().parents[1] / "scripts" / "cohomology_table.py"
+    return runpy.run_path(str(script))["main"]
+
+
+def test_cohomology_table_lists_every_bidegree(monkeypatch, capsys):
+    main = cohomology_table_main()
+    monkeypatch.setattr(sys, "argv", ["cohomology_table.py", "--max-order", "3"])
+    main()
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split() == ["n", "g", "full", "reg", "toprec"]
+    assert [line.split() for line in lines[1:]] == [
+        ["0", "0", "1", "1", "1"],
+        ["1", "0", "0", "0", "0"], ["1", "1", "0", "0", "0"],
+        ["2", "0", "0", "0", "0"], ["2", "1", "0", "2", "1"], ["2", "2", "0", "0", "0"],
+        ["3", "0", "0", "0", "0"], ["3", "1", "0", "5", "1"],
+        ["3", "2", "0", "0", "0"], ["3", "3", "0", "0", "0"],
+    ]
+
+
+def test_cohomology_table_refuses_an_order_beyond_the_bound(monkeypatch, capsys):
+    main = cohomology_table_main()
+    too_far = MAX_COHOMOLOGY_ORDER + 1
+    argv = ["cohomology_table.py", "--max-order", str(too_far)]
+    monkeypatch.setattr(sys, "argv", argv)
+
+    def computed(n, gg, space):
+        raise AssertionError(f"computed ({n}, {gg}, {space}) before checking the bound")
+
+    monkeypatch.setitem(main.__globals__, "cohomology_dim", computed)
+    with pytest.raises(SystemExit) as exit_info:
+        main()
+    assert exit_info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        f"error: --max-order {too_far} is beyond the cohomology bound "
+        f"n <= {MAX_COHOMOLOGY_ORDER}\n"
+    )
 
 
 def test_cohomology_rejects_unknown_space():
