@@ -7,30 +7,85 @@ polynomials over exact rationals; the differential factors dp_i are implicit,
 and the sheet involution qbar = -q contributes an explicit -1 per conjugated
 differential leg.
 
-Series truncation is tracked explicitly: a QSeries knows the highest q
-exponent it is trusted through, and a residue is only read inside the
-trusted range.
-
-Every coefficient of W^g_k is dyadic: 4^(3g-2+k) W^g_k has integer
+Every coefficient of W^g_k is dyadic: U^g_k = 4^(3g-2+k) W^g_k has integer
 coefficients (the kernel's only divisor is its 1/4, and the two sides of a
 splitting term carry powers of 4 that add up to the whole).  The recursion
 therefore runs on these integer numerators, with four times the kernel, and
-divides by 4^(3g-2+k) once, when a correlator is stored.  Since the kernel
-starts at q^(-1), the bracket it multiplies is only needed through q^0: each
-splitting product is cut there, and the residue is read off the diagonal
-sum_e kernel[e] * bracket[-1-e] without forming the whole product.
+divides by 4^(3g-2+k) once, when a correlator is stored.
+
+Coefficientwise recursion.  Write U[a_0, ..., a_(k-1)] for the coefficient of
+p^-a_0 p_1^-a_1 ... p_(k-1)^-a_(k-1) in U^g_k, and L for the legs 1..k-1.
+Four times the kernel is -sum_(m>=0) q^(2m-1) p^-(2m+2), so the residue at
+q = 0 reads the bracket at q^-(a_0-2), with a minus sign.  A factor taken at
+qbar carries (-1)^e at q^e, and -1 more from d(-q) = -dq; every q power that
+contributes is even (shown below), so each conjugated factor carries exactly
+-1.  In a splitting term that -1 cancels the residue's, and the bracket's
+factors contribute:
+
+* a sub-correlator U^h(q, p_A): U^h[b, a_A] at q^-b;
+* the Bergman factor 1/(q - p_j)^2 = W^0_2(q, p_j): a_j - 1 at q^(a_j-2);
+* the genus-lowering term 4 U^(g-1)_(k+1)(q, qbar, p_L):
+  -4 sum_(b+c=e) U^(g-1)[b, c, a_L] at q^-e; for (1, 1) it is
+  4 W^0_2(q, qbar) = -q^-2.
+
+So U^1_1[4] = 1, and otherwise
+
+    U^g_k[a_0, a_L] = 4 sum_(b+c=a_0-2) U^(g-1)_(k+1)[b, c, a_L]
+                      + sum_(h, A + B = L) F^h_A F^(g-h)_B,
+
+where the second sum runs over the splittings of the labelled legs L, with
+no side of genus 0 and no legs (W^0_1 = 0), and F^h_A is what the side
+(h, A) contributes at its q power.  That power is fixed by homogeneity: it
+is q^-b with b = 6h - 2 + 4|A| - sum a_A (also for the Bergman factor, whose
+q^(a_j-2) is this q^-b), and a sub-correlator side with b < 2 contributes 0.
+
+Support, by induction on 2g - 2 + k: U^g_k[a] can be nonzero only when
+every a_i is even and at least 2 and sum a_i = 6g - 6 + 4k.  It holds for
+(1, 1), whose only term is U^1_1[4].  Assume it below 2g - 2 + k.  The kernel
+gives a_0 = 2m + 2, even and at least 2.  A leg inside a sub-correlator
+factor, the genus-lowering one included, has an even exponent at least 2,
+and that factor's q power is even, by the hypothesis.  A leg j in a
+Bergman factor has a_j >= 2, and its q power a_j - 2 plus the other side's
+q power is -(a_0 - 2), which is even; the other side's power is even (a
+sub-correlator by the hypothesis, or a second Bergman factor, which forces
+both powers to be 0, since then a_i - 2 + a_j - 2 = -(a_0 - 2) <= 0: this
+is (0, 3) and its key (2, 2, 2)).
+So a_j is even too, every q power that contributes is even, and every
+exponent is even and at least 2.  For the sum: by the hypothesis a
+sub-correlator has degree -(6h - 6 + 4k_h) and the Bergman factor -2, so
+every bracket term has degree -(6g - 8 + 4k) in (q, p_L); the kernel's
+degree is -3, and reading the coefficient of q^-1 adds 1, which gives
+-(6g - 6 + 4k).
+
+The coefficients are therefore computed only on these target keys.  W^g_k
+is symmetric in its variables (Eynard-Orantin 2007), so U^g_k[a] depends
+only on the multiset of the a_i: it is memoized on (g, sorted key), the
+smallest entry serves as a_0, and the splittings are summed over the
+sub-multisets A of L, each with its number of labelled choices.  Only the
+correlator that airy_correlator returns is expanded to every ordering of
+each key.
+
+The series route computes the same numerators from truncation-tracked
+series and serves as the tests' independent check of the coefficient
+route: a QSeries knows the highest q exponent it is trusted through, a
+residue is only read inside the trusted range, and `_residue_recursion`
+forms the bracket from the Bergman and kernel expansions, cuts each
+splitting product at q^0 (the kernel starts at q^(-1)), and reads the
+residue off the diagonal sum_e kernel[e] * bracket[-1-e].
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from functools import lru_cache
+from itertools import combinations, groupby, product
+from math import comb
 from operator import add
 
 _EXACT = 10**9  # "trusted through any exponent we will ever look at"
 
-MAX_NEG_EULER = 12  # recursion bound on 2g - 2 + k
+MAX_NEG_EULER = 11  # recursion bound on 2g - 2 + k
 
 
 def _owning(nvars: int, acc: dict) -> "LaurentPoly":
@@ -361,7 +416,7 @@ class Correlator:
     """A genus-g, k-leg correlator; variables are p, p1, ..., p_(k-1).
 
     ``numerators`` is 4^(3g-2+k) * coeff, with integer coefficients: the
-    form in which the recursion feeds the correlator back into itself.
+    form in which the series route reads a sub-correlator.
     """
 
     genus: int
@@ -422,10 +477,11 @@ def _subsets(items: list[int]):
 
 
 def _residue_recursion(g: int, k: int, order: int) -> LaurentPoly:
-    """4^(3g-2+k) W^g_k, with integer coefficients.
+    """4^(3g-2+k) W^g_k, with integer coefficients, by the series route.
 
-    The Bergman factors and the kernel are expanded through q^order at most;
-    an order too small for the residue raises ValueError.
+    Sub-correlators come from `airy_correlator`.  The Bergman factors and
+    the kernel are expanded through q^order at most; an order too small for
+    the residue raises ValueError.
     """
     nv = k
     legs = list(range(1, k))
@@ -456,6 +512,72 @@ def _residue_recursion(g: int, k: int, order: int) -> LaurentPoly:
     return residue_of_product(kernel_series(reach, nv, coeff=-1), bracket)
 
 
+def _target_keys(total: int, parts: int, least: int = 2):
+    """Every nondecreasing tuple of `parts` even integers >= `least` summing to `total`."""
+    if parts == 1:
+        if total >= least:
+            yield (total,)
+        return
+    for first in range(least, total // parts + 1, 2):
+        for rest in _target_keys(total - first, parts - 1, first):
+            yield (first,) + rest
+
+
+def _side(h: int, chosen: tuple[int, ...]) -> int:
+    """The coefficient one side (h, chosen legs) of a splitting term contributes.
+
+    Its q power -b is fixed by homogeneity; the Bergman factor, genus 0 with
+    one leg a, gives a - 1 (at q^(a-2), which is q^-b).
+    """
+    if h == 0 and len(chosen) == 1:
+        return chosen[0] - 1
+    b = 6 * h - 2 + 4 * len(chosen) - sum(chosen)
+    return _numerator(h, tuple(sorted(chosen + (b,)))) if b >= 2 else 0
+
+
+@lru_cache(maxsize=None)
+def _numerator(g: int, key: tuple[int, ...]) -> int:
+    """The coefficient of prod_i p_i^-key[i] in 4^(3g-2+k) W^g_k; `key` is sorted."""
+    a0, legs = key[0], key[1:]
+    if g == 1 and not legs:
+        return 1  # 4 W^0_2(q, qbar), read at (1, 1)'s only key, a0 = 4
+    total = 0
+    if g:
+        for b in range(2, a0 - 3, 2):
+            total += 4 * _numerator(g - 1, tuple(sorted(legs + (b, a0 - 2 - b))))
+    runs = [(v, len(list(same))) for v, same in groupby(legs)]
+    for counts in product(*(range(n + 1) for _, n in runs)):
+        chosen, rest, ways = (), (), 1
+        for (v, n), c in zip(runs, counts):
+            chosen += (v,) * c
+            rest += (v,) * (n - c)
+            ways *= comb(n, c)
+        for h in range(g + 1):
+            # W_1^0 vanishes: no side may be the genus-0 one-point function.
+            if (h == 0 and not chosen) or (h == g and not rest):
+                continue
+            total += ways * _side(h, chosen) * _side(g - h, rest)
+    return total
+
+
+def _arrangements(key: tuple, memo: dict) -> list[tuple]:
+    """Every distinct ordering of the sorted tuple `key`, each once.
+
+    `memo` keeps the orderings of every sorted tuple already met, so the
+    sub-tuples shared between keys are arranged once.
+    """
+    if len(key) <= 1:
+        return [key]
+    got = memo.get(key)
+    if got is None:
+        got = []
+        for i, v in enumerate(key):
+            if not i or key[i - 1] != v:
+                got += [(v,) + tail for tail in _arrangements(key[:i] + key[i + 1:], memo)]
+        memo[key] = got
+    return got
+
+
 # Memo of finished correlators; values are immutable and recomputation is
 # idempotent, so concurrent fills of the same key are harmless.
 _CACHE: dict[tuple[int, int], Correlator] = {}
@@ -465,8 +587,8 @@ def airy_correlator(g: int, k: int) -> Correlator:
     """The genus-g, k-leg correlator of the Airy curve, exactly.
 
     Requires a stable pair: 2g - 2 + k >= 1 (and within the configured
-    recursion bound).  The result is cached after a truncation-stability
-    re-check at a deeper cutoff.
+    recursion bound).  Each orbit's coefficient is computed once and
+    written to every ordering of its exponents.
     """
     if k < 1 or g < 0:
         raise ValueError(f"need genus >= 0 and at least one leg, got ({g}, {k})")
@@ -481,20 +603,17 @@ def airy_correlator(g: int, k: int) -> Correlator:
     got = _CACHE.get((g, k))
     if got is not None:
         return got
-    order = default_truncation(g, k)
-    numerators = _residue_recursion(g, k, order)
-    for _ in range(8):
-        recheck = _residue_recursion(g, k, order + 4)
-        if recheck == numerators:
-            break
-        order *= 2
-        numerators = _residue_recursion(g, k, order)
-    else:
-        raise RuntimeError(f"residue failed to stabilize for ({g}, {k})")
     scale = 4 ** (3 * g - 2 + k)
-    coeff = LaurentPoly(
-        k, {e: Fraction(u, scale) for e, u in numerators.coeffs.items()}
-    )
-    corr = Correlator(g, k, coeff, numerators)
+    numerators: dict = {}
+    coeffs: dict = {}
+    memo: dict = {}
+    for key in _target_keys(6 * g - 6 + 4 * k, k):
+        u = _numerator(g, key)
+        if u:
+            c = Fraction(u, scale)
+            for exps in _arrangements(tuple(-a for a in reversed(key)), memo):
+                numerators[exps] = u
+                coeffs[exps] = c
+    corr = Correlator(g, k, _owning(k, coeffs), _owning(k, numerators))
     _CACHE[(g, k)] = corr
     return corr

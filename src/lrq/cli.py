@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 from . import airy, complexes, hopfops, loopgraphs, permutations, subalgebras, trees
 from .exprs import ParseError, parse
@@ -215,7 +216,9 @@ def cmd_parse_check(args) -> int:
     return 0
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused by every later one."""
     top = argparse.ArgumentParser(
         prog="lrq",
         description="Exact computations in the loop-graph algebra of planar "

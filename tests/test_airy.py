@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from lrq.airy import (
+    MAX_NEG_EULER,
     LaurentPoly,
     QSeries,
     _residue_recursion,
@@ -29,6 +30,12 @@ from lrq.airy import (
 
 def mono(nvars, exps, c=1):
     return LaurentPoly.monomial(nvars, exps, c)
+
+
+def stable_pairs(max_euler):
+    """Every stable (g, k) with 2g - 2 + k <= max_euler."""
+    return [(g, chi + 2 - 2 * g) for chi in range(1, max_euler + 1)
+            for g in range(chi // 2 + 2) if chi + 2 - 2 * g >= 1]
 
 
 def test_bergman_first_terms():
@@ -224,6 +231,14 @@ def test_correlator_invariants(g, k):
         assert corr.coeff.permute_vars(perm) == corr.coeff
 
 
+@pytest.mark.parametrize("g,k", stable_pairs(7))
+def test_series_route_matches_the_coefficient_route(g, k):
+    # One step of the series recursion, fed the coefficient route's
+    # sub-correlators, gives the coefficient route's numerators.
+    exact = airy_correlator(g, k).numerators
+    assert _residue_recursion(g, k, default_truncation(g, k)) == exact
+
+
 @pytest.mark.parametrize("g,k", [(0, 3), (0, 4), (1, 1), (1, 2), (2, 1)])
 def test_truncation_stability(g, k):
     base = default_truncation(g, k)
@@ -272,10 +287,14 @@ def double_factorial(n):
     return prod(range(n, 0, -2))
 
 
-@lru_cache(maxsize=None)
 def witten_kontsevich(g, ds):
     """<tau_d1 ... tau_dk>_g by the DVV (Virasoro) recursion, exactly."""
-    ds = tuple(sorted(ds))
+    return _witten_kontsevich(g, tuple(sorted(ds)))
+
+
+@lru_cache(maxsize=None)
+def _witten_kontsevich(g, ds):
+    """The symmetric intersection number, memoized on the sorted indices ds."""
     if any(d < 0 for d in ds) or sum(ds) != 3 * g - 3 + len(ds):
         return Fraction(0)
     if 2 * g - 2 + len(ds) <= 0:
@@ -324,11 +343,7 @@ def compositions(total, parts):
             yield (first,) + tail
 
 
-STABLE_UP_TO_6 = [(g, chi + 2 - 2 * g) for chi in range(1, 7)
-                  for g in range(chi // 2 + 2) if chi + 2 - 2 * g >= 1]
-
-
-@pytest.mark.parametrize("g,k", STABLE_UP_TO_6)
+@pytest.mark.parametrize("g,k", stable_pairs(8))
 def test_matches_witten_kontsevich(g, k):
     # W^g_k = 2^-(2g-2+k) sum_d <tau_d1...tau_dk>_g prod (2d_i+1)!! p_i^-(2d_i+2)
     want = {}
@@ -355,7 +370,8 @@ def test_airy_table_lists_the_one_leg_pairs(monkeypatch, capsys):
 def test_airy_table_rejects_a_bound_beyond_the_recursion(monkeypatch, capsys):
     script = Path(__file__).resolve().parents[1] / "scripts" / "airy_table.py"
     main = runpy.run_path(str(script))["main"]
-    monkeypatch.setattr(sys, "argv", ["airy_table.py", "--max-euler", "13"])
+    beyond = MAX_NEG_EULER + 1
+    monkeypatch.setattr(sys, "argv", ["airy_table.py", "--max-euler", str(beyond)])
 
     def computed(g, k):
         raise AssertionError(f"computed ({g}, {k}) before checking the bound")
@@ -366,4 +382,5 @@ def test_airy_table_rejects_a_bound_beyond_the_recursion(monkeypatch, capsys):
     assert exit_info.value.code == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == "error: --max-euler 13 is beyond the recursion bound 2g-2+k <= 12\n"
+    assert err == (f"error: --max-euler {beyond} is beyond the recursion bound "
+                   f"2g-2+k <= {MAX_NEG_EULER}\n")

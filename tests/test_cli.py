@@ -1,11 +1,18 @@
 """CLI: golden outputs, exit codes, JSON forms, round trips."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-from lrq.cli import run
+import lrq
+from lrq import airy
+from lrq.airy import MAX_NEG_EULER
+from lrq.cli import _build_parser, run
 from lrq.complexes import MAX_COHOMOLOGY_ORDER
 from lrq.loopgraphs import enumerate_graphs
 
@@ -78,6 +85,22 @@ def test_cohomology_refuses_an_order_beyond_the_bound(capsys, space):
     assert err == (
         "error: order 1000000 is beyond the cohomology bound "
         f"n <= {MAX_COHOMOLOGY_ORDER}\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "genus, legs", [(0, MAX_NEG_EULER + 3), (1, MAX_NEG_EULER + 1), (0, 1000000)]
+)
+def test_airy_refuses_a_pair_beyond_the_bound(capsys, monkeypatch, genus, legs):
+    def computed(g, key):
+        raise AssertionError(f"computed a coefficient of ({g}, {len(key)})")
+
+    monkeypatch.setattr(airy, "_numerator", computed)
+    code, out, err = invoke(capsys, "airy", "--genus", str(genus), "--legs", str(legs))
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: correlator (genus {genus}, {legs} legs) beyond configured bound "
+        f"2g-2+k <= {MAX_NEG_EULER}\n"
     )
 
 
@@ -254,6 +277,34 @@ def test_help_text_renders(capsys):
         assert name in out
     assert run(["airy", "--help"]) == 0
     capsys.readouterr()
+
+
+def test_reused_parser_answers_as_a_fresh_one(capsys):
+    calls = [
+        ("airy", "--genus", "x", "--legs", "1"),
+        ("airy", "--genus", "1", "--legs", "1"),
+        ("--help",),
+        ("--help",),
+        ("cohomology", "--order", "2"),
+        ("airy", "--help"),
+        ("cohomology", "--order", "2", "--genus", "1", "--space", "toprec"),
+    ]
+    fresh = []
+    for argv in calls:
+        _build_parser.cache_clear()
+        fresh.append(invoke(capsys, *argv))
+    reused = [invoke(capsys, *argv) for argv in calls]
+    assert reused == fresh
+    assert [code for code, _, _ in fresh] == [2, 0, 0, 0, 2, 0, 0]
+    assert _build_parser.cache_info().misses == 1
+
+
+def test_parser_is_not_built_at_import():
+    probe = "import lrq.cli; print(lrq.cli._build_parser.cache_info().currsize)"
+    src = str(Path(lrq.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": src})
+    assert done.stdout == "0\n"
 
 
 def test_parse_check_deeply_nested_graph(capsys):
