@@ -48,20 +48,14 @@ the coefficients agree.  The same induction shows that every coefficient of
 a product of two graphs is a positive integer and that there is at least
 one term: each half is a relabelled product, and nothing cancels.
 
-(c) The word complex is one copy of K_n^reg.  `psi_word(w)` folds star_h
-over the letters, T = ((|v|), 0) and L = ((|v|), 1), from the unit.  By (b)
-each step puts the new letter's bit above the mask so far, so the fold is
-the sum of c_s (s, mask(w)), where bit i of mask(w) is set when letter i is
-L and the sum of c_s s is (|v|)^{*n} in the tree algebra.  The c_s do not
-depend on w, and by the positivity in (b) they are positive integers and
-there is at least one.  A word has no two adjacent L letters, so mask(w) is
-regular and `project_regular` keeps every term.  Hence, with
-iota(m) = sum of c_s (s, m), psi_word(w) = iota(mask(w)), and w -> mask(w)
-is a bijection from the words of length n with g loops to the regular
-n-bit masks with g bits.  iota is injective (each iota(m) is nonzero, and
-distinct masks give disjoint supports), and by (a)
-project_regular(d_h(iota(m))) = iota(d(m)).  So the span of the words is a
-subcomplex, and iota is an isomorphism of K_n^reg onto it.
+(c) The word complex is one copy of K_n^reg.  `psi_word` proves, from (b),
+that psi_word(w) = iota(mask(w)), where iota(m) is the sum of (s, m) over
+all trees s of order n and bit i of mask(w) is set when letter i of w is L;
+w -> mask(w) is a bijection from the words of length n with g loops to the
+regular n-bit masks with g bits.  iota is injective (distinct masks give
+disjoint supports), and by (a) project_regular(d_h(iota(m))) = iota(d(m)).
+So the span of the words is a subcomplex, and iota is an isomorphism of
+K_n^reg onto it.
 
 In all three cases d maps the degree-(g-1) cochains into the degree-g ones,
 so dim H = #masks(g) - rank d(g) - rank d(g-1) on K_n or K_n^reg, and
@@ -72,13 +66,12 @@ exact elimination on rows {mask: sign}, so every dimension is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import comb, gcd, lcm
 
 from . import trees
 from .freemodule import LinComb
 from .hopfops import GraphSum, star_h_sum
-from .loopgraphs import LoopGraph, contract, is_regular
+from .loopgraphs import LoopGraph, contract, is_regular, slot_masks
 from .subalgebras import project_regular
 
 # Largest order `cohomology_dim` accepts.  Its slowest space there, full
@@ -205,17 +198,6 @@ def matrix_rank(rows: list) -> int:
             if content > 1:
                 work = {col: c // content for col, c in work.items()}
     return len(pivots)
-
-
-def slot_masks(n: int, g: int, regular: bool) -> list[int]:
-    """The n-bit masks with g set bits, in the regular case only those with
-    no two adjacent set bits: the degree-g cochains of K_n or K_n^reg."""
-    out = []
-    for bits in combinations(range(n), g):
-        m = sum(1 << i for i in bits)
-        if not (regular and m & (m >> 1)):
-            out.append(m)
-    return out
 
 
 def d_mask(m: int, n: int, regular: bool) -> dict[int, int]:

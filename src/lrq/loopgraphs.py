@@ -9,7 +9,11 @@ those leaves; the index i is the vertex's slot.  Each graph carries its
 looped slots as one integer, ``slots``, with bit i set when the vertex in
 slot i is looped; it is built with the node from the children's masks, so
 reading the loop marks never walks the graph.  Genus counts the marks, and
-the total order of a graph is order + genus.  The printed grammar extends
+the total order of a graph is order + genus.  A graph is its tree shape
+together with its mask, and every pair occurs exactly once, so graphs are
+enumerated under the one key (order, slot mask): `_graphs(n, mask)` holds
+one graph per shape, and `enumerate_graphs` takes the union over the masks
+of `slot_masks`.  The printed grammar extends
 the tree grammar: ``graph := "|" | "(" graph "v" graph ")" | "(" graph "o" graph ")"``
 with "o" marking a looped root.
 """
@@ -18,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import combinations
 from math import comb
 
 # Canonical order on printed strings puts "|" before "(".
@@ -147,37 +152,45 @@ def contract(i: int, t: LoopGraph) -> LoopGraph | None:
     return None if sub is None else LoopGraph(t.left, sub, t.looped)
 
 
+def slot_masks(n: int, g: int, regular: bool) -> list[int]:
+    """The n-bit masks with g set bits, in the regular case only those with
+    no two adjacent set bits; in the order of `itertools.combinations`."""
+    out = []
+    for bits in combinations(range(n), g):
+        m = sum(1 << i for i in bits)
+        if not (regular and m & (m >> 1)):
+            out.append(m)
+    return out
+
+
 @lru_cache(maxsize=None)
-def _graphs(n: int, g: int) -> tuple[LoopGraph, ...]:
-    if g < 0 or g > n:
-        return ()
+def _graphs(n: int, mask: int) -> tuple[LoopGraph, ...]:
+    """Every graph of order n whose looped slots are the bits of mask, one
+    per tree shape: a new root over each pair of cached children."""
     if n == 0:
         return (LEAF,)
     out = []
     for p in range(n):
-        q = n - 1 - p
-        for looped in (False, True):
-            rest = g - (1 if looped else 0)
-            for g1 in range(rest + 1):
-                for a in _graphs(p, g1):
-                    for b in _graphs(q, rest - g1):
-                        out.append(LoopGraph(a, b, looped))
-    out.sort(key=LoopGraph.sort_key)
+        rights = _graphs(n - 1 - p, mask >> (p + 1))
+        for a in _graphs(p, mask & ((1 << p) - 1)):
+            for b in rights:
+                out.append(LoopGraph(a, b, bool(mask >> p & 1)))
     return tuple(out)
 
 
 def enumerate_graphs(n: int, g: int, regular_only: bool = False) -> list[LoopGraph]:
     """All loop graphs of order n and genus g in canonical order.
 
-    There are Catalan(n) * binomial(n, g) of them; the regular filter keeps
-    those whose loops touch pairwise disjoint leaf pairs.
+    These are the graphs of every tree shape with every n-bit mask of g
+    looped slots: Catalan(n) * binomial(n, g) of them.  The regular filter
+    acts on the masks, keeping those with no two adjacent bits, so an
+    irregular graph is never built.
     """
     if n < 0 or g < 0:
         raise ValueError("order and genus must be nonnegative")
-    graphs = _graphs(n, g)
-    if regular_only:
-        return [t for t in graphs if is_regular(t)]
-    return list(graphs)
+    out = [t for m in slot_masks(n, g, regular_only) for t in _graphs(n, m)]
+    out.sort(key=LoopGraph.sort_key)
+    return out
 
 
 def count_graphs(n: int, g: int) -> int:

@@ -4,20 +4,22 @@ representation of correlation functions by graph sums.
 Irregular graphs are projected to zero; what remains of the product is still
 associative.  The solution space of the recursion is spanned by words in the
 two generators T (the elementary tree) and L (the elementary one-loop graph)
-subject to L^2 = 0: no two adjacent L letters.
+subject to L^2 = 0: no two adjacent L letters.  A word of length n is read
+as the n-bit slot mask with bit i set when letter i is L, so the valid words
+are the regular masks, and a word expands to every tree of order n carrying
+its mask (`psi_word` proves this).  The graph sums are therefore enumerated
+by mask, never by multiplying.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import factorial
 
 from .freemodule import LinComb
 from .hopfops import (
     GraphSum,
-    UNIT,
     _tensor_star,
     delta_h,
     delta_h_sum,
@@ -25,9 +27,14 @@ from .hopfops import (
     star_h,
     star_h_sum,
 )
-from .loopgraphs import ONELOOP, TREE, is_regular
+from .loopgraphs import _graphs, enumerate_graphs, is_regular, slot_masks
 
-_GENERATOR = {"T": TREE, "L": ONELOOP}
+# Largest word length `psi_word` and order `full_correlator` accept: on a
+# 2-core x86-64 VM (Python 3.11.7) the worst `lrq psi` of 13 letters takes
+# 20 s at 800 MiB, `lrq correlator --order 9` 7 s at 340 MiB (with --json),
+# and one more letter or order runs out of a 1 GiB address-space cap.
+MAX_PSI_LENGTH = 13
+MAX_CORRELATOR_ORDER = 9
 
 
 @dataclass(frozen=True)
@@ -76,29 +83,46 @@ def star_reg(x: GraphSum, y: GraphSum) -> GraphSum:
 
 
 def psi_word(w: Word) -> GraphSum:
-    """Expand a word into its sum of regular graphs.
+    """Expand a word into its sum of regular graphs: every tree of order n
+    = w.length carrying mask(w), each with coefficient 1, where bit i of
+    mask(w) is set when letter i of w is L.
 
-    Left-fold of the loop-graph product over the generator letters, then the
-    regular projection; every summand has genus = #L and order = length.
+    The expansion is the product of the letters, T = (|v|) and L = (|o|),
+    from the unit.  By (b) of `lrq.complexes` the product is the tree
+    product with the masks concatenated: multiplying a product of n letters
+    by the next one puts that letter's bit at slot n.  So the expansion is
+    the sum of c_s (s, mask(w)), where the sum of c_s s is (|v|)^{*n} in
+    the tree algebra.  Every c_s is 1, by induction on n: if (|v|)^{*n} is
+    every tree of order n once, (|v|)^{*(n+1)} is the sum of t * (|v|) over
+    them.  The recursion of `star_h` makes t * (|v|) the sum, over the
+    vertices and the last leaf on the right spine of t, of t with the
+    subtree u there replaced by (u v |): the new vertex becomes the parent
+    of the last leaf, the vertex in slot n.  Removing the parent of the last
+    leaf of a tree of order n+1, and putting its left subtree in its place,
+    inverts this, so each tree of order n+1 arises from exactly one tree t
+    and one position.  A word has no two adjacent L letters, so every term
+    is regular.  Words longer than MAX_PSI_LENGTH are refused before
+    anything is built.
     """
-    acc = UNIT
-    for letter in w.letters:
-        acc = star_h_sum(acc, LinComb.basis(_GENERATOR[letter]))
-    return project_regular(acc)
+    if w.length > MAX_PSI_LENGTH:
+        raise ValueError(
+            f"word of length {w.length} is beyond the psi bound "
+            f"length <= {MAX_PSI_LENGTH}"
+        )
+    mask = sum(1 << i for i, x in enumerate(w.letters) if x == "L")
+    return LinComb((t, 1) for t in _graphs(w.length, mask))
 
 
 def enumerate_words(n: int, g: int) -> list[Word]:
-    """All valid words of length n with g loops, in lexicographic order."""
+    """All valid words of length n with g loops, in lexicographic order:
+    the regular n-bit masks with g bits, written as letters."""
     if n < 0 or g < 0:
         raise ValueError("length and loop count must be nonnegative")
-    out = []
-    for spots in combinations(range(n), g):
-        if any(b - a == 1 for a, b in zip(spots, spots[1:])):
-            continue
-        letters = "".join("L" if i in spots else "T" for i in range(n))
-        out.append(Word(letters))
-    out.sort(key=Word.sort_key)
-    return out
+    words = [
+        Word("".join("L" if m >> i & 1 else "T" for i in range(n)))
+        for m in slot_masks(n, g, regular=True)
+    ]
+    return sorted(words, key=Word.sort_key)
 
 
 @dataclass(frozen=True)
@@ -122,16 +146,20 @@ class QuantumExpansion:
 
 
 def full_correlator(n: int) -> QuantumExpansion:
-    """The order-n expansion: at key g, the sum of all length-n words with g loops."""
+    """The order-n expansion: at key g, the sum of all length-n words with g
+    loops, which by `psi_word` is every regular graph of order n and genus g,
+    each with coefficient 1.  Orders above MAX_CORRELATOR_ORDER are refused
+    before anything is built."""
     if n < 0:
         raise ValueError("order must be nonnegative")
-    by_genus = {}
-    for g in range(-(-n // 2) + 1):
-        acc = LinComb.zero()
-        for w in enumerate_words(n, g):
-            acc = acc + psi_word(w)
-        by_genus[g] = acc
-    return QuantumExpansion(by_genus)
+    if n > MAX_CORRELATOR_ORDER:
+        raise ValueError(
+            f"order {n} is beyond the correlator bound n <= {MAX_CORRELATOR_ORDER}"
+        )
+    return QuantumExpansion({
+        g: LinComb((t, 1) for t in enumerate_graphs(n, g, regular_only=True))
+        for g in range(-(-n // 2) + 1)
+    })
 
 
 def delta_h_quotient_counterexample(max_total_order: int):

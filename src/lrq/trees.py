@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .loopgraphs import LEAF, LoopGraph, _graphs
+from .loopgraphs import LEAF, LoopGraph, enumerate_graphs
 
 
 def _require_tree(t: LoopGraph) -> None:
@@ -34,7 +34,7 @@ def ungraft(t: LoopGraph) -> tuple[LoopGraph, LoopGraph]:
 
 @lru_cache(maxsize=None)
 def _trees(n: int) -> tuple[LoopGraph, ...]:
-    return _graphs(n, 0)
+    return tuple(enumerate_graphs(n, 0))
 
 
 def enumerate_trees(n: int) -> list[LoopGraph]:

@@ -10,11 +10,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 import lrq
-from lrq import airy
+from lrq import airy, subalgebras
 from lrq.airy import MAX_NEG_EULER
 from lrq.cli import _build_parser, run
 from lrq.complexes import MAX_COHOMOLOGY_ORDER
 from lrq.loopgraphs import enumerate_graphs
+from lrq.subalgebras import MAX_CORRELATOR_ORDER, MAX_PSI_LENGTH
 
 
 def invoke(capsys, *argv):
@@ -201,6 +202,28 @@ def test_psi_command(capsys):
     assert len(out.strip().split(" + ")) == 5
     _, out, _ = invoke(capsys, "psi", "1")
     assert out == "|\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("correlator", "--order", str(MAX_CORRELATOR_ORDER + 1)),
+         f"order {MAX_CORRELATOR_ORDER + 1} is beyond the correlator bound "
+         f"n <= {MAX_CORRELATOR_ORDER}"),
+        (("correlator", "--order", str(10**6)),
+         f"order {10**6} is beyond the correlator bound n <= {MAX_CORRELATOR_ORDER}"),
+        (("psi", "T" * MAX_PSI_LENGTH + "L"),
+         f"word of length {MAX_PSI_LENGTH + 1} is beyond the psi bound "
+         f"length <= {MAX_PSI_LENGTH}"),
+    ],
+)
+def test_correlator_and_psi_refuse_sizes_beyond_the_bound(capsys, monkeypatch, argv, message):
+    def built(*args):
+        raise AssertionError(f"built graphs {args} before checking the bound")
+
+    monkeypatch.setattr(subalgebras, "_graphs", built)
+    monkeypatch.setattr(subalgebras, "enumerate_graphs", built)
+    assert invoke(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 def test_correlator_command(capsys):

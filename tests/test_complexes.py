@@ -3,6 +3,7 @@
 import runpy
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from math import ceil, comb
 from pathlib import Path
 
@@ -27,7 +28,6 @@ from lrq.complexes import (
     loops_before,
     matrix_rank,
     signed_slot,
-    slot_masks,
 )
 from lrq.exprs import parse
 from lrq.freemodule import LinComb
@@ -38,9 +38,11 @@ from lrq.loopgraphs import (
     TREE,
     LoopGraph,
     enumerate_graphs,
+    slot_masks,
     underlying_tree,
 )
 from lrq.subalgebras import Word, enumerate_words, project_regular, psi_word
+from test_subalgebras import psi_fold
 
 T = LinComb.basis(TREE)
 L = LinComb.basis(ONELOOP)
@@ -308,6 +310,7 @@ def test_slot_mask_complex_matches_graph_oracle(space, top):
             assert cohomology_dim(n, gg, space) == want, (n, gg, space)
 
 
+@lru_cache(maxsize=None)
 def with_slots(shape: LoopGraph, mask: int) -> LoopGraph:
     """The graph of the given shape whose looped slots are the bits of mask."""
     if shape.is_leaf:
@@ -341,13 +344,14 @@ def test_product_is_tree_product_with_concatenated_masks():
 
 
 def test_psi_word_is_every_tree_with_the_word_mask():
-    for n in range(8):
+    for n in range(9):
         shapes = trees.enumerate_trees(n)
         for gg in range(n + 1):
             for w in enumerate_words(n, gg):
                 mask = sum(1 << i for i, x in enumerate(w.letters) if x == "L")
                 want = LinComb((with_slots(s, mask), 1) for s in shapes)
                 assert psi_word(w) == want, w
+                assert psi_fold(w) == want, w
 
 
 def test_slot_mask_differential_squares_to_zero():

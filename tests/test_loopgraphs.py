@@ -10,6 +10,7 @@ from lrq.loopgraphs import (
     ONELOOP,
     TREE,
     LoopGraph,
+    _graphs,
     bridge,
     contract,
     count_graphs,
@@ -21,6 +22,7 @@ from lrq.loopgraphs import (
     underlying_tree,
     vee,
 )
+from lrq.trees import enumerate_trees
 
 
 def g(s: str) -> LoopGraph:
@@ -177,6 +179,47 @@ def test_enumerate_counts():
         for gg in range(n + 1):
             assert len(enumerate_graphs(n, gg)) == count_graphs(n, gg)
             assert count_graphs(n, gg) == (comb(2 * n, n) // (n + 1)) * comb(n, gg)
+
+
+def graphs_by_genus(n: int, gg: int) -> list[LoopGraph]:
+    """The graphs of order n and genus gg, by splitting the genus between
+    the two subtrees under each root (oracle)."""
+    if gg < 0 or gg > n:
+        return []
+    if n == 0:
+        return [LEAF]
+    out = []
+    for p in range(n):
+        for looped in (False, True):
+            rest = gg - looped
+            for g1 in range(rest + 1):
+                for a in graphs_by_genus(p, g1):
+                    for b in graphs_by_genus(n - 1 - p, rest - g1):
+                        out.append(LoopGraph(a, b, looped))
+    return sorted(out, key=LoopGraph.sort_key)
+
+
+def test_enumerate_matches_the_genus_recursion():
+    for n in range(7):
+        for gg in range(n + 2):
+            assert enumerate_graphs(n, gg) == graphs_by_genus(n, gg), (n, gg)
+
+
+def test_graphs_of_a_mask_are_every_shape_once():
+    for n in range(8):
+        shapes = enumerate_trees(n)
+        for m in range(1 << n):
+            graphs = _graphs(n, m)
+            assert len(graphs) == comb(2 * n, n) // (n + 1)
+            assert all(t.slots == m for t in graphs)
+            assert sorted(map(underlying_tree, graphs), key=LoopGraph.sort_key) == shapes
+
+
+def test_regular_filter_matches_filtering_graphs():
+    for n in range(8):
+        for gg in range(n + 2):
+            want = [t for t in enumerate_graphs(n, gg) if is_regular(t)]
+            assert enumerate_graphs(n, gg, regular_only=True) == want, (n, gg)
 
 
 def test_enumerate_regular_counts_order_3():

@@ -2,12 +2,21 @@
 function coefficients."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from lrq.exprs import parse
 from lrq.freemodule import LinComb, bilinear_extend
-from lrq.hopfops import delta_h, delta_h_sum, graphs_up_to_total_order, star_h, star_h_sum
+from lrq import subalgebras
+from lrq.hopfops import (
+    UNIT,
+    delta_h,
+    delta_h_sum,
+    graphs_up_to_total_order,
+    star_h,
+    star_h_sum,
+)
 from lrq.loopgraphs import (
     LEAF,
     ONELOOP,
@@ -16,6 +25,8 @@ from lrq.loopgraphs import (
     signature,
 )
 from lrq.subalgebras import (
+    MAX_CORRELATOR_ORDER,
+    MAX_PSI_LENGTH,
     QuantumExpansion,
     Word,
     enumerate_words,
@@ -39,6 +50,27 @@ def psi_genus0(n: int) -> LinComb:
     for _ in range(n):
         acc = prod(acc, T)
     return acc
+
+
+def psi_fold(w: Word) -> LinComb:
+    """The expansion of a word as the left fold of the loop-graph product
+    over its letters, T = (|v|) and L = (|o|), then the regular projection
+    (oracle)."""
+    acc = UNIT
+    for letter in w.letters:
+        acc = star_h_sum(acc, T if letter == "T" else L)
+    return project_regular(acc)
+
+
+def words_by_combinations(n: int, g: int) -> list[Word]:
+    """The valid words of length n with g loops, from the g-subsets of
+    positions with no two adjacent (oracle)."""
+    out = []
+    for spots in combinations(range(n), g):
+        if any(b - a == 1 for a, b in zip(spots, spots[1:])):
+            continue
+        out.append(Word("".join("L" if i in spots else "T" for i in range(n))))
+    return sorted(out, key=Word.sort_key)
 
 
 def gsum(s: str) -> LinComb:
@@ -111,6 +143,25 @@ def test_psi_word_summands_regular_with_word_bidegree():
                     assert signature(t) == (g, n + 2 - 2 * g, -n)
 
 
+def test_enumerate_words_matches_combinations():
+    for n in range(11):
+        for g in range(n + 2):
+            assert enumerate_words(n, g) == words_by_combinations(n, g), (n, g)
+
+
+def test_psi_word_refuses_a_word_beyond_the_bound(monkeypatch):
+    built = []
+    monkeypatch.setattr(subalgebras, "_graphs", lambda n, m: built.append((n, m)) or ())
+    bound = f"beyond the psi bound length <= {MAX_PSI_LENGTH}"
+    for letters in ("T" * (MAX_PSI_LENGTH + 1), "LT" * MAX_PSI_LENGTH):
+        with pytest.raises(ValueError, match=bound):
+            psi_word(Word(letters))
+    assert built == []
+    # The bound itself is accepted.
+    assert psi_word(Word("L" + "T" * (MAX_PSI_LENGTH - 1))).is_zero()
+    assert built == [(MAX_PSI_LENGTH, 1)]
+
+
 def test_enumerate_words_examples():
     assert [str(w) for w in enumerate_words(3, 1)] == ["LTT", "TLT", "TTL"]
     assert enumerate_words(2, 2) == []
@@ -139,6 +190,27 @@ def test_full_correlator_uniform_bidegrees():
         for g in exp.genera():
             for t, _ in exp[g].items():
                 assert t.genus == g and t.order == n
+
+
+def test_full_correlator_is_the_sum_of_the_word_folds():
+    for n in range(8):
+        exp = full_correlator(n)
+        for g in exp.genera():
+            want = LinComb.zero()
+            for w in enumerate_words(n, g):
+                want += psi_fold(w)
+            assert exp[g] == want, (n, g)
+
+
+def test_full_correlator_refuses_an_order_beyond_the_bound(monkeypatch):
+    def enumerated(*args):
+        raise AssertionError(f"enumerated {args} before checking the bound")
+
+    monkeypatch.setattr(subalgebras, "enumerate_graphs", enumerated)
+    bound = f"beyond the correlator bound n <= {MAX_CORRELATOR_ORDER}"
+    for n in (MAX_CORRELATOR_ORDER + 1, 10**6):
+        with pytest.raises(ValueError, match=bound):
+            full_correlator(n)
 
 
 def test_generating_function_examples():
