@@ -10,7 +10,7 @@ factors are plain tuples of basis elements and compare componentwise.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator
 
 
 def sort_key(basis):
@@ -41,9 +41,9 @@ class LinComb:
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping | Iterable = ()):
+    def __init__(self, terms: dict | Iterable = ()):
         acc: dict = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
+        items = terms.items() if isinstance(terms, dict) else terms
         for basis, coeff in items:
             if not isinstance(coeff, (int, Fraction)):
                 coeff = Fraction(coeff)

@@ -27,12 +27,12 @@ from .hopfops import (
     star_h,
     star_h_sum,
 )
-from .loopgraphs import _graphs, enumerate_graphs, is_regular, slot_masks
+from .loopgraphs import _graphs, is_regular, slot_masks
 
 # Largest word length `psi_word` and order `full_correlator` accept: on a
 # 2-core x86-64 VM (Python 3.11.7) the worst `lrq psi` of 13 letters takes
-# 20 s at 800 MiB, `lrq correlator --order 9` 7 s at 340 MiB (with --json),
-# and one more letter or order runs out of a 1 GiB address-space cap.
+# 20 s at 960 MiB, `lrq correlator --order 9` 8 to 9.5 s at 370 MiB (with
+# --json), and one more letter or order runs out of a 1 GiB address-space cap.
 MAX_PSI_LENGTH = 13
 MAX_CORRELATOR_ORDER = 9
 
@@ -148,8 +148,10 @@ class QuantumExpansion:
 def full_correlator(n: int) -> QuantumExpansion:
     """The order-n expansion: at key g, the sum of all length-n words with g
     loops, which by `psi_word` is every regular graph of order n and genus g,
-    each with coefficient 1.  Orders above MAX_CORRELATOR_ORDER are refused
-    before anything is built."""
+    each with coefficient 1: the union of `_graphs(n, m)` over the regular
+    masks m with g bits, left unsorted because a sum is sorted when it is
+    printed.  Orders above MAX_CORRELATOR_ORDER are refused before anything
+    is built."""
     if n < 0:
         raise ValueError("order must be nonnegative")
     if n > MAX_CORRELATOR_ORDER:
@@ -157,7 +159,7 @@ def full_correlator(n: int) -> QuantumExpansion:
             f"order {n} is beyond the correlator bound n <= {MAX_CORRELATOR_ORDER}"
         )
     return QuantumExpansion({
-        g: LinComb((t, 1) for t in enumerate_graphs(n, g, regular_only=True))
+        g: LinComb((t, 1) for m in slot_masks(n, g, True) for t in _graphs(n, m))
         for g in range(-(-n // 2) + 1)
     })
 

@@ -10,10 +10,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 import lrq
-from lrq import airy, subalgebras
+from lrq import airy, hopfops, subalgebras
 from lrq.airy import MAX_NEG_EULER
 from lrq.cli import _build_parser, run
 from lrq.complexes import MAX_COHOMOLOGY_ORDER
+from lrq.hopfops import MAX_AXIOM_ORDER
 from lrq.loopgraphs import enumerate_graphs
 from lrq.subalgebras import MAX_CORRELATOR_ORDER, MAX_PSI_LENGTH
 
@@ -222,7 +223,6 @@ def test_correlator_and_psi_refuse_sizes_beyond_the_bound(capsys, monkeypatch, a
         raise AssertionError(f"built graphs {args} before checking the bound")
 
     monkeypatch.setattr(subalgebras, "_graphs", built)
-    monkeypatch.setattr(subalgebras, "enumerate_graphs", built)
     assert invoke(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
@@ -242,6 +242,18 @@ def test_axioms_command(capsys):
     code, out, _ = invoke(capsys, "axioms", "--axiom", "counit", "--max-order", "3")
     assert code == 0
     assert out == "pass\n"
+
+
+@pytest.mark.parametrize("axiom", ["assoc", "coassoc", "compat", "counit", "antipode"])
+@pytest.mark.parametrize("order", [MAX_AXIOM_ORDER + 1, 10**6])
+def test_axioms_refuse_an_order_beyond_the_bound(capsys, monkeypatch, axiom, order):
+    def built(*args):
+        raise AssertionError(f"built the basis {args} before checking the bound")
+
+    monkeypatch.setattr(hopfops, "graphs_up_to_total_order", built)
+    message = f"error: total order {order} is beyond the axiom bound m <= {MAX_AXIOM_ORDER}\n"
+    assert invoke(capsys, "axioms", "--axiom", axiom, "--max-order", str(order)) == (
+        2, "", message)
 
 
 def test_parse_check_kinds(capsys):

@@ -1,11 +1,15 @@
-"""Loop graphs: slots, regularity, contraction, enumeration, signatures."""
+"""Loop graphs: interning, printing, slots, regularity, contraction,
+enumeration, signatures."""
 
+import random
 from math import comb
 
 import pytest
 
 from lrq.exprs import parse
 from lrq.loopgraphs import (
+    _KEPT_STRING_ORDER,
+    _NODES,
     LEAF,
     ONELOOP,
     TREE,
@@ -18,6 +22,7 @@ from lrq.loopgraphs import (
     enumerate_graphs,
     is_regular,
     loop_slots,
+    rank_string,
     signature,
     underlying_tree,
     vee,
@@ -284,3 +289,100 @@ def test_slot_readers_take_any_depth():
     assert not is_regular(all_looped)
     with pytest.raises(ValueError, match="irregular"):
         signature(all_looped)
+
+
+def printed(t: LoopGraph) -> str:
+    """Recursive printer (oracle for the lazy, iterative one)."""
+    if t.left is None:
+        return "|"
+    mark = "o" if t.looped else "v"
+    return "(" + printed(t.left) + mark + printed(t.right) + ")"
+
+
+def test_construction_returns_the_interned_node():
+    for t in all_graphs(6):
+        assert LoopGraph(t.left, t.right, t.looped) is t
+        assert g(str(t)) is t
+    assert LoopGraph() is LEAF
+    assert LoopGraph(LEAF, LEAF, 1) is LoopGraph(LEAF, LEAF, True) is ONELOOP
+
+
+def test_canonical_order_is_the_rank_of_the_printed_string():
+    for n in range(7):
+        for gg in range(n + 2):
+            graphs = enumerate_graphs(n, gg)
+            assert [str(t) for t in graphs] == [printed(t) for t in graphs]
+            assert graphs == sorted(graphs, key=lambda t: rank_string(printed(t)))
+
+
+def _random_graph(rng: random.Random, n: int) -> LoopGraph:
+    # Built bottom-up from a random split of the order, without recursion.
+    pending = [n]
+    sizes = []
+    while pending:
+        m = pending.pop()
+        sizes.append(m)
+        if m:
+            p = rng.randrange(m)
+            pending += (p, m - 1 - p)
+    built = []
+    for m in reversed(sizes):
+        if m == 0:
+            built.append(LEAF)
+        else:
+            left, right = built.pop(), built.pop()
+            built.append(LoopGraph(left, right, rng.random() < 0.3))
+    return built[0]
+
+
+def test_large_graphs_print_like_the_recursive_printer():
+    # Orders on both sides of the size below which subgraphs keep strings.
+    rng = random.Random(7)
+    for n in (_KEPT_STRING_ORDER - 1, _KEPT_STRING_ORDER, _KEPT_STRING_ORDER + 1, 300):
+        for _ in range(5):
+            t = _random_graph(rng, n)
+            assert t.order == n
+            assert str(t) == printed(t)
+            assert g(str(t)) is t
+
+
+def test_deep_graph_built_by_construction_prints_and_round_trips():
+    depth = 10_000
+    comb_tree = LEAF
+    looped_spine = LEAF
+    for _ in range(depth):
+        comb_tree = LoopGraph(comb_tree, LEAF)
+        looped_spine = LoopGraph(LEAF, looped_spine, True)
+    assert str(comb_tree) == "(" * depth + "|" + "v|)" * depth
+    assert str(looped_spine) == "(|o" * depth + "|" + ")" * depth
+    assert (comb_tree.order, comb_tree.genus) == (depth, 0)
+    assert (looped_spine.order, looped_spine.total_order) == (depth, 2 * depth)
+    assert g(str(comb_tree)) is comb_tree
+    assert g(str(looped_spine)) is looped_spine
+
+
+@pytest.mark.parametrize(
+    "args",
+    [(TREE, None), (None, ONELOOP), (None, None, True), (TREE, None, True)],
+)
+def test_rejected_construction_interns_nothing(args):
+    before = len(_NODES)
+    with pytest.raises(ValueError):
+        LoopGraph(*args)
+    assert len(_NODES) == before
+
+
+@pytest.mark.parametrize(
+    "name", ["left", "right", "looped", "order", "genus", "slots", "total_order", "_str"]
+)
+def test_nodes_are_immutable(name):
+    t = g("((|o|)v|)")
+    value = getattr(t, name)
+    with pytest.raises(AttributeError):
+        setattr(t, name, LEAF)
+    with pytest.raises(AttributeError):
+        delattr(t, name)
+    with pytest.raises(AttributeError):
+        t.extra = 1
+    assert getattr(t, name) is value
+    assert str(t) == "((|o|)v|)"

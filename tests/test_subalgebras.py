@@ -206,7 +206,7 @@ def test_full_correlator_refuses_an_order_beyond_the_bound(monkeypatch):
     def enumerated(*args):
         raise AssertionError(f"enumerated {args} before checking the bound")
 
-    monkeypatch.setattr(subalgebras, "enumerate_graphs", enumerated)
+    monkeypatch.setattr(subalgebras, "_graphs", enumerated)
     bound = f"beyond the correlator bound n <= {MAX_CORRELATOR_ORDER}"
     for n in (MAX_CORRELATOR_ORDER + 1, 10**6):
         with pytest.raises(ValueError, match=bound):
