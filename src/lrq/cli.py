@@ -18,17 +18,24 @@ from .exprs import ParseError, parse
 from .freemodule import LinComb
 
 
-def _lincomb_json(x: LinComb) -> list:
-    out = []
-    for b, c in x.terms():
+def _write_json_sum(x: LinComb) -> None:
+    """Write x to stdout as the JSON list of {"coeff": [p, q], "basis": b}
+    objects in canonical order, where b is a string or, for a tensor, a
+    list of strings.  The text is what `json.dumps` gives for that list, but
+    it is written one term at a time and the list is never built."""
+    write = sys.stdout.write
+    write("[")
+    for k, (b, c) in enumerate(x.terms()):
         basis = [str(f) for f in b] if isinstance(b, tuple) else str(b)
-        out.append({"coeff": [c.numerator, c.denominator], "basis": basis})
-    return out
+        write(f'{", " if k else ""}{{"coeff": [{c.numerator}, {c.denominator}], '
+              f'"basis": {json.dumps(basis)}}}')
+    write("]")
 
 
 def _emit_sum(args, x: LinComb) -> int:
     if args.json:
-        print(json.dumps(_lincomb_json(x)))
+        _write_json_sum(x)
+        print()
     else:
         print(x)
     return 0
@@ -161,11 +168,11 @@ def cmd_psi(args) -> int:
 def cmd_correlator(args) -> int:
     expansion = subalgebras.full_correlator(args.order)
     if args.json:
-        print(
-            json.dumps(
-                {str(g): _lincomb_json(expansion[g]) for g in expansion.genera()}
-            )
-        )
+        sys.stdout.write("{")
+        for k, g in enumerate(expansion.genera()):
+            sys.stdout.write(f'{", " if k else ""}"{g}": ')
+            _write_json_sum(expansion[g])
+        print("}")
     else:
         print(expansion)
     return 0
@@ -175,14 +182,12 @@ def cmd_genfun(args) -> int:
     table = subalgebras.generating_function(args.max_degree)
     keys = sorted(table, key=lambda ij: (ij[0] + ij[1], ij[1]))
     if args.json:
-        print(
-            json.dumps(
-                [
-                    {"a1": i, "a2": j, "value": _lincomb_json(table[(i, j)])}
-                    for i, j in keys
-                ]
-            )
-        )
+        sys.stdout.write("[")
+        for k, (i, j) in enumerate(keys):
+            sys.stdout.write(f'{", " if k else ""}{{"a1": {i}, "a2": {j}, "value": ')
+            _write_json_sum(table[(i, j)])
+            sys.stdout.write("}")
+        print("]")
     else:
         for i, j in keys:
             print(f"a1^{i}*a2^{j}: {table[(i, j)]}")
@@ -210,9 +215,8 @@ def cmd_axioms(args) -> int:
 def cmd_parse_check(args) -> int:
     expr = parse(args.expr, args.kind)
     if args.json:
-        print(json.dumps(_lincomb_json(expr.value)))
-    else:
-        print(expr)
+        return _emit_sum(args, expr.value)
+    print(expr)
     return 0
 
 

@@ -14,34 +14,35 @@ differential drops the masks with adjacent bits from d(m).  (The masks with
 adjacent bits span a subcomplex of K_n, and K_n^reg is the quotient by it.)
 
 (a) The full and regular complexes are Catalan(n) copies of K_n and
-K_n^reg.  In a graph t with p = t.left.order, the left subtree holds slots
-0..p-1, the root is slot p, and the right subtree holds the slots from p+1
-on.  `contract(i, t)` follows that numbering down to slot i and rebuilds
-the path to it, keeping every other loop flag and setting that vertex's, so
-it maps (s, m) to (s, m | 2^i), or to zero when bit i is set.  The sign in
-`d_h_graph` reads only i and t.slots.  So d_h(s, m) is the sum of (s, m')
-over the terms m' of d(m), with the same signs: for each shape s,
-m -> (s, m) is an isomorphism of K_n onto the span of the graphs of shape
-s, and the full complex is the direct sum of these Catalan(n) blocks.
-`project_regular` drops (s, m) exactly when m has two adjacent bits, a
-condition on m alone, so the regular complex is the direct sum of
+K_n^reg, by construction.  A graph is stored as its shape s and its mask m
+(`with_slots(s, m)` is the graph (s, m)), and `d_h_graph` applies `d_mask`
+to m and keeps s: d_h(s, m) is the sum of (s, m') over the terms m' of
+d(m), with the same signs.  (`contract(i, .)`, the single-slot part, maps
+(s, m) to (s, m | 2^i), or to zero when bit i is set.)  So for each shape
+s, m -> (s, m) is an isomorphism of K_n onto the span of the graphs of
+shape s, and the full complex is the direct sum of these Catalan(n)
+blocks.  `project_regular` drops (s, m) exactly when m has two adjacent
+bits, a condition on m alone, so the regular complex is the direct sum of
 Catalan(n) copies of K_n^reg.
 
-(b) The product concatenates masks.  Write tree(x) for the shape of x and,
-for graphs x and y, M = x.slots | y.slots << x.order and phi(s) = (s, M).
-Then star_h(x, y) = phi(star_h(tree(x), tree(y))), by induction along the
-two-term recursion of `star_h`, which is the same on trees and on graphs.
-If x is the leaf both sides are y (M = y.slots), and likewise if y is the
-leaf.  Otherwise:
-  - The first half joins each term S of star_h(x, y.left) with y.right
-    under y's root.  By induction S = (s, x.slots | y.left.slots << x.order)
-    for a term s of the tree product, of order q = x.order + y.left.order.
-    The joined mask is S.slots | y.looped << q | y.right.slots << (q + 1),
+(b) The product concatenates masks.  The product of two graphs is defined
+by a two-term recursion through the roots, looped or not: x * y is the sum
+of the terms S of x * y.left joined with y.right under y's root, and of
+x.left joined with the terms S of x.right * y under x's root, and the leaf
+is the unit.  On trees this is the Loday-Ronco product.  Write tree(x) for
+the shape of x and, for graphs x and y, M = x.slots | y.slots << x.order
+and phi(s) = (s, M).  `star_h` computes x * y as phi(tree(x) * tree(y)),
+which is the recursion's result, by induction along it.  If x is the leaf
+both sides are y (M = y.slots), and likewise if y is the leaf.  Otherwise:
+  - The first half joins each term S of x * y.left with y.right under y's
+    root.  By induction S = (s, x.slots | y.left.slots << x.order) for a
+    term s of the tree product, of order q = x.order + y.left.order.  The
+    joined mask is S.slots | y.looped << q | y.right.slots << (q + 1),
     which is M, and the joined shape is the matching term of the tree
     recursion.
-  - The second half joins x.left with each term S of star_h(x.right, y)
-    under x's root.  By induction S.slots = x.right.slots | y.slots <<
-    x.right.order, and with p = x.left.order the joined mask is
+  - The second half joins x.left with each term S of x.right * y under x's
+    root.  By induction S.slots = x.right.slots | y.slots << x.right.order,
+    and with p = x.left.order the joined mask is
     x.left.slots | x.looped << p | S.slots << (p + 1), which is M again.
 phi is injective, so it merges terms exactly where the tree sum does, and
 the coefficients agree.  The same induction shows that every coefficient of
@@ -71,7 +72,7 @@ from math import comb, gcd, lcm
 from . import trees
 from .freemodule import LinComb
 from .hopfops import GraphSum, star_h_sum
-from .loopgraphs import LoopGraph, contract, is_regular, slot_masks
+from .loopgraphs import LoopGraph, contract, is_regular, slot_masks, with_slots
 from .subalgebras import project_regular
 
 # Largest order `cohomology_dim` accepts.  Its slowest space there, full
@@ -133,14 +134,10 @@ def signed_slot(i: int, t: LoopGraph) -> GraphSum:
 
 
 def d_h_graph(t: LoopGraph) -> GraphSum:
-    """Differential of one graph: sum over slots i of (-1)^(i + loops before i)
-    times the contraction at i."""
-    out = []
-    for i in range(t.order):
-        c = contract(i, t)
-        if c is not None:
-            out.append((c, (-1) ** (i + loops_before(i, t))))
-    return LinComb(out)
+    """Differential of one graph: the differential of K_n on its mask, with
+    the shape kept; the term of slot i has sign (-1)^(i + loops before i)."""
+    return LinComb((with_slots(t, m), c)
+                   for m, c in d_mask(t.slots, t.order, False).items())
 
 
 def d_h_sum(x: GraphSum) -> GraphSum:

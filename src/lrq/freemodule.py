@@ -43,6 +43,7 @@ class LinComb:
 
     def __init__(self, terms: dict | Iterable = ()):
         acc: dict = {}
+        cancelled = False
         items = terms.items() if isinstance(terms, dict) else terms
         for basis, coeff in items:
             if not isinstance(coeff, (int, Fraction)):
@@ -54,7 +55,10 @@ class LinComb:
                 acc[basis] = new
             else:
                 del acc[basis]
-        self._terms = acc
+                cancelled = True
+        # A dict keeps the room of the keys it lost; a copy is sized to the
+        # terms that are left.
+        self._terms = dict(acc) if cancelled else acc
 
     @classmethod
     def basis(cls, b, coeff=1) -> "LinComb":
@@ -192,15 +196,21 @@ def tensor(*factors: LinComb) -> LinComb:
     return LinComb(out)
 
 
+def bilinear_terms(f: Callable, xs: Iterable, ys: Iterable, c=1) -> list:
+    """The terms of c * f(x, y) over the (basis, coefficient) pairs of xs
+    and ys, unsummed, so that a caller can sum many such products at once."""
+    out = []
+    for bx, cx in xs:
+        for by, cy in ys:
+            k = c * cx * cy
+            out += [(b, k * d) for b, d in as_lincomb(f(bx, by)).items()]
+    return out
+
+
 def bilinear_extend(f: Callable) -> Callable[[LinComb, LinComb], LinComb]:
     """Extend a basis-level product (B, B) -> LinComb|B to pairs of LinCombs."""
 
     def extended(x: LinComb, y: LinComb) -> LinComb:
-        out = []
-        for bx, cx in x.items():
-            for by, cy in y.items():
-                c = cx * cy
-                out.extend((b, c * d) for b, d in as_lincomb(f(bx, by)).items())
-        return LinComb(out)
+        return LinComb(bilinear_terms(f, x.items(), y.items()))
 
     return extended

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .freemodule import LinComb, bilinear_extend
-from .loopgraphs import LEAF, LoopGraph, enumerate_graphs
+from .freemodule import LinComb, bilinear_extend, bilinear_terms
+from .loopgraphs import LEAF, LoopGraph, enumerate_graphs, with_slots
 
 # A GraphSum is a LinComb over LoopGraph basis elements.
 GraphSum = LinComb
@@ -27,20 +27,26 @@ UNIT = LinComb.basis(LEAF)
 def star_h(t: LoopGraph, u: LoopGraph) -> GraphSum:
     """Loop-graph star product.
 
-    Each factor decomposes through its root (looped or not) and recombines
-    with the same kind of root:
+    On trees it is the Loday-Ronco recursion: each factor decomposes
+    through its root and recombines with the same root,
 
-        t * u = (t * u1) JOIN_u u2 + t1 JOIN_t (t2 * u)
+        t * u = (t * u1) v u2 + t1 v (t2 * u).
 
-    where JOIN_t / JOIN_u rebuild the root of t / u.  Order and genus are
+    On graphs it is the product of the two shapes with the masks
+    concatenated, (b) of `lrq.complexes`: every term s of the tree product
+    carries the mask t.slots | u.slots << t.order.  Order and genus are
     both additive on every summand.
     """
     if t.is_leaf:
         return LinComb.basis(u)
     if u.is_leaf:
         return LinComb.basis(t)
-    first = star_h(t, u.left).map_basis(lambda s: LoopGraph(s, u.right, u.looped))
-    second = star_h(t.right, u).map_basis(lambda s: LoopGraph(t.left, s, t.looped))
+    if t.slots or u.slots:
+        mask = t.slots | u.slots << t.order
+        shapes = star_h(with_slots(t, 0), with_slots(u, 0))
+        return shapes.map_basis(lambda s: with_slots(s, mask))
+    first = star_h(t, u.left).map_basis(lambda s: LoopGraph(s, u.right))
+    second = star_h(t.right, u).map_basis(lambda s: LoopGraph(t.left, s))
     return first + second
 
 
@@ -85,12 +91,12 @@ def _antipode(t: LoopGraph) -> GraphSum:
     # coproduct terms a (x) b (both factors away from the unit).
     if t.is_leaf:
         return UNIT
-    acc = LinComb.basis(t, -1)
+    out = [(t, -1)]
     for (a, b), c in delta_h(t).items():
         if a.is_leaf or b.is_leaf:
             continue
-        acc = acc - c * star_h_sum(_antipode(a), LinComb.basis(b))
-    return acc
+        out += bilinear_terms(star_h, _antipode(a).items(), ((b, 1),), -c)
+    return LinComb(out)
 
 
 def antipode(x: GraphSum) -> GraphSum:
@@ -207,13 +213,13 @@ def check_axiom(axiom: str, max_total_order: int):
     if axiom == "antipode":
         for t in basis:
             d = delta_h(t)
-            left = LinComb.zero()
-            right = LinComb.zero()
+            left = []
+            right = []
             for (a, b), c in d.items():
-                left = left + c * star_h_sum(_antipode(a), LinComb.basis(b))
-                right = right + c * star_h_sum(LinComb.basis(a), _antipode(b))
+                left += bilinear_terms(star_h, _antipode(a).items(), ((b, 1),), c)
+                right += bilinear_terms(star_h, ((a, 1),), _antipode(b).items(), c)
             expected = counit(LinComb.basis(t)) * UNIT
-            if left != expected or right != expected:
+            if LinComb(left) != expected or LinComb(right) != expected:
                 return (t,)
         return None
 

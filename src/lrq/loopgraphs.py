@@ -5,34 +5,44 @@ genus 0 (see `lrq.trees` for the tree operators).
 
 A loop joining the consecutive leaves (i, i+1) of the underlying tree is
 stored as a mark on the unique vertex that is the lowest common ancestor of
-those leaves; the index i is the vertex's slot.  Each graph carries its
-looped slots as one integer, ``slots``, with bit i set when the vertex in
-slot i is looped; it is built with the node from the children's masks, so
-reading the loop marks never walks the graph.  Genus counts the marks, and
-the total order of a graph is order + genus.  A graph is its tree shape
-together with its mask, and every pair occurs exactly once, so graphs are
-enumerated under the one key (order, slot mask): `_graphs(n, mask)` holds
-one graph per shape, and `enumerate_graphs` takes the union over the masks
-of `slot_masks`.  The printed grammar extends
-the tree grammar: ``graph := "|" | "(" graph "v" graph ")" | "(" graph "o" graph ")"``
-with "o" marking a looped root.
+those leaves; the index i is the vertex's slot.  In a graph with
+p = left.order the left subtree holds slots 0..p-1, the root is slot p, and
+the right subtree holds the slots from p+1 on.  A graph is its tree shape
+together with the integer ``slots``, with bit i set when the vertex in slot
+i is looped, and a node stores exactly that: its two subtrees, which are
+trees (genus-0 nodes), and its whole mask.  Genus counts the marks, and the
+total order of a graph is order + genus.  Every (shape, mask) pair occurs
+exactly once, and `with_slots(t, mask)` is the graph of t's shape with that
+mask, found by one lookup; so adding a loop (`contract`) and forgetting the
+loops (`underlying_tree`) are mask operations, and graphs are enumerated
+under the one key (order, slot mask): `_graphs(n, mask)` puts the mask on
+every tree of order n, and `enumerate_graphs` takes the union over the masks
+of `slot_masks`.  The subgraphs ``left`` and ``right`` and the root's mark
+``looped`` are read from the mask, and a subgraph is interned only when it
+is asked for.
+
+The printed grammar extends the tree grammar:
+``graph := "|" | "(" graph "v" graph ")" | "(" graph "o" graph ")"``
+with "o" marking a looped root.  The marks of a printed graph appear in slot
+order, left subtree before root before right subtree, so a graph prints as
+its shape's string, made from its two subtrees' strings, with the i-th "v"
+replaced by "o" for each looped slot i; no subgraph is built to print it.
 
 Nodes are hash-consed: ``LoopGraph(left, right, looped)`` returns the one
-node with those children and that mark, building it only the first time,
-and children are always interned before their parent.  So two graphs are
-equal exactly when they are the same object, and equality and hashing are
-the identity ones of `object`, which the memo caches and the sums of
-`lrq.freemodule` use without calling back into Python.  Order, genus, slot
-mask and total order are stored when a node is built, and nodes are
-immutable.  The string is built lazily, when a graph is first printed or
-sorted, and kept; printing never recurses more than `_KEPT_STRING_ORDER`
-levels, so a graph of any depth prints.
+node with that shape and mask, building it only the first time.  So two
+graphs are equal exactly when they are the same object, and equality and
+hashing are the identity ones of `object`, which the memo caches and the
+sums of `lrq.freemodule` use without calling back into Python.  Order,
+genus, slot mask and total order are stored when a node is built, and nodes
+are immutable.  The string is built lazily, when a graph is first printed or
+sorted, and kept; a tree's string is built from its subtrees' strings, with
+recursion bounded by `_KEPT_STRING_ORDER`, so a graph of any depth prints.
 
 Interned nodes live for the whole process: the table holds every node ever
 built, and so do the memo caches of `_graphs` and `lrq.hopfops`.  On CPython
-3.11 a node takes 96 bytes and its table entry (an int key and a dict slot)
-about 85 to 130 more; after `str(full_correlator(8))` and `del` of the
-result, 25.7 MiB stay held for 96 700 nodes, strings included.  The same
+3.11 a node takes 88 bytes and its table entry (a 3-tuple key and a dict
+slot) about 100 more; after `str(full_correlator(8))` and `del` of the
+result, 20.8 MiB stay held for 79 300 nodes, strings included.  The same
 graphs recur across products, coproducts, enumerations and CLI requests, so
 each is built and printed once.
 """
@@ -51,68 +61,72 @@ def rank_string(s: str) -> str:
     return s.translate(_RANK)
 
 
-# The interning table: the one node of each (left, right, looped), keyed by
-# id(left) << 65 | id(right) << 1 | looped.  A node is never removed and
-# holds its children, so an id in a key names the same child for the life of
-# the process; the int key takes 48 bytes where a tuple takes 64.
-_NODES: dict[int, "LoopGraph"] = {}
+# The interning table: the one node of each key (left tree, right tree,
+# slots); the leaf's subtrees are None.  Trees hash by identity, so a key
+# hashes without calling back into Python.
+_NODES: dict[tuple, "LoopGraph"] = {}
 
-# A graph keeps its string once printed.  A graph of at most this order is
-# printed from its children's strings, which it prints and keeps first; a
-# larger one is written out piece by piece down to such subgraphs, and its
-# larger subgraphs keep no string, so printing a graph n levels deep keeps
+# A tree keeps its string once printed.  A tree of at most this order is
+# printed from its subtrees' strings, which it prints and keeps first; a
+# larger one is written out piece by piece down to such subtrees, and its
+# larger subtrees keep no string, so printing a tree n levels deep keeps
 # O(n) characters, not O(n^2).
 _KEPT_STRING_ORDER = 64
 
 _set = object.__setattr__
 
+# Bit i of a mask, written in slot order, as the mark of slot i.
+_MARK = str.maketrans("01", "vo")
+
+
+def _node(ltree: "LoopGraph | None", rtree: "LoopGraph | None",
+          slots: int) -> "LoopGraph":
+    """The interned node over two trees (None for the leaf) with that mask;
+    `LoopGraph.__init__` runs only for a key not seen before."""
+    key = (ltree, rtree, slots)
+    node = _NODES.get(key)
+    if node is None:
+        node = _NODES[key] = type.__call__(LoopGraph, ltree, rtree, slots)
+    return node
+
 
 class _Interned(type):
-    """Calling the class returns the interned node of the key; `__init__`
-    runs only for a key not seen before, and a rejected node is not kept."""
+    """Calling the class with (left graph, right graph, looped) returns the
+    interned node of that shape and mask; a rejected node is not kept."""
 
     def __call__(cls, left=None, right=None, looped=False):
-        key = id(left) << 65 | id(right) << 1 | bool(looped)
-        node = _NODES.get(key)
-        if node is None:
-            node = _NODES[key] = type.__call__(cls, left, right, looped)
-        return node
-
-
-class LoopGraph(metaclass=_Interned):
-    """An immutable, interned loop graph (leaf when both children are None).
-
-    Equal graphs are the same object, so equality and hashing are by
-    identity.
-    """
-
-    __slots__ = ("left", "right", "looped", "order", "genus", "slots",
-                 "total_order", "_str")
-
-    def __init__(self, left: "LoopGraph | None" = None,
-                 right: "LoopGraph | None" = None, looped: bool = False):
-        looped = bool(looped)
         if (left is None) != (right is None):
             raise ValueError("a graph vertex needs both subtrees")
         if left is None:
             if looped:
                 raise ValueError("a bare leaf cannot carry a loop")
-            order = slots = 0
-            text = "|"
-        else:
-            p = left.order
-            order = p + right.order + 1
-            slots = left.slots | looped << p | right.slots << (p + 1)
-            text = None
+            return _node(None, None, 0)
+        p = left.order
+        slots = left.slots | bool(looped) << p | right.slots << (p + 1)
+        return _node(with_slots(left, 0), with_slots(right, 0), slots)
+
+
+class LoopGraph(metaclass=_Interned):
+    """An immutable, interned loop graph (the leaf when it has no subtrees).
+
+    Equal graphs are the same object, so equality and hashing are by
+    identity.
+    """
+
+    __slots__ = ("_ltree", "_rtree", "order", "genus", "slots",
+                 "total_order", "_str")
+
+    def __init__(self, ltree: "LoopGraph | None", rtree: "LoopGraph | None",
+                 slots: int):
+        order = 0 if ltree is None else ltree.order + rtree.order + 1
         genus = slots.bit_count()
-        _set(self, "left", left)
-        _set(self, "right", right)
-        _set(self, "looped", looped)
+        _set(self, "_ltree", ltree)
+        _set(self, "_rtree", rtree)
         _set(self, "order", order)
         _set(self, "genus", genus)
         _set(self, "slots", slots)
         _set(self, "total_order", order + genus)
-        _set(self, "_str", text)
+        _set(self, "_str", "|" if ltree is None else None)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"LoopGraph is immutable: cannot set {name!r}")
@@ -122,19 +136,38 @@ class LoopGraph(metaclass=_Interned):
 
     @property
     def is_leaf(self) -> bool:
-        return self.left is None
+        return self._ltree is None
+
+    @property
+    def left(self) -> "LoopGraph | None":
+        """The left subgraph: the left subtree with the slots below the root."""
+        t = self._ltree
+        return t if t is None else with_slots(t, self.slots & ~(-1 << t.order))
+
+    @property
+    def right(self) -> "LoopGraph | None":
+        """The right subgraph: the right subtree with the slots above the root."""
+        t = self._rtree
+        return t if t is None else with_slots(t, self.slots >> (self.order - t.order))
+
+    @property
+    def looped(self) -> bool:
+        """Whether the root (slot left.order) carries a loop."""
+        return self._ltree is not None and bool(self.slots >> self._ltree.order & 1)
 
     def __str__(self) -> str:
         text = self._str
         if text is None:
-            if self.order <= _KEPT_STRING_ORDER:
-                # At most _KEPT_STRING_ORDER levels of recursion; a child
-                # printed before is read without a call.
-                left = self.left._str or str(self.left)
-                right = self.right._str or str(self.right)
-                text = f"({left}{'o' if self.looped else 'v'}{right})"
+            if self.order > _KEPT_STRING_ORDER and not self.slots:
+                text = _print_tree(self)
             else:
-                text = _print(self)
+                # The subtrees are trees: a subtree printed before is read
+                # without a call, and a call recurses at most
+                # _KEPT_STRING_ORDER levels.
+                left, right = self._ltree, self._rtree
+                text = f"({left._str or str(left)}v{right._str or str(right)})"
+                if self.slots:
+                    text = text.replace("v", "%s") % _marks(self.order, self.slots)
             _set(self, "_str", text)
         return text
 
@@ -148,10 +181,17 @@ class LoopGraph(metaclass=_Interned):
         return rank_string(str(self))
 
 
-def _print(t: LoopGraph) -> str:
-    """The string of a graph of order above _KEPT_STRING_ORDER, without
-    recursion: its larger subgraphs are written out piece by piece from a
-    stack, down to subgraphs of order at most _KEPT_STRING_ORDER."""
+@lru_cache(maxsize=None)
+def _marks(n: int, slots: int) -> tuple[str, ...]:
+    """The marks of slots 0..n-1 in order: "o" for each bit of slots, else
+    "v".  One entry per mask printed, no larger than the strings kept."""
+    return tuple(format(slots, f"0{n}b")[::-1].translate(_MARK))
+
+
+def _print_tree(t: LoopGraph) -> str:
+    """The string of a tree of order above _KEPT_STRING_ORDER, without
+    recursion: its larger subtrees are written out piece by piece from a
+    stack, down to subtrees of order at most _KEPT_STRING_ORDER."""
     out: list[str] = []
     todo: list = [t]
     while todo:
@@ -161,8 +201,21 @@ def _print(t: LoopGraph) -> str:
         elif item.order <= _KEPT_STRING_ORDER or item._str is not None:
             out.append(str(item))
         else:
-            todo += (")", item.right, "o" if item.looped else "v", item.left, "(")
+            todo += (")", item._rtree, "v", item._ltree, "(")
     return "".join(out)
+
+
+def with_slots(t: LoopGraph, mask: int) -> LoopGraph:
+    """The graph of t's tree shape whose looped slots are the bits of mask.
+
+    Raises ValueError, interning nothing, when mask has a bit at or above
+    t.order (or is negative).
+    """
+    if mask == t.slots:
+        return t
+    if mask >> t.order:
+        raise ValueError(f"slot mask {mask} does not fit order {t.order}")
+    return _node(t._ltree, t._rtree, mask)
 
 
 LEAF = LoopGraph()
@@ -189,9 +242,7 @@ def decompose(t: LoopGraph) -> tuple[LoopGraph, LoopGraph, bool]:
 
 def underlying_tree(t: LoopGraph) -> LoopGraph:
     """Forget the loop marks: the genus-0 graph of the same shape."""
-    if t.genus == 0:
-        return t
-    return LoopGraph(underlying_tree(t.left), underlying_tree(t.right), False)
+    return with_slots(t, 0)
 
 
 def loop_slots(t: LoopGraph) -> frozenset[int]:
@@ -209,23 +260,17 @@ def is_regular(t: LoopGraph) -> bool:
 
 
 def contract(i: int, t: LoopGraph) -> LoopGraph | None:
-    """Loop the vertex in slot i, raising the genus by one.
+    """Loop the vertex in slot i, raising the genus by one: the same shape
+    with bit i added to the mask.
 
     Returns None (the zero element) when the slot does not exist or its
     vertex is already looped.  The result may be irregular.
     """
     if i < 0:
         raise IndexError("slot index must be nonnegative")
-    if t.is_leaf:
+    if i >= t.order or t.slots >> i & 1:
         return None
-    p = t.left.order
-    if i == p:
-        return None if t.looped else LoopGraph(t.left, t.right, True)
-    if i < p:
-        sub = contract(i, t.left)
-        return None if sub is None else LoopGraph(sub, t.right, t.looped)
-    sub = contract(i - p - 1, t.right)
-    return None if sub is None else LoopGraph(t.left, sub, t.looped)
+    return with_slots(t, t.slots | 1 << i)
 
 
 def slot_masks(n: int, g: int, regular: bool) -> list[int]:
@@ -242,16 +287,13 @@ def slot_masks(n: int, g: int, regular: bool) -> list[int]:
 @lru_cache(maxsize=None)
 def _graphs(n: int, mask: int) -> tuple[LoopGraph, ...]:
     """Every graph of order n whose looped slots are the bits of mask, one
-    per tree shape: a new root over each pair of cached children."""
+    per tree shape: the mask on a root over each pair of cached trees."""
+    if n < 0 or mask >> n:
+        raise ValueError(f"slot mask {mask} does not fit order {n}")
     if n == 0:
         return (LEAF,)
-    out = []
-    for p in range(n):
-        rights = _graphs(n - 1 - p, mask >> (p + 1))
-        for a in _graphs(p, mask & ((1 << p) - 1)):
-            for b in rights:
-                out.append(LoopGraph(a, b, bool(mask >> p & 1)))
-    return tuple(out)
+    return tuple(_node(a, b, mask) for p in range(n)
+                 for a in _graphs(p, 0) for b in _graphs(n - 1 - p, 0))
 
 
 def enumerate_graphs(n: int, g: int, regular_only: bool = False) -> list[LoopGraph]:

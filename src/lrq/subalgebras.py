@@ -31,8 +31,9 @@ from .loopgraphs import _graphs, is_regular, slot_masks
 
 # Largest word length `psi_word` and order `full_correlator` accept: on a
 # 2-core x86-64 VM (Python 3.11.7) the worst `lrq psi` of 13 letters takes
-# 20 s at 960 MiB, `lrq correlator --order 9` 8 to 9.5 s at 370 MiB (with
-# --json), and one more letter or order runs out of a 1 GiB address-space cap.
+# 13 to 17 s at 585 MiB (with --json), `lrq correlator --order 9` 6 to 7 s
+# at 235 MiB; 14 letters run out of a 1 GiB address-space cap, and order 10
+# takes 45 s at 970 MiB with --json and runs out of 1 GiB as text.
 MAX_PSI_LENGTH = 13
 MAX_CORRELATOR_ORDER = 9
 

@@ -10,10 +10,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 import lrq
-from lrq import airy, hopfops, subalgebras
+from lrq import airy, complexes, hopfops, permutations, subalgebras
 from lrq.airy import MAX_NEG_EULER
 from lrq.cli import _build_parser, run
 from lrq.complexes import MAX_COHOMOLOGY_ORDER
+from lrq.exprs import parse
 from lrq.hopfops import MAX_AXIOM_ORDER
 from lrq.loopgraphs import enumerate_graphs
 from lrq.subalgebras import MAX_CORRELATOR_ORDER, MAX_PSI_LENGTH
@@ -354,8 +355,89 @@ def test_parse_check_deeply_nested_graph(capsys):
 
 
 def test_too_deep_for_the_algebra_is_a_domain_error(capsys):
+    # The coproduct still recurses through the graph, so this comb is too
+    # deep for it.
     deep = "(" * 1200 + "|" + "v|)" * 1200
-    code, out, err = invoke(capsys, "dh", deep)
+    code, out, err = invoke(capsys, "coproduct", deep)
     assert code == 2
     assert out == ""
     assert err == "error: input nested too deeply\n"
+
+
+def test_dh_of_a_comb_deeper_than_the_recursion_limit(capsys):
+    # The differential acts on the slot mask alone: one term per slot, the
+    # term of slot i with sign (-1)^i, however deep the graph.
+    deep = "(" * 1200 + "|" + "v|)" * 1200
+    code, out, err = invoke(capsys, "dh", deep)
+    assert (code, err) == (0, "")
+    words = out.split()
+    first = words[0].removeprefix("-")
+    terms = [first] + words[2::2]
+    signs = ["+" if first == words[0] else "-"] + words[1::2]
+    assert len(terms) == 1200
+    assert all(t.count("o") == 1 and t.replace("o", "v") == deep for t in terms)
+    assert len({t.index("o") for t in terms}) == 1200
+    # Slot i of the comb is its (i+1)-th "v" from the left.
+    for t, sign in zip(terms, signs):
+        slot = t[: t.index("o")].count("v")
+        assert sign == ("+" if slot % 2 == 0 else "-"), slot
+
+
+def sum_json(x) -> list:
+    """Oracle: the JSON structure of a sum, built whole."""
+    return [
+        {"coeff": [c.numerator, c.denominator],
+         "basis": [str(f) for f in b] if isinstance(b, tuple) else str(b)}
+        for b, c in x.terms()
+    ]
+
+
+def value(text):
+    return parse(text, "graph-sum").value
+
+
+@pytest.mark.parametrize(
+    "argv, structure",
+    [
+        (("dh", "(|o|)"), lambda: sum_json(complexes.d_h_sum(value("(|o|)")))),
+        (("coproduct", "((|o|)v|) - 1/3*(|v(|o|))"),
+         lambda: sum_json(hopfops.delta_h_sum(value("((|o|)v|) - 1/3*(|v(|o|))")))),
+        (("product", "1/2*(|o|)", "-3/4*(|v|) + |"),
+         lambda: sum_json(hopfops.star_h_sum(value("1/2*(|o|)"), value("-3/4*(|v|) + |")))),
+        (("perm-coproduct", "[3,1,2]"),
+         lambda: sum_json(permutations.coproduct_perm(parse("[3,1,2]", "permutation").single_basis()))),
+        (("parse-check", "2/3*(|o|)@(|v|) - |"),
+         lambda: sum_json(value("2/3*(|o|)@(|v|) - |"))),
+        (("correlator", "--order", "5"),
+         lambda: {str(gg): sum_json(subalgebras.full_correlator(5)[gg])
+                  for gg in subalgebras.full_correlator(5).genera()}),
+        (("genfun", "--max-degree", "3"),
+         lambda: [{"a1": i, "a2": j, "value": sum_json(x)}
+                  for (i, j), x in sorted(subalgebras.generating_function(3).items(),
+                                          key=lambda kv: (sum(kv[0]), kv[0][1]))]),
+    ],
+)
+def test_json_written_term_by_term_equals_json_dumps(capsys, argv, structure):
+    code, out, err = invoke(capsys, *argv, "--json")
+    assert (code, err) == (0, "")
+    assert out == json.dumps(structure()) + "\n"
+
+
+def test_every_module_imports_only_the_standard_library():
+    probe = (
+        "import importlib, pkgutil, sys\n"
+        "import lrq\n"
+        "for m in pkgutil.iter_modules(lrq.__path__):\n"
+        "    if m.name != '__main__':\n"
+        "        importlib.import_module('lrq.' + m.name)\n"
+        "print(sorted(n for n in sys.modules if n.split('.')[0] not in\n"
+        "             sys.stdlib_module_names | {'lrq', '__main__'}))\n"
+        "print(len([n for n in sys.modules if n.startswith('lrq.')]))\n"
+    )
+    src = str(Path(lrq.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True,
+                          text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+    outside, imported = done.stdout.splitlines()
+    assert outside == "[]"
+    # Every module file but __init__ (the package itself) and __main__.
+    assert int(imported) == len(list(Path(src, "lrq").glob("*.py"))) - 2

@@ -5,7 +5,7 @@ from functools import lru_cache
 
 import pytest
 
-from lrq import trees
+from lrq import hopfops, trees
 from lrq.complexes import d_h_graph
 from lrq.exprs import parse
 from lrq.freemodule import LinComb, bilinear_extend
@@ -21,7 +21,7 @@ from lrq.hopfops import (
     star_h,
     star_h_sum,
 )
-from lrq.loopgraphs import LEAF, ONELOOP, TREE
+from lrq.loopgraphs import LEAF, ONELOOP, TREE, LoopGraph, enumerate_graphs
 
 
 def g(s: str):
@@ -228,3 +228,52 @@ def test_structure_constants_are_ints():
     for t in basis:
         values += [delta_h(t), _antipode(t), d_h_graph(t)]
     assert all(type(c) is int for v in values for _, c in v.items())
+
+
+@lru_cache(maxsize=None)
+def star_graphs(t, u) -> LinComb:
+    """Oracle: the product's defining recursion on graphs, through the roots
+    looped or not, t * u = (t * u1) JOIN_u u2 + t1 JOIN_t (t2 * u), where
+    JOIN_t / JOIN_u rebuild the root of t / u with its mark."""
+    if t.is_leaf:
+        return LinComb.basis(u)
+    if u.is_leaf:
+        return LinComb.basis(t)
+    first = star_graphs(t, u.left).map_basis(lambda s: LoopGraph(s, u.right, u.looped))
+    second = star_graphs(t.right, u).map_basis(lambda s: LoopGraph(t.left, s, t.looped))
+    return first + second
+
+
+def test_star_h_equals_the_graph_recursion():
+    by_order = {n: [t for gg in range(n + 1) for t in enumerate_graphs(n, gg)]
+                for n in range(5)}
+    for n in range(5):
+        for m in range(min(4, 6 - n) + 1):
+            for x in by_order[n]:
+                for y in by_order[m]:
+                    assert star_h(x, y) == star_graphs(x, y), (x, y)
+
+
+def antipode_by_sums(t) -> LinComb:
+    """Oracle: the antipode recursion, one LinComb sum per coproduct term."""
+    if t.is_leaf:
+        return UNIT
+    acc = LinComb.basis(t, -1)
+    for (a, b), c in delta_h(t).items():
+        if not (a.is_leaf or b.is_leaf):
+            acc = acc - c * star_h_sum(antipode_by_sums(a), LinComb.basis(b))
+    return acc
+
+
+def test_antipode_equals_the_term_by_term_sum():
+    for t in graphs_up_to_total_order(5):
+        assert _antipode(t) == antipode_by_sums(t), t
+
+
+def test_antipode_check_finds_a_wrong_antipode(monkeypatch):
+    # An antipode that is wrong only on (|o|) breaks the antipode law there.
+    def wrong(t):
+        return LinComb.basis(t) if t is ONELOOP else _antipode(t)
+
+    monkeypatch.setattr(hopfops, "_antipode", wrong)
+    assert check_axiom("antipode", 3) == (ONELOOP,)

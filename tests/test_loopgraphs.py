@@ -26,6 +26,7 @@ from lrq.loopgraphs import (
     signature,
     underlying_tree,
     vee,
+    with_slots,
 )
 from lrq.trees import enumerate_trees
 
@@ -386,3 +387,61 @@ def test_nodes_are_immutable(name):
         t.extra = 1
     assert getattr(t, name) is value
     assert str(t) == "((|o|)v|)"
+
+
+def contract_by_path(i: int, t: LoopGraph) -> LoopGraph | None:
+    """Oracle: follow the slot numbering down to slot i and rebuild the path
+    to it with that vertex looped."""
+    if t.is_leaf:
+        return None
+    p = t.left.order
+    if i == p:
+        return None if t.looped else LoopGraph(t.left, t.right, True)
+    if i < p:
+        sub = contract_by_path(i, t.left)
+        return None if sub is None else LoopGraph(sub, t.right, t.looped)
+    sub = contract_by_path(i - p - 1, t.right)
+    return None if sub is None else LoopGraph(t.left, sub, t.looped)
+
+
+def test_contract_equals_the_path_rebuilding_oracle():
+    for graph in all_graphs(5):
+        for i in range(graph.order + 2):
+            assert contract(i, graph) is contract_by_path(i, graph), (i, graph)
+
+
+def test_with_slots_puts_every_mask_on_the_shape():
+    for graph in all_graphs(4):
+        tree = underlying_tree(graph)
+        for mask in range(1 << graph.order):
+            got = with_slots(graph, mask)
+            assert (got.slots, underlying_tree(got)) == (mask, tree)
+            assert with_slots(tree, graph.slots) is graph
+            marks = [c for c in str(got) if c in "vo"]
+            assert marks == ["o" if mask >> i & 1 else "v" for i in range(graph.order)]
+            assert g(str(got)) is got
+
+
+@pytest.mark.parametrize(
+    "shape, mask", [("|", 1), ("(|v|)", 2), ("((|v|)o|)", 4), ("((|v|)o|)", 5),
+                    ("(|v|)", -1), ("((|v|)v(|v|))", 1 << 40)]
+)
+def test_with_slots_rejects_a_mask_beyond_the_order(shape, mask):
+    t = g(shape)
+    before = len(_NODES)
+    with pytest.raises(ValueError, match="does not fit"):
+        with_slots(t, mask)
+    assert len(_NODES) == before
+
+
+def test_graphs_of_a_fresh_mask_intern_one_node_per_shape():
+    # An irregular mask of order 10 that no other computation here builds.
+    n, mask = 10, 0b1001110011
+    for p in range(n):
+        _graphs(p, 0)
+    misses = _graphs.cache_info().misses
+    before = len(_NODES)
+    graphs = _graphs(n, mask)
+    assert _graphs.cache_info().misses == misses + 1
+    assert len(_NODES) - before == len(graphs) == comb(2 * n, n) // (n + 1)
+    assert {t.slots for t in graphs} == {mask}
