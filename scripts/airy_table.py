@@ -2,14 +2,15 @@
 """Table of exact Airy-curve correlators for all stable (g, k) in range.
 
 Lists every genus/leg pair with 1 <= 2g - 2 + k <= the chosen bound together
-with its exact Laurent coefficient.  A bound beyond the recursion's own
-(``lrq.airy.MAX_NEG_EULER``) is refused before anything is computed.
+with its exact Laurent coefficient, written one monomial at a time.  A bound
+beyond the recursion's own (``lrq.airy.MAX_NEG_EULER``) is refused before
+anything is computed.
 """
 
 import argparse
 import sys
 
-from lrq.airy import MAX_NEG_EULER, airy_correlator
+from lrq.airy import MAX_NEG_EULER, airy_correlator, laurent_text
 
 
 def main() -> None:
@@ -27,8 +28,10 @@ def main() -> None:
             k = chi + 2 - 2 * g
             if k < 1:
                 continue
-            corr = airy_correlator(g, k)
-            print(f"g={g} k={k}:  {corr}")
+            terms = airy_correlator(g, k).terms()
+            sys.stdout.write(f"g={g} k={k}:  ")
+            sys.stdout.writelines(laurent_text(terms))
+            print()
 
 
 if __name__ == "__main__":

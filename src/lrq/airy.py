@@ -61,22 +61,26 @@ The coefficients are therefore computed only on these target keys.  W^g_k
 is symmetric in its variables (Eynard-Orantin 2007), so U^g_k[a] depends
 only on the multiset of the a_i: it is memoized on (g, sorted key), the
 smallest entry serves as a_0, and the splittings are summed over the
-sub-multisets A of L, each with its number of labelled choices.  Only the
-correlator that airy_correlator returns is expanded to every ordering of
-each key.
+sub-multisets A of L, each with its number of labelled choices.  A
+Correlator stores one coefficient per orbit of the leg permutations; its
+terms are read from that table in canonical order, by a depth-first walk
+over the even compositions of the degree, so no correlator is ever held
+expanded to every ordering of each key.
 
 The series route computes the same numerators from truncation-tracked
 series and serves as the tests' independent check of the coefficient
-route: a QSeries knows the highest q exponent it is trusted through, a
-residue is only read inside the trusted range, and `_residue_recursion`
-forms the bracket from the Bergman and kernel expansions, cuts each
-splitting product at q^0 (the kernel starts at q^(-1)), and reads the
-residue off the diagonal sum_e kernel[e] * bracket[-1-e].
+route: a QSeries knows the highest q exponent it is trusted through, and a
+residue is only read inside the trusted range.  `_residue_recursion` reads
+each sub-correlator as 4^(3h-2+k) times its coefficients, checked to be
+integers, forms every bracket term from them and the Bergman expansion by
+plain QSeries products, sums the terms, and reads the residue of four times
+the kernel times that bracket.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Iterator
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, groupby, product
@@ -85,7 +89,10 @@ from operator import add
 
 _EXACT = 10**9  # "trusted through any exponent we will ever look at"
 
-MAX_NEG_EULER = 11  # recursion bound on 2g - 2 + k
+# Recursion bound on 2g - 2 + k.  Its largest pair, (0, 13), prints its
+# 646 646 monomials in 8 to 9 s as text and 6 to 6.5 s as JSON, at 17 MiB
+# peak (Python 3.11.7 on a 2-core Intel Xeon).
+MAX_NEG_EULER = 11
 
 
 def _owning(nvars: int, acc: dict) -> "LaurentPoly":
@@ -201,7 +208,7 @@ class LaurentPoly:
         )
 
     def __str__(self) -> str:
-        return format_laurent(self)
+        return format_laurent(sorted(self.coeffs.items()))
 
     def __repr__(self) -> str:
         return f"LaurentPoly<{self}>"
@@ -211,23 +218,28 @@ def var_name(i: int) -> str:
     return "p" if i == 0 else f"p{i}"
 
 
-def format_laurent(poly: LaurentPoly) -> str:
-    """Sum of monomials "c * p^a * p1^b * ..." with the rational c always shown."""
-    if not poly.coeffs:
-        return "0"
-    parts = []
-    for exps in sorted(poly.coeffs):
-        c = poly.coeffs[exps]
-        factors = [str(abs(c))]
-        factors.extend(
-            f"{var_name(i)}^{e}" for i, e in enumerate(exps) if e
-        )
-        body = " * ".join(factors)
-        if not parts:
-            parts.append(body if c > 0 else "-" + body)
+def laurent_text(terms: Iterable) -> Iterator[str]:
+    """The text of `format_laurent`, one monomial at a time, each with its
+    sign and the separator before it."""
+    first = True
+    heads: list[str] = []  # "p^", "p1^", ...: the factor text before its exponent
+    for exps, c in terms:
+        if len(heads) < len(exps):
+            heads = [var_name(i) + "^" for i in range(len(exps))]
+        body = " * ".join([str(abs(c))] + [h + str(e) for h, e in zip(heads, exps) if e])
+        if first:
+            yield body if c > 0 else "-" + body
+            first = False
         else:
-            parts.append(("+ " if c > 0 else "- ") + body)
-    return " ".join(parts)
+            yield (" + " if c > 0 else " - ") + body
+    if first:
+        yield "0"
+
+
+def format_laurent(terms: Iterable) -> str:
+    """Sum of monomials "c * p^a * p1^b * ..." with the rational c always shown,
+    from (exponent vector, coefficient) pairs in the order given."""
+    return "".join(laurent_text(terms))
 
 
 def laurent_json(poly: LaurentPoly) -> list:
@@ -272,17 +284,14 @@ class QSeries:
             and self.coeffs == other.coeffs
         )
 
-    def _valid_of_product(self, other: "QSeries") -> int:
+    def __mul__(self, other: "QSeries") -> "QSeries":
         if self.nvars != other.nvars:
             raise ValueError("variable counts differ")
         # Terms above `valid` are unknown; they first pollute the product at
         # exponent (valid of one factor) + (lowest exponent of the other).
         la = self.lowest() if self.coeffs else self.valid + 1
         lb = other.lowest() if other.coeffs else other.valid + 1
-        return min(self.valid + lb, other.valid + la, _EXACT)
-
-    def __mul__(self, other: "QSeries") -> "QSeries":
-        valid = self._valid_of_product(other)
+        valid = min(self.valid + lb, other.valid + la, _EXACT)
         acc: dict[int, dict] = {}
         for i, ci in self.coeffs.items():
             for j, cj in other.coeffs.items():
@@ -298,26 +307,6 @@ class QSeries:
         return QSeries(
             self.nvars, {e: _owning(self.nvars, d) for e, d in acc.items()}, valid
         )
-
-    def truncate(self, upto: int) -> "QSeries":
-        """The series trusted only through q^upto (if that is lower)."""
-        if upto >= self.valid:
-            return self
-        return QSeries(
-            self.nvars, {e: p for e, p in self.coeffs.items() if e <= upto}, upto
-        )
-
-    def mul_through(self, other: "QSeries", upto: int) -> "QSeries":
-        """The product trusted through q^upto at most, computed only that far.
-
-        It equals ``self * other`` at every exponent it keeps, and its
-        ``valid`` is the lower of that product's and ``upto``.  Each factor is
-        cut where its terms can no longer reach q^upto.
-        """
-        la, lb = self.lowest(), other.lowest()
-        if la is None or lb is None or la + lb > upto:
-            return QSeries(self.nvars, (), min(self._valid_of_product(other), upto))
-        return self.truncate(upto - lb) * other.truncate(upto - la)
 
     def scale(self, c) -> "QSeries":
         return QSeries(
@@ -345,12 +334,11 @@ def bergman_series(leg: int, order: int, nvars: int | None = None) -> QSeries:
     return QSeries(nvars, coeffs, valid=order)
 
 
-def kernel_series(order: int, nvars: int = 1, coeff=Fraction(-1, 4)) -> QSeries:
+def kernel_series(order: int, nvars: int = 1) -> QSeries:
     """Expansion of the recursion kernel 1/(4q(q^2 - p^2)) through q^order.
 
     Equal to -(1/(4 p^2)) q^(-1) sum_m (q/p)^(2m); only odd powers of q
-    appear, starting at q^(-1), and p is variable 0.  Every term carries
-    ``coeff``; the integer recursion passes -1, four times the kernel.
+    appear, starting at q^(-1), and p is variable 0.
     """
     if order < 0:
         raise ValueError("truncation order must be nonnegative")
@@ -359,7 +347,7 @@ def kernel_series(order: int, nvars: int = 1, coeff=Fraction(-1, 4)) -> QSeries:
     while 2 * m - 1 <= order:
         exps = [0] * nvars
         exps[0] = -(2 * m + 2)
-        coeffs[2 * m - 1] = LaurentPoly.monomial(nvars, exps, coeff)
+        coeffs[2 * m - 1] = LaurentPoly.monomial(nvars, exps, Fraction(-1, 4))
         m += 1
     return QSeries(nvars, coeffs, valid=order)
 
@@ -382,50 +370,34 @@ def residue_at_zero(s: QSeries) -> LaurentPoly:
     return s.coeffs.get(-1, LaurentPoly(s.nvars))
 
 
-def residue_of_product(a: QSeries, b: QSeries) -> LaurentPoly:
-    """Residue of a * b, read off the diagonal sum_e a[e] * b[-1-e].
-
-    Only the q^(-1) coefficient is formed; it is trusted as far as the full
-    product would be, so a short truncation raises in residue_at_zero.
-    """
-    acc: dict = {}
-    for e, ca in a.coeffs.items():
-        cb = b.coeffs.get(-1 - e)
-        if cb is not None:
-            _accumulate(acc, (ca * cb).coeffs)
-    diagonal = QSeries(a.nvars, {-1: _owning(a.nvars, acc)}, a._valid_of_product(b))
-    return residue_at_zero(diagonal)
-
-
-def sum_series(nvars: int, terms) -> QSeries:
-    """The sum of series in `nvars` variables, trusted as far as all of them."""
-    terms = list(terms)
-    if any(t.nvars != nvars for t in terms):
-        raise ValueError("variable counts differ")
-    valid = min((t.valid for t in terms), default=_EXACT)
-    acc: dict[int, dict] = {}
-    for t in terms:
-        for e, p in t.coeffs.items():
-            if e <= valid:
-                _accumulate(acc.setdefault(e, {}), p.coeffs)
-    return QSeries(nvars, {e: _owning(nvars, d) for e, d in acc.items()}, valid)
-
-
 @dataclass(frozen=True)
 class Correlator:
     """A genus-g, k-leg correlator; variables are p, p1, ..., p_(k-1).
 
-    ``numerators`` is 4^(3g-2+k) * coeff, with integer coefficients: the
-    form in which the series route reads a sub-correlator.
+    ``orbits`` maps the sorted exponent vector of each orbit of the leg
+    permutations to its coefficient, over the nonzero orbits only.
     """
 
     genus: int
     legs: int
-    coeff: LaurentPoly
-    numerators: LaurentPoly = field(compare=False, repr=False)
+    orbits: dict[tuple[int, ...], Fraction]
+
+    def terms(self) -> Iterator[tuple[tuple[int, ...], Fraction]]:
+        """Every (exponent vector, coefficient) in ascending order of the vectors,
+        each coefficient read from the orbit table."""
+        orbits = self.orbits
+        for exps in _compositions(6 * self.genus - 6 + 4 * self.legs, self.legs, ()):
+            c = orbits.get(tuple(sorted(exps)))
+            if c is not None:
+                yield exps, c
+
+    @property
+    def coeff(self) -> LaurentPoly:
+        """The whole expansion, built anew on each read."""
+        return _owning(self.legs, dict(self.terms()))
 
     def __str__(self) -> str:
-        return format_laurent(self.coeff)
+        return format_laurent(self.terms())
 
 
 def default_truncation(g: int, k: int) -> int:
@@ -461,55 +433,67 @@ def _attach(poly: LaurentPoly, roles: list, nvars: int) -> QSeries:
     return QSeries(nvars, {e: _owning(nvars, d) for e, d in acc.items()}, _EXACT)
 
 
-def _factor(h: int, sub_legs: list[int], which: str, nvars: int, order: int) -> QSeries:
+def _factor(h: int, sub_legs: tuple[int, ...], which: str, nvars: int, order: int) -> QSeries:
     """One factor 4^(3h-1+|sub_legs|) W^h(q or qbar, sub_legs) of a splitting term."""
     k_f = len(sub_legs) + 1
     if h == 0 and k_f == 2:
         s = bergman_series(sub_legs[0], order, nvars)
         return conjugate_leg(s) if which == "qbar" else s
-    sub = airy_correlator(h, k_f)
-    return _attach(sub.numerators, [which] + list(sub_legs), nvars)
+    return _attach(_numerators(h, k_f), [which] + list(sub_legs), nvars)
 
 
-def _subsets(items: list[int]):
-    for size in range(len(items) + 1):
-        yield from (list(c) for c in combinations(items, size))
+def _numerators(g: int, k: int) -> LaurentPoly:
+    """4^(3g-2+k) W^g_k, read from `airy_correlator`: the form in which the
+    series route reads a sub-correlator.  Its coefficients must be integers,
+    and are kept as ints, which multiply much faster than Fractions."""
+    u = airy_correlator(g, k).coeff.scale(4 ** (3 * g - 2 + k))
+    if any(c.denominator != 1 for c in u.coeffs.values()):
+        raise ArithmeticError(f"4^(3g-2+k) W^{g}_{k} is not integral: {u}")
+    return _owning(k, {e: int(c) for e, c in u.coeffs.items()})
 
 
 def _residue_recursion(g: int, k: int, order: int) -> LaurentPoly:
     """4^(3g-2+k) W^g_k, with integer coefficients, by the series route.
 
     Sub-correlators come from `airy_correlator`.  The Bergman factors and
-    the kernel are expanded through q^order at most; an order too small for
-    the residue raises ValueError.
+    the kernel are expanded through q^order; an order too small for the
+    residue raises ValueError.
     """
     nv = k
     legs = list(range(1, k))
-    # The bracket, scaled by 4^(3g-2+k) and multiplied against four times the
-    # kernel; the kernel starts at q^(-1), so it is needed through q^0 only.
+    # The bracket terms, scaled by 4^(3g-2+k).
     terms = []
-    if g >= 1:
-        if g == 1 and k == 1:
-            # 4 W_2^0(q, qbar) = 4/(q - qbar)^2 at qbar = -q, with the leg sign.
-            terms.append(QSeries(nv, {-2: LaurentPoly.const(nv, -1)}))
-        else:
-            sub = airy_correlator(g - 1, k + 1)
-            terms.append(_attach(sub.numerators, ["q", "qbar"] + legs, nv).scale(4))
+    if g == 1 and k == 1:
+        # 4 W_2^0(q, qbar) = 4/(q - qbar)^2 at qbar = -q, with the leg sign.
+        terms.append(QSeries(nv, {-2: LaurentPoly.const(nv, -1)}))
+    elif g >= 1:
+        sub = _numerators(g - 1, k + 1)
+        terms.append(_attach(sub, ["q", "qbar"] + legs, nv).scale(4))
     for h in range(g + 1):
-        for chosen in _subsets(legs):
-            rest = [v for v in legs if v not in chosen]
-            # W_1^0 vanishes: drop the splittings where either side would
-            # be the genus-0 one-point function.
-            if (h == 0 and not chosen) or (h == g and not rest):
-                continue
-            f1 = _factor(h, chosen, "q", nv, order)
-            f2 = _factor(g - h, rest, "qbar", nv, order)
-            terms.append(f1.mul_through(f2, 0))
-    bracket = sum_series(nv, terms)
-    # The kernel term at q^e meets the bracket at q^(-1-e).
-    lowest = bracket.lowest()
-    reach = order if lowest is None else max(0, min(order, -1 - lowest))
-    return residue_of_product(kernel_series(reach, nv, coeff=-1), bracket)
+        for size in range(k):
+            for chosen in combinations(legs, size):
+                rest = tuple(v for v in legs if v not in chosen)
+                # W_1^0 vanishes: drop the splittings where either side would
+                # be the genus-0 one-point function.
+                if (h == 0 and not chosen) or (h == g and not rest):
+                    continue
+                f1 = _factor(h, chosen, "q", nv, order)
+                f2 = _factor(g - h, rest, "qbar", nv, order)
+                terms.append(f1 * f2)
+    # Their sum, trusted as far as every term is.
+    bracket = QSeries(nv, [(e, p) for t in terms for e, p in t.coeffs.items()],
+                      min(t.valid for t in terms))
+    return residue_at_zero(kernel_series(order, nv).scale(4) * bracket)
+
+
+def _compositions(total: int, parts: int, prefix: tuple) -> Iterator[tuple[int, ...]]:
+    """`prefix` extended by every (-a_1, ..., -a_parts) with even a_i >= 2
+    summing to `total`, in ascending order: depth first, largest a_1 first."""
+    if parts == 1:
+        yield prefix + (-total,)
+        return
+    for a in range(total - 2 * parts + 2, 1, -2):
+        yield from _compositions(total - a, parts - 1, prefix + (-a,))
 
 
 def _target_keys(total: int, parts: int, least: int = 2):
@@ -560,24 +544,6 @@ def _numerator(g: int, key: tuple[int, ...]) -> int:
     return total
 
 
-def _arrangements(key: tuple, memo: dict) -> list[tuple]:
-    """Every distinct ordering of the sorted tuple `key`, each once.
-
-    `memo` keeps the orderings of every sorted tuple already met, so the
-    sub-tuples shared between keys are arranged once.
-    """
-    if len(key) <= 1:
-        return [key]
-    got = memo.get(key)
-    if got is None:
-        got = []
-        for i, v in enumerate(key):
-            if not i or key[i - 1] != v:
-                got += [(v,) + tail for tail in _arrangements(key[:i] + key[i + 1:], memo)]
-        memo[key] = got
-    return got
-
-
 # Memo of finished correlators; values are immutable and recomputation is
 # idempotent, so concurrent fills of the same key are harmless.
 _CACHE: dict[tuple[int, int], Correlator] = {}
@@ -588,7 +554,7 @@ def airy_correlator(g: int, k: int) -> Correlator:
 
     Requires a stable pair: 2g - 2 + k >= 1 (and within the configured
     recursion bound).  Each orbit's coefficient is computed once and
-    written to every ordering of its exponents.
+    stored under its sorted exponent vector.
     """
     if k < 1 or g < 0:
         raise ValueError(f"need genus >= 0 and at least one leg, got ({g}, {k})")
@@ -604,16 +570,11 @@ def airy_correlator(g: int, k: int) -> Correlator:
     if got is not None:
         return got
     scale = 4 ** (3 * g - 2 + k)
-    numerators: dict = {}
-    coeffs: dict = {}
-    memo: dict = {}
+    orbits = {}
     for key in _target_keys(6 * g - 6 + 4 * k, k):
         u = _numerator(g, key)
         if u:
-            c = Fraction(u, scale)
-            for exps in _arrangements(tuple(-a for a in reversed(key)), memo):
-                numerators[exps] = u
-                coeffs[exps] = c
-    corr = Correlator(g, k, _owning(k, coeffs), _owning(k, numerators))
+            orbits[tuple(-a for a in reversed(key))] = Fraction(u, scale)
+    corr = Correlator(g, k, orbits)
     _CACHE[(g, k)] = corr
     return corr

@@ -57,13 +57,6 @@ def compose(rho: Permutation, sigma: Permutation) -> Permutation:
     return Permutation(tuple(rho.word[s - 1] for s in sigma.word))
 
 
-def inverse(sigma: Permutation) -> Permutation:
-    out = [0] * len(sigma)
-    for x, y in enumerate(sigma.word, start=1):
-        out[y - 1] = x
-    return Permutation(tuple(out))
-
-
 def shuffles(p: int, q: int) -> list[Permutation]:
     """All (p, q)-shuffles: increasing on the first p and the last q positions.
 

@@ -2,6 +2,7 @@
 
 import runpy
 import sys
+from dataclasses import fields
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
@@ -11,10 +12,13 @@ from pathlib import Path
 import pytest
 
 from lrq.airy import (
+    _CACHE,
     MAX_NEG_EULER,
     LaurentPoly,
     QSeries,
+    _numerators,
     _residue_recursion,
+    _target_keys,
     airy_correlator,
     bergman_series,
     conjugate_leg,
@@ -23,8 +27,6 @@ from lrq.airy import (
     kernel_series,
     laurent_json,
     residue_at_zero,
-    residue_of_product,
-    sum_series,
 )
 
 
@@ -127,53 +129,11 @@ def test_residue_linear_and_kills_exact_powers():
         assert res.is_zero() == (m != -1)
 
 
-def test_bounded_product_is_the_full_product_cut_at_the_bound():
-    a = QSeries(2, {
-        -4: mono(2, (-2, 0), 3), -1: mono(2, (0, -2)), 0: LaurentPoly.const(2, 5),
-        2: mono(2, (1, 1), -2),
-    }, valid=3)
-    b = QSeries(2, {
-        -2: mono(2, (0, -4), Fraction(1, 2)), 1: mono(2, (-1, 0), 7),
-        4: LaurentPoly.const(2, 1),
-    })
-    empty = QSeries(2, (), valid=-3)
-    for x, y in [(a, b), (b, a), (a, a), (a, empty), (empty, b)]:
-        full = x * y
-        for bound in range(-9, 6):
-            cut = x.mul_through(y, bound)
-            assert cut.valid == min(full.valid, bound)
-            assert cut.coeffs == {e: p for e, p in full.coeffs.items() if e <= bound}
-
-
-def test_sum_series_adds_inside_the_common_trusted_range():
-    a = QSeries(1, {-2: LaurentPoly.const(1, 3), 1: mono(1, (-2,), 2), 4: mono(1, (1,))},
-                valid=4)
-    b = QSeries(1, {-2: LaurentPoly.const(1, -3), 0: mono(1, (2,), 5),
-                    2: LaurentPoly.const(1, 7)}, valid=2)
-    total = sum_series(1, [a, b, QSeries(1)])
-    assert total.valid == 2
-    assert total.coeffs == {0: mono(1, (2,), 5), 1: mono(1, (-2,), 2),
-                            2: LaurentPoly.const(1, 7)}
-    assert sum_series(1, []) == QSeries(1)
-    with pytest.raises(ValueError):
-        sum_series(1, [a, QSeries(2)])
-
-
-def test_residue_of_product_reads_the_diagonal():
-    kernel = kernel_series(5)
-    bracket = QSeries(1, {-6: mono(1, (2,), 3), -2: LaurentPoly.const(1, -1),
-                          0: mono(1, (-2,), 4), 1: LaurentPoly.const(1, 9)}, valid=1)
-    assert residue_of_product(kernel, bracket) == residue_at_zero(kernel * bracket)
-    # The kernel through q^4 cannot reach the q^-6 term: too short, so it raises.
-    with pytest.raises(ValueError):
-        residue_of_product(kernel_series(4), bracket)
-
-
 @pytest.mark.parametrize("g,k", [(1, 1), (0, 4), (1, 2), (2, 1), (1, 3)])
 def test_short_truncation_raises_and_never_misreads(g, k):
     # Below the smallest order that covers the residue the recursion raises;
     # from there on it returns the exact numerators.
-    exact = airy_correlator(g, k).numerators
+    exact = _numerators(g, k)
     outcomes = []
     for order in range(default_truncation(g, k) + 1):
         try:
@@ -235,7 +195,7 @@ def test_correlator_invariants(g, k):
 def test_series_route_matches_the_coefficient_route(g, k):
     # One step of the series recursion, fed the coefficient route's
     # sub-correlators, gives the coefficient route's numerators.
-    exact = airy_correlator(g, k).numerators
+    exact = _numerators(g, k)
     assert _residue_recursion(g, k, default_truncation(g, k)) == exact
 
 
@@ -263,9 +223,41 @@ def test_laurent_permute_vars():
 
 def test_format_and_json():
     p = mono(2, (-2, 0), Fraction(3, 4)) + mono(2, (-4, -2), Fraction(-1, 2))
-    assert format_laurent(p) == "-1/2 * p^-4 * p1^-2 + 3/4 * p^-2"
+    assert format_laurent(sorted(p.coeffs.items())) == "-1/2 * p^-4 * p1^-2 + 3/4 * p^-2"
+    assert str(p) == "-1/2 * p^-4 * p1^-2 + 3/4 * p^-2"
     assert laurent_json(p) == [[[-4, -2], -1, 2], [[-2, 0], 3, 4]]
-    assert format_laurent(LaurentPoly(2)) == "0"
+    assert format_laurent([]) == "0"
+
+
+def arrangements(key):
+    """Every distinct ordering of the tuple `key`, in ascending order."""
+    if not key:
+        yield ()
+        return
+    for v in sorted(set(key)):
+        i = key.index(v)
+        for tail in arrangements(key[:i] + key[i + 1:]):
+            yield (v,) + tail
+
+
+@pytest.mark.parametrize("g,k", stable_pairs(9))
+def test_walk_prints_the_sorted_expansion(g, k):
+    # The canonical walk against the orbit table expanded to every ordering
+    # of each key and sorted whole.
+    corr = airy_correlator(g, k)
+    expansion = {exps: c for key, c in corr.orbits.items() for exps in arrangements(key)}
+    assert str(corr) == format_laurent(sorted(expansion.items()))
+
+
+def test_cache_holds_orbit_tables_only():
+    airy_correlator(0, 10)
+    assert (0, 10) in _CACHE
+    for (g, k), corr in _CACHE.items():
+        assert [f.name for f in fields(corr)] == ["genus", "legs", "orbits"]
+        assert set(vars(corr)) == {"genus", "legs", "orbits"}
+        keys = [tuple(-a for a in reversed(key)) for key in _target_keys(6 * g - 6 + 4 * k, k)]
+        assert corr.orbits and set(corr.orbits) <= set(keys)
+        assert all(isinstance(c, Fraction) and c for c in corr.orbits.values())
 
 
 def test_one_point_functions_match_intersection_numbers():

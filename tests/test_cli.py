@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 import lrq
-from lrq import airy, complexes, hopfops, permutations, subalgebras
+from lrq import airy, complexes, hopfops, loopgraphs, permutations, subalgebras, trees
 from lrq.airy import MAX_NEG_EULER
-from lrq.cli import _build_parser, run
+from lrq.cli import MAX_ENUMERATE_ORDER, _build_parser, run
 from lrq.complexes import MAX_COHOMOLOGY_ORDER
 from lrq.exprs import parse
 from lrq.hopfops import MAX_AXIOM_ORDER
@@ -227,6 +227,20 @@ def test_correlator_and_psi_refuse_sizes_beyond_the_bound(capsys, monkeypatch, a
     assert invoke(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("family", ["trees", "graphs", "words"])
+@pytest.mark.parametrize("order", [MAX_ENUMERATE_ORDER + 1, 10**6])
+def test_enumerate_refuses_an_order_beyond_the_bound(capsys, monkeypatch, family, order):
+    def built(*args):
+        raise AssertionError(f"enumerated {args} before checking the bound")
+
+    monkeypatch.setattr(trees, "enumerate_trees", built)
+    monkeypatch.setattr(loopgraphs, "enumerate_graphs", built)
+    monkeypatch.setattr(subalgebras, "enumerate_words", built)
+    message = f"error: order {order} is beyond the enumerate bound n <= {MAX_ENUMERATE_ORDER}\n"
+    assert invoke(capsys, "enumerate", family, "--order", str(order), "--genus", "1") == (
+        2, "", message)
+
+
 def test_correlator_command(capsys):
     _, out, _ = invoke(capsys, "correlator", "--order", "1")
     assert out == "h^0: (|v|)\nh^1: (|o|)\n"
@@ -286,6 +300,14 @@ def test_json_outputs(capsys):
         capsys, "cohomology", "--order", "2", "--genus", "1", "--json"
     )
     assert json.loads(out) == 1
+
+
+@pytest.mark.parametrize("genus, legs", [(0, 3), (1, 1), (0, 7), (1, 4), (2, 3), (3, 1)])
+def test_airy_output_is_streamed_in_canonical_order(capsys, genus, legs):
+    poly = airy.airy_correlator(genus, legs).coeff
+    argv = ("airy", "--genus", str(genus), "--legs", str(legs))
+    assert invoke(capsys, *argv) == (0, f"{poly}\n", "")
+    assert invoke(capsys, *argv, "--json") == (0, json.dumps(airy.laurent_json(poly)) + "\n", "")
 
 
 GRAPH_POOL = [
