@@ -12,49 +12,50 @@ import argparse
 import json
 import sys
 from functools import lru_cache
+from itertools import repeat
 
 from . import airy, complexes, hopfops, loopgraphs, permutations, subalgebras, trees
 from .exprs import ParseError, parse
-from .freemodule import LinComb
+from .freemodule import LinComb, sum_text
 
-# Bound on `enumerate --order`.  The worst call at order n lists the graphs of
-# genus n // 2: at 9 that takes 7 to 8.5 s and 265 MiB, and at 10 it runs out of
-# 1 GiB (Python 3.11.7 on a 2-core Intel Xeon).
+# Bound on `enumerate --order`, by the rule that the worst call finishes
+# within 30 s and 1 GiB.  The worst call at order n lists the graphs of genus
+# n // 2, one at a time: at 9 that takes 1.7 to 4.3 s at 45 MiB, and at 10
+# (4.2 million graphs) 14 to 31 s at 238 to 287 MiB, text or --json, too close to
+# the limit (Python 3.11.7 on a 2-core Intel Xeon).
 MAX_ENUMERATE_ORDER = 9
 
 
-def _write_json_sum(x: LinComb) -> None:
-    """Write x to stdout as the JSON list of {"coeff": [p, q], "basis": b}
-    objects in canonical order, where b is a string or, for a tensor, a
-    list of strings.  The text is what `json.dumps` gives for that list, but
-    it is written one term at a time and the list is never built."""
-    write = sys.stdout.write
-    write("[")
-    for k, (b, c) in enumerate(x.terms()):
-        basis = [str(f) for f in b] if isinstance(b, tuple) else str(b)
-        write(f'{", " if k else ""}{{"coeff": [{c.numerator}, {c.denominator}], '
-              f'"basis": {json.dumps(basis)}}}')
-    write("]")
+def _write_json_list(items) -> None:
+    """Write JSON texts to stdout as one JSON list, one item at a time: what
+    `json.dumps` gives for the list of the values they encode."""
+    sys.stdout.write("[")
+    sys.stdout.writelines(f'{", " if k else ""}{item}' for k, item in enumerate(items))
+    sys.stdout.write("]")
 
 
-def _write_json_laurent(terms) -> None:
-    """Write (exponent vector, coefficient) pairs to stdout as the JSON list
-    of [exponent vector, numerator, denominator] triples, in the order given:
-    what `json.dumps(airy.laurent_json(...))` gives, one term at a time."""
-    write = sys.stdout.write
-    write("[")
-    for k, (exps, c) in enumerate(terms):
-        write(f'{", " if k else ""}[[{", ".join(map(str, exps))}], '
-              f'{c.numerator}, {c.denominator}]')
-    write("]")
+def _write_sum(args, terms) -> None:
+    """Write the sum of (basis, coeff) pairs, in the order given, one term at
+    a time: as text, what `str` of the sum gives, or with --json as the JSON
+    list of {"coeff": [p, q], "basis": b} objects, where b is a string or,
+    for a tensor, a list of strings."""
+    if not args.json:
+        sys.stdout.writelines(sum_text(terms))
+        return
+    _write_json_list(
+        f'{{"coeff": [{c.numerator}, {c.denominator}], "basis": '
+        f'{json.dumps([str(f) for f in b] if isinstance(b, tuple) else str(b))}}}'
+        for b, c in terms)
+
+
+def _graph_terms(keys):
+    """(printed graph, 1) for each graph key, interning no graph."""
+    return zip(map(loopgraphs.key_str, keys), repeat(1))
 
 
 def _emit_sum(args, x: LinComb) -> int:
-    if args.json:
-        _write_json_sum(x)
-        print()
-    else:
-        print(x)
+    _write_sum(args, x.terms())
+    print()
     return 0
 
 
@@ -87,19 +88,17 @@ def cmd_enumerate(args) -> int:
             f"order {args.order} is beyond the enumerate bound n <= {MAX_ENUMERATE_ORDER}"
         )
     if args.family == "trees":
-        items = [str(t) for t in trees.enumerate_trees(args.order)]
+        items = map(str, trees.enumerate_trees(args.order))
     elif args.family == "graphs":
-        items = [
-            str(t)
-            for t in loopgraphs.enumerate_graphs(args.order, args.genus, args.regular)
-        ]
+        keys = loopgraphs.family_keys(args.order, args.genus, args.regular)
+        items = map(loopgraphs.key_str, keys)
     else:
-        items = [str(w) for w in subalgebras.enumerate_words(args.order, args.genus)]
+        items = map(str, subalgebras.enumerate_words(args.order, args.genus))
     if args.json:
-        print(json.dumps(items))
+        _write_json_list(map(json.dumps, items))
+        print()
     else:
-        for s in items:
-            print(s)
+        sys.stdout.writelines(f"{s}\n" for s in items)
     return 0
 
 
@@ -183,42 +182,41 @@ def cmd_cohomology(args) -> int:
 
 def cmd_psi(args) -> int:
     w = _single(args.word, "word")
-    return _emit_sum(args, subalgebras.psi_word(w))
+    _write_sum(args, _graph_terms(subalgebras.word_keys(w)))
+    print()
+    return 0
 
 
 def cmd_correlator(args) -> int:
-    expansion = subalgebras.full_correlator(args.order)
-    if args.json:
-        sys.stdout.write("{")
-        for k, g in enumerate(expansion.genera()):
-            sys.stdout.write(f'{", " if k else ""}"{g}": ')
-            _write_json_sum(expansion[g])
-        print("}")
-    else:
-        print(expansion)
+    write = sys.stdout.write
+    for k, (g, keys) in enumerate(subalgebras.correlator_keys(args.order)):
+        write(f'{", " if k else "{"}"{g}": ' if args.json else f"h^{g}: ")
+        _write_sum(args, _graph_terms(keys))
+        write("" if args.json else "\n")
+    write("}\n" if args.json else "")
     return 0
 
 
 def cmd_genfun(args) -> int:
     table = subalgebras.generating_function(args.max_degree)
     keys = sorted(table, key=lambda ij: (ij[0] + ij[1], ij[1]))
-    if args.json:
-        sys.stdout.write("[")
-        for k, (i, j) in enumerate(keys):
-            sys.stdout.write(f'{", " if k else ""}{{"a1": {i}, "a2": {j}, "value": ')
-            _write_json_sum(table[(i, j)])
-            sys.stdout.write("}")
-        print("]")
-    else:
-        for i, j in keys:
-            print(f"a1^{i}*a2^{j}: {table[(i, j)]}")
+    write = sys.stdout.write
+    for k, (i, j) in enumerate(keys):
+        write(f'{", " if k else "["}{{"a1": {i}, "a2": {j}, "value": ' if args.json
+              else f"a1^{i}*a2^{j}: ")
+        _write_sum(args, table[(i, j)].terms())
+        write("}" if args.json else "\n")
+    write("]\n" if args.json else "")
     return 0
 
 
 def cmd_airy(args) -> int:
     terms = airy.airy_correlator(args.genus, args.legs).terms()
     if args.json:
-        _write_json_laurent(terms)
+        # [exponent vector, numerator, denominator] per monomial, as
+        # `airy.laurent_json` gives them.
+        _write_json_list(f'[[{", ".join(map(str, exps))}], {c.numerator}, {c.denominator}]'
+                         for exps, c in terms)
     else:
         sys.stdout.writelines(airy.laurent_text(terms))
     print()

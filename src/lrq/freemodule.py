@@ -31,6 +31,23 @@ def basis_str(basis) -> str:
     return str(basis)
 
 
+def sum_text(terms: Iterable) -> Iterator[str]:
+    """The printed form of the sum of (basis, coeff) pairs, in the order
+    given, one term at a time: "0" for no terms, else the first term, then
+    " + " or " - " before each later one."""
+    first = True
+    for b, c in terms:
+        mag = abs(c)
+        body = basis_str(b) if mag == 1 else f"{mag}*{basis_str(b)}"
+        if first:
+            yield body if c > 0 else "-" + body
+            first = False
+        else:
+            yield (" + " if c > 0 else " - ") + body
+    if first:
+        yield "0"
+
+
 class LinComb:
     """A finite formal sum of basis elements with nonzero exact coefficients.
 
@@ -67,6 +84,13 @@ class LinComb:
     @classmethod
     def zero(cls) -> "LinComb":
         return cls()
+
+    @classmethod
+    def sum_of(cls, distinct) -> "LinComb":
+        """The sum of distinct basis elements, each with coefficient 1."""
+        out = cls.__new__(cls)
+        out._terms = dict.fromkeys(distinct, 1)
+        return out
 
     def items(self):
         """Unordered (basis, coeff) view; use terms() for canonical order."""
@@ -159,17 +183,7 @@ class LinComb:
         return LinComb(out)
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        parts = []
-        for b, c in self.terms():
-            mag = abs(c)
-            body = basis_str(b) if mag == 1 else f"{mag}*{basis_str(b)}"
-            if not parts:
-                parts.append(body if c > 0 else "-" + body)
-            else:
-                parts.append(("+ " if c > 0 else "- ") + body)
-        return " ".join(parts)
+        return "".join(sum_text(self.terms()))
 
     def __repr__(self) -> str:
         return f"LinComb<{self}>"

@@ -10,16 +10,14 @@ p = left.order the left subtree holds slots 0..p-1, the root is slot p, and
 the right subtree holds the slots from p+1 on.  A graph is its tree shape
 together with the integer ``slots``, with bit i set when the vertex in slot
 i is looped, and a node stores exactly that: its two subtrees, which are
-trees (genus-0 nodes), and its whole mask.  Genus counts the marks, and the
-total order of a graph is order + genus.  Every (shape, mask) pair occurs
-exactly once, and `with_slots(t, mask)` is the graph of t's shape with that
-mask, found by one lookup; so adding a loop (`contract`) and forgetting the
-loops (`underlying_tree`) are mask operations, and graphs are enumerated
-under the one key (order, slot mask): `_graphs(n, mask)` puts the mask on
-every tree of order n, and `enumerate_graphs` takes the union over the masks
-of `slot_masks`.  The subgraphs ``left`` and ``right`` and the root's mark
-``looped`` are read from the mask, and a subgraph is interned only when it
-is asked for.
+trees (genus-0 nodes), and its whole mask.  Its key in the interning table
+is (left tree, right tree, slots).  Genus counts the marks, and the total
+order of a graph is order + genus.  Every (shape, mask) pair occurs exactly
+once, and `with_slots(t, mask)` is the graph of t's shape with that mask,
+found by one lookup; so adding a loop (`contract`) and forgetting the loops
+(`underlying_tree`) are mask operations.  The subgraphs ``left`` and
+``right`` and the root's mark ``looped`` are read from the mask, and a
+subgraph is interned only when it is asked for.
 
 The printed grammar extends the tree grammar:
 ``graph := "|" | "(" graph "v" graph ")" | "(" graph "o" graph ")"``
@@ -27,6 +25,38 @@ with "o" marking a looped root.  The marks of a printed graph appear in slot
 order, left subtree before root before right subtree, so a graph prints as
 its shape's string, made from its two subtrees' strings, with the i-th "v"
 replaced by "o" for each looped slot i; no subgraph is built to print it.
+
+Canonical order is the order of the printed strings, ranked
+``| ( ) v o``, and every graph family is built in that order, so no list of
+graphs is ever sorted.  Lemma: a printed graph is balanced, so no graph's
+string is a proper prefix of another's; hence two strings ``(L m R)`` and
+``(L' m' R')`` first differ inside L and L' unless L = L', then at the
+marks, then inside R and R', and (L m R) compares as the triple (L, m, R).
+Proof of the first claim: in a string (L m R) the first "(" is closed by
+the last character, so every nonempty proper prefix has more "(" than ")",
+while a graph string has as many of each; and the leaf "|" begins no other
+graph string, as they all begin with "(".  Two consequences:
+
+- A family in order.  The graphs of order n and genus g, of every mask or
+  only the regular ones, are (L m R) with L running in canonical order over
+  the graphs of order at most n-1, genus at most g and at most n-g unlooped
+  vertices, the root mark running "v" before "o" ("v" skipped when no
+  unlooped vertex is left, "o" when no loop is, and in the regular family
+  when slot p-1 of L or slot 0 of R is looped), and R over the graphs of
+  order n-1-|L| with the genus that is left.  The list of L is the same
+  recursion, bounded in order, genus and unlooped vertices, with the leaf
+  first (`_walk`); in the family of every mask each L in it is completed
+  by some R.
+- One mask sorts as its shapes.  Two graphs with the same mask print as
+  their shapes' strings with the same i-th mark at each i-th "v"; at the
+  first position where the shape strings differ at most one has a "v", and
+  both "v" and "o" rank above ")", "(" and "|".  So `shape_keys(n, mask)`
+  is the tree walk with the mask put on each shape.
+
+`family_keys` and `shape_keys` yield keys, not nodes; `key_str` prints a
+key and `graph_of` interns one, so `lrq correlator`, `lrq psi` and
+`lrq enumerate graphs` write their graphs one at a time and intern none of
+them.  The lists of the smaller orders are kept (`_pairs`).
 
 Nodes are hash-consed: ``LoopGraph(left, right, looped)`` returns the one
 node with that shape and mask, building it only the first time.  So two
@@ -39,12 +69,15 @@ sorted, and kept; a tree's string is built from its subtrees' strings, with
 recursion bounded by `_KEPT_STRING_ORDER`, so a graph of any depth prints.
 
 Interned nodes live for the whole process: the table holds every node ever
-built, and so do the memo caches of `_graphs` and `lrq.hopfops`.  On CPython
-3.11 a node takes 88 bytes and its table entry (a 3-tuple key and a dict
-slot) about 100 more; after `str(full_correlator(8))` and `del` of the
-result, 20.8 MiB stay held for 79 300 nodes, strings included.  The same
-graphs recur across products, coproducts, enumerations and CLI requests, so
-each is built and printed once.
+built, and so do the memo caches of `_graphs`, `_pairs` and `lrq.hopfops`.
+On CPython 3.11 a node takes 88 bytes and its table entry (a 3-tuple key
+and a dict slot) about 100 more.  After `str(full_correlator(8))` and `del`
+of the result, 21.8 MiB stay held for 79 277 nodes, strings and pair lists
+included; `lrq correlator --order 9` in the same process then holds 7 MiB
+more, all of it pair lists of orders at most 8 (two parallel tuples, 16
+bytes a graph) and the strings of their trees, and interns no graph.  The
+same graphs recur across products, coproducts, enumerations and CLI
+requests, so each is built and printed once.
 """
 
 from __future__ import annotations
@@ -79,14 +112,14 @@ _set = object.__setattr__
 _MARK = str.maketrans("01", "vo")
 
 
-def _node(ltree: "LoopGraph | None", rtree: "LoopGraph | None",
-          slots: int) -> "LoopGraph":
-    """The interned node over two trees (None for the leaf) with that mask;
-    `LoopGraph.__init__` runs only for a key not seen before."""
-    key = (ltree, rtree, slots)
+def graph_of(key: tuple) -> "LoopGraph":
+    """The interned node of a key (left tree, right tree, slots), the left
+    and right trees None for the leaf, such as the keys that `family_keys`
+    and `shape_keys` yield; `LoopGraph.__init__` runs only for a key not
+    seen before."""
     node = _NODES.get(key)
     if node is None:
-        node = _NODES[key] = type.__call__(LoopGraph, ltree, rtree, slots)
+        node = _NODES[key] = type.__call__(LoopGraph, *key)
     return node
 
 
@@ -100,10 +133,10 @@ class _Interned(type):
         if left is None:
             if looped:
                 raise ValueError("a bare leaf cannot carry a loop")
-            return _node(None, None, 0)
+            return graph_of((None, None, 0))
         p = left.order
         slots = left.slots | bool(looped) << p | right.slots << (p + 1)
-        return _node(with_slots(left, 0), with_slots(right, 0), slots)
+        return graph_of((with_slots(left, 0), with_slots(right, 0), slots))
 
 
 class LoopGraph(metaclass=_Interned):
@@ -161,24 +194,30 @@ class LoopGraph(metaclass=_Interned):
             if self.order > _KEPT_STRING_ORDER and not self.slots:
                 text = _print_tree(self)
             else:
-                # The subtrees are trees: a subtree printed before is read
-                # without a call, and a call recurses at most
-                # _KEPT_STRING_ORDER levels.
-                left, right = self._ltree, self._rtree
-                text = f"({left._str or str(left)}v{right._str or str(right)})"
-                if self.slots:
-                    text = text.replace("v", "%s") % _marks(self.order, self.slots)
+                text = key_str((self._ltree, self._rtree, self.slots))
             _set(self, "_str", text)
         return text
 
     def __repr__(self) -> str:
         return f"LoopGraph<{self}>"
 
-    def __lt__(self, other: "LoopGraph") -> bool:
-        return self.sort_key() < other.sort_key()
-
     def sort_key(self) -> str:
         return rank_string(str(self))
+
+
+def key_str(key: tuple) -> str:
+    """The printed graph of a key (left tree, right tree, slots), without
+    interning it: the shape's string, made from the two subtrees' strings,
+    with the i-th "v" replaced by "o" for each looped slot i."""
+    ltree, rtree, slots = key
+    if ltree is None:
+        return "|"
+    # The subtrees are trees: a subtree printed before is read without a
+    # call, and a call recurses at most _KEPT_STRING_ORDER levels.
+    text = f"({ltree._str or str(ltree)}v{rtree._str or str(rtree)})"
+    if slots:
+        text = text.replace("v", "%s") % _marks(ltree.order + rtree.order + 1, slots)
+    return text
 
 
 @lru_cache(maxsize=None)
@@ -215,7 +254,7 @@ def with_slots(t: LoopGraph, mask: int) -> LoopGraph:
         return t
     if mask >> t.order:
         raise ValueError(f"slot mask {mask} does not fit order {t.order}")
-    return _node(t._ltree, t._rtree, mask)
+    return graph_of((t._ltree, t._rtree, mask))
 
 
 LEAF = LoopGraph()
@@ -284,31 +323,88 @@ def slot_masks(n: int, g: int, regular: bool) -> list[int]:
     return out
 
 
+def _walk(n: int, g: int, c: int, regular: bool, exact: bool):
+    """The keys of the graphs of order n and genus g, so with c = n - g
+    unlooped vertices (exact), or of order at most n, genus at most g and at
+    most c unlooped vertices (not exact), of every mask or only the regular
+    ones, in canonical order: the leaf first, then (L m R) ordered as the
+    triple (L, m, R)."""
+    if c < 0:
+        return
+    if not exact or n == g == 0:
+        yield None, None, 0
+    if n == 0:
+        return
+    for ltree, lslots in zip(*_pairs(n - 1, g, c, regular, False)):
+        p = ltree.order
+        gl = lslots.bit_count()
+        rest, crest = g - gl, c - p + gl
+        # An unlooped root needs an unlooped vertex left, a looped one a
+        # loop left and, in the regular family, no looped slot next to it:
+        # neither slot p - 1 nor slot p + 1.
+        if crest:
+            for rtree, rslots in zip(*_pairs(n - 1 - p, rest, crest - 1, regular, exact)):
+                yield ltree, rtree, lslots | rslots << (p + 1)
+        if rest and not (regular and lslots << 1 >> p & 1):
+            for rtree, rslots in zip(*_pairs(n - 1 - p, rest - 1, crest, regular, exact)):
+                if not (regular and rslots & 1):
+                    yield ltree, rtree, lslots | (rslots << 1 | 1) << p
+
+
+@lru_cache(maxsize=None)
+def _pairs(n: int, g: int, c: int, regular: bool, exact: bool) -> tuple[tuple, tuple]:
+    """The graphs of `_walk` as two parallel tuples, tree shapes and slot
+    masks, kept for the smaller orders that the walk of a larger one reads
+    again and again.  A family of one order and genus is, in order, the
+    graphs of the list of order and genus at most its own that have exactly
+    that order and genus."""
+    cap = (n + 1) // 2 if regular else n
+    if exact:
+        pairs = zip(*_pairs(n, g, c, regular, False))
+        pairs = [(t, s) for t, s in pairs if t.order == n and s.bit_count() == g]
+    elif g > cap or c > n or n > g + c:
+        # No graph of order at most n has a larger genus, and none of genus
+        # at most g with at most c unlooped vertices has an order above g + c.
+        return _pairs(min(n, g + c), min(g, cap), min(c, n), regular, False)
+    else:
+        pairs = [(graph_of((lt, rt, 0)), s) for lt, rt, s in _walk(n, g, c, regular, False)]
+    return tuple(t for t, _ in pairs), tuple(s for _, s in pairs)
+
+
+def family_keys(n: int, g: int, regular: bool = False):
+    """The keys (left tree, right tree, slots) of every graph of order n and
+    genus g, over every mask or only the regular ones, in canonical order.
+    A caller interns a graph with `graph_of`, or prints it with `key_str`,
+    only when it needs to."""
+    if n < 0 or g < 0:
+        raise ValueError("order and genus must be nonnegative")
+    return _walk(n, g, n - g, regular, True)
+
+
+def shape_keys(n: int, mask: int):
+    """The keys of every tree shape of order n carrying the slot mask, in
+    canonical order: with one mask, graphs sort as their shapes."""
+    if n < 0 or mask >> n:
+        raise ValueError(f"slot mask {mask} does not fit order {n}")
+    return ((lt, rt, mask) for lt, rt, _ in _walk(n, 0, n, False, True))
+
+
 @lru_cache(maxsize=None)
 def _graphs(n: int, mask: int) -> tuple[LoopGraph, ...]:
     """Every graph of order n whose looped slots are the bits of mask, one
-    per tree shape: the mask on a root over each pair of cached trees."""
-    if n < 0 or mask >> n:
-        raise ValueError(f"slot mask {mask} does not fit order {n}")
-    if n == 0:
-        return (LEAF,)
-    return tuple(_node(a, b, mask) for p in range(n)
-                 for a in _graphs(p, 0) for b in _graphs(n - 1 - p, 0))
+    per tree shape, in canonical order."""
+    return tuple(map(graph_of, shape_keys(n, mask)))
 
 
 def enumerate_graphs(n: int, g: int, regular_only: bool = False) -> list[LoopGraph]:
     """All loop graphs of order n and genus g in canonical order.
 
     These are the graphs of every tree shape with every n-bit mask of g
-    looped slots: Catalan(n) * binomial(n, g) of them.  The regular filter
-    acts on the masks, keeping those with no two adjacent bits, so an
-    irregular graph is never built.
+    looped slots: Catalan(n) * binomial(n, g) of them.  The regular family
+    keeps the masks with no two adjacent bits, and an irregular graph is
+    never built.
     """
-    if n < 0 or g < 0:
-        raise ValueError("order and genus must be nonnegative")
-    out = [t for m in slot_masks(n, g, regular_only) for t in _graphs(n, m)]
-    out.sort(key=LoopGraph.sort_key)
-    return out
+    return list(map(graph_of, family_keys(n, g, regular_only)))
 
 
 def count_graphs(n: int, g: int) -> int:

@@ -3,6 +3,13 @@
 Permutations are written in one-line notation; the empty permutation is the
 unit of the star product.  Composition is (rho . sigma)(x) = rho(sigma(x)),
 a convention pinned by the order-3 product of three generators.
+
+The tree algebra embeds here by class sums, not by images: with
+ι(t) = Σ{σ : `lrq.trees.perm_to_tree`(σ) = t}, `star_perm` of ι(t) and ι(u)
+is ι(star_h(t, u)), and `coproduct_perm` of ι(t) is (ι⊗ι)(delta_h(t)).  The
+tests check this for all 81 pairs of trees of order at most 3 and all 197
+trees of order at most 6; it is an oracle for `lrq.hopfops` that shares no
+code with it.
 """
 
 from __future__ import annotations

@@ -8,7 +8,9 @@ subject to L^2 = 0: no two adjacent L letters.  A word of length n is read
 as the n-bit slot mask with bit i set when letter i is L, so the valid words
 are the regular masks, and a word expands to every tree of order n carrying
 its mask (`psi_word` proves this).  The graph sums are therefore enumerated
-by mask, never by multiplying.
+by mask, never by multiplying, and they are read in canonical order from the
+walks of `lrq.loopgraphs` (`word_keys`, `correlator_keys`), which the CLI
+prints one graph at a time.
 """
 
 from __future__ import annotations
@@ -27,15 +29,23 @@ from .hopfops import (
     star_h,
     star_h_sum,
 )
-from .loopgraphs import _graphs, is_regular, slot_masks
+from .loopgraphs import family_keys, graph_of, is_regular, shape_keys, slot_masks
 
-# Largest word length `psi_word` and order `full_correlator` accept: on a
-# 2-core x86-64 VM (Python 3.11.7) the worst `lrq psi` of 13 letters takes
-# 13 to 17 s at 585 MiB (with --json), `lrq correlator --order 9` 6 to 7 s
-# at 235 MiB; 14 letters run out of a 1 GiB address-space cap, and order 10
-# takes 45 s at 970 MiB with --json and runs out of 1 GiB as text.
+# Largest word length `psi_word` and order `full_correlator` accept, by the
+# rule that the worst CLI call finishes within 30 s and 1 GiB.  The CLI
+# writes both sums one graph at a time; on a 2-core x86-64 VM (Python
+# 3.11.7, single cold runs, text and --json) `lrq psi` of 13 letters takes
+# 3.6 to 9 s at 132 MiB, and of 14 letters 17 to 31 s at 434 MiB, too close
+# to the limit.  `lrq correlator --order 9` takes 1.3 to 4.2 s at 33 MiB,
+# and order 10 takes 12 to 19 s at 98 to 115 MiB.
 MAX_PSI_LENGTH = 13
-MAX_CORRELATOR_ORDER = 9
+MAX_CORRELATOR_ORDER = 10
+
+# Largest degree `generating_function` accepts.  Each degree costs about
+# 1.85 times the one before: `lrq genfun --max-degree 22` takes 15 to 16 s at
+# 54 MiB (text or --json), and 23 takes 27 s as text and 33 s with --json
+# (Python 3.11.7, 2-core x86-64 VM).
+MAX_GENFUN_DEGREE = 22
 
 
 @dataclass(frozen=True)
@@ -102,28 +112,34 @@ def psi_word(w: Word) -> GraphSum:
     leaf of a tree of order n+1, and putting its left subtree in its place,
     inverts this, so each tree of order n+1 arises from exactly one tree t
     and one position.  A word has no two adjacent L letters, so every term
-    is regular.  Words longer than MAX_PSI_LENGTH are refused before
-    anything is built.
+    is regular.  The graphs are read from `word_keys`, which refuses words
+    longer than MAX_PSI_LENGTH.
     """
+    return LinComb.sum_of(map(graph_of, word_keys(w)))
+
+
+def word_keys(w: Word):
+    """The keys of the graphs of `psi_word(w)` in canonical order, which for
+    one mask is the order of the tree shapes.  Words longer than
+    MAX_PSI_LENGTH are refused here, before anything is built."""
     if w.length > MAX_PSI_LENGTH:
         raise ValueError(
             f"word of length {w.length} is beyond the psi bound "
             f"length <= {MAX_PSI_LENGTH}"
         )
-    mask = sum(1 << i for i, x in enumerate(w.letters) if x == "L")
-    return LinComb((t, 1) for t in _graphs(w.length, mask))
+    return shape_keys(w.length, sum(1 << i for i, x in enumerate(w.letters) if x == "L"))
 
 
 def enumerate_words(n: int, g: int) -> list[Word]:
     """All valid words of length n with g loops, in lexicographic order:
-    the regular n-bit masks with g bits, written as letters."""
+    the regular n-bit masks with g bits, written as letters, which
+    `slot_masks` yields in that order (bit i set is letter i L, and L < T)."""
     if n < 0 or g < 0:
         raise ValueError("length and loop count must be nonnegative")
-    words = [
+    return [
         Word("".join("L" if m >> i & 1 else "T" for i in range(n)))
         for m in slot_masks(n, g, regular=True)
     ]
-    return sorted(words, key=Word.sort_key)
 
 
 @dataclass(frozen=True)
@@ -149,20 +165,24 @@ class QuantumExpansion:
 def full_correlator(n: int) -> QuantumExpansion:
     """The order-n expansion: at key g, the sum of all length-n words with g
     loops, which by `psi_word` is every regular graph of order n and genus g,
-    each with coefficient 1: the union of `_graphs(n, m)` over the regular
-    masks m with g bits, left unsorted because a sum is sorted when it is
-    printed.  Orders above MAX_CORRELATOR_ORDER are refused before anything
-    is built."""
+    each with coefficient 1, read from `correlator_keys`, which refuses
+    orders above MAX_CORRELATOR_ORDER."""
+    return QuantumExpansion({
+        g: LinComb.sum_of(map(graph_of, keys)) for g, keys in correlator_keys(n)
+    })
+
+
+def correlator_keys(n: int) -> list:
+    """(g, keys of the regular graphs of order n and genus g in canonical
+    order) for each genus of the order-n expansion.  Orders above
+    MAX_CORRELATOR_ORDER are refused here, before anything is built."""
     if n < 0:
         raise ValueError("order must be nonnegative")
     if n > MAX_CORRELATOR_ORDER:
         raise ValueError(
             f"order {n} is beyond the correlator bound n <= {MAX_CORRELATOR_ORDER}"
         )
-    return QuantumExpansion({
-        g: LinComb((t, 1) for m in slot_masks(n, g, True) for t in _graphs(n, m))
-        for g in range(-(-n // 2) + 1)
-    })
+    return [(g, family_keys(n, g, True)) for g in range(-(-n // 2) + 1)]
 
 
 def delta_h_quotient_counterexample(max_total_order: int):
@@ -201,10 +221,16 @@ def generating_function(max_degree: int) -> dict[tuple[int, int], LinComb]:
 
     Returns the coefficient of a1^i * a2^j for all i + j <= max_degree as a
     rational combination of words: (1/(i+j)!) times the sum of the valid
-    words with i T letters and j L letters.
+    words with i T letters and j L letters.  Degrees above
+    MAX_GENFUN_DEGREE are refused before anything is built.
     """
     if max_degree < 0:
         raise ValueError("degree must be nonnegative")
+    if max_degree > MAX_GENFUN_DEGREE:
+        raise ValueError(
+            f"degree {max_degree} is beyond the genfun bound "
+            f"max degree <= {MAX_GENFUN_DEGREE}"
+        )
     out: dict[tuple[int, int], LinComb] = {}
     for m in range(max_degree + 1):
         c = Fraction(1, factorial(m))

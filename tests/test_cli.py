@@ -1,5 +1,7 @@
 """CLI: golden outputs, exit codes, JSON forms, round trips."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,7 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from unittest import mock
+from hypothesis import given, settings, strategies as st
 
 import lrq
 from lrq import airy, complexes, hopfops, loopgraphs, permutations, subalgebras, trees
@@ -15,9 +18,10 @@ from lrq.airy import MAX_NEG_EULER
 from lrq.cli import MAX_ENUMERATE_ORDER, _build_parser, run
 from lrq.complexes import MAX_COHOMOLOGY_ORDER
 from lrq.exprs import parse
+from lrq.freemodule import LinComb
 from lrq.hopfops import MAX_AXIOM_ORDER
 from lrq.loopgraphs import enumerate_graphs
-from lrq.subalgebras import MAX_CORRELATOR_ORDER, MAX_PSI_LENGTH
+from lrq.subalgebras import MAX_CORRELATOR_ORDER, MAX_GENFUN_DEGREE, MAX_PSI_LENGTH
 
 
 def invoke(capsys, *argv):
@@ -223,8 +227,20 @@ def test_correlator_and_psi_refuse_sizes_beyond_the_bound(capsys, monkeypatch, a
     def built(*args):
         raise AssertionError(f"built graphs {args} before checking the bound")
 
-    monkeypatch.setattr(subalgebras, "_graphs", built)
+    monkeypatch.setattr(loopgraphs, "_walk", built)
     assert invoke(capsys, *argv) == (2, "", f"error: {message}\n")
+    assert invoke(capsys, *argv, "--json") == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("degree", [MAX_GENFUN_DEGREE + 1, 10**6])
+def test_genfun_refuses_a_degree_beyond_the_bound(capsys, monkeypatch, degree):
+    def built(*args):
+        raise AssertionError(f"enumerated words {args} before checking the bound")
+
+    monkeypatch.setattr(subalgebras, "enumerate_words", built)
+    message = (f"error: degree {degree} is beyond the genfun bound "
+               f"max degree <= {MAX_GENFUN_DEGREE}\n")
+    assert invoke(capsys, "genfun", "--max-degree", str(degree)) == (2, "", message)
 
 
 @pytest.mark.parametrize("family", ["trees", "graphs", "words"])
@@ -233,6 +249,7 @@ def test_enumerate_refuses_an_order_beyond_the_bound(capsys, monkeypatch, family
     def built(*args):
         raise AssertionError(f"enumerated {args} before checking the bound")
 
+    monkeypatch.setattr(loopgraphs, "_walk", built)
     monkeypatch.setattr(trees, "enumerate_trees", built)
     monkeypatch.setattr(loopgraphs, "enumerate_graphs", built)
     monkeypatch.setattr(subalgebras, "enumerate_words", built)
@@ -308,6 +325,26 @@ def test_airy_output_is_streamed_in_canonical_order(capsys, genus, legs):
     argv = ("airy", "--genus", str(genus), "--legs", str(legs))
     assert invoke(capsys, *argv) == (0, f"{poly}\n", "")
     assert invoke(capsys, *argv, "--json") == (0, json.dumps(airy.laurent_json(poly)) + "\n", "")
+
+
+def test_graph_sums_are_streamed_in_canonical_order(capsys):
+    # The oracle prints each sum through a LinComb, sorted by sort_key.
+    for n in range(7):
+        for w in subalgebras.enumerate_words(n, n // 3):
+            x = subalgebras.psi_word(w)
+            assert invoke(capsys, "psi", str(w)) == (0, f"{x}\n", "")
+            assert invoke(capsys, "psi", str(w), "--json") == (0, json.dumps(sum_json(x)) + "\n", "")
+        expansion = subalgebras.full_correlator(n)
+        assert invoke(capsys, "correlator", "--order", str(n)) == (0, f"{expansion}\n", "")
+        for regular in ((), ("--regular",)):
+            for gg in range(n + 2):
+                graphs = LinComb((loopgraphs.with_slots(t, m), 1)
+                                 for m in loopgraphs.slot_masks(n, gg, bool(regular))
+                                 for t in trees.enumerate_trees(n))
+                want = [str(t) for t in graphs.support()]
+                argv = ("enumerate", "graphs", "--order", str(n), "--genus", str(gg), *regular)
+                assert invoke(capsys, *argv) == (0, "".join(f"{t}\n" for t in want), "")
+                assert invoke(capsys, *argv, "--json") == (0, json.dumps(want) + "\n", "")
 
 
 GRAPH_POOL = [
@@ -463,3 +500,48 @@ def test_every_module_imports_only_the_standard_library():
     assert outside == "[]"
     # Every module file but __init__ (the package itself) and __main__.
     assert int(imported) == len(list(Path(src, "lrq").glob("*.py"))) - 2
+
+
+# The shape of each subcommand's command line; "@" is a drawn argument, and
+# a literal "@" after --json is one argument too many.
+COMMAND_SHAPES = [
+    "enumerate @ --order @ --genus @", "enumerate @ --order @ --regular", "product @ @",
+    "product @ @ --algebra @", "coproduct @", "antipode @", "counit @", "perm-product @ @",
+    "perm-coproduct @", "tree-of-perm @", "face @ --index @", "degeneracy @ --index @",
+    "border @", "dh @ --space @", "cohomology --order @ --genus @ --space @", "psi @",
+    "correlator --order @", "genfun --max-degree @", "airy --genus @ --legs @",
+    "axioms --axiom @ --max-order @", "parse-check @ --kind @",
+]
+ARGUMENT = st.one_of(
+    st.integers(-2, 3).map(str),
+    st.text("|()vo@+-*/0123456789[],TL", max_size=8),
+    st.sampled_from(["|", "(|v|)", "(|o|)", "((|v|)o|)", "TLT", "[2,1]", "trees", "graphs",
+                     "words", "full", "reg", "toprec", "classical", "graph-sum", "word",
+                     "permutation", "assoc", "coassoc", "compat", "counit", "antipode"]),
+)
+# Smaller bounds keep every drawn call fast while the bound checks still run.
+SMALL_BOUNDS = [(airy, "MAX_NEG_EULER", 5), (complexes, "MAX_COHOMOLOGY_ORDER", 6),
+                (hopfops, "MAX_AXIOM_ORDER", 4), (subalgebras, "MAX_PSI_LENGTH", 8),
+                (subalgebras, "MAX_CORRELATOR_ORDER", 6), (subalgebras, "MAX_GENFUN_DEGREE", 8)]
+
+
+@st.composite
+def command_lines(draw):
+    argv = [draw(ARGUMENT) if word == "@" else word
+            for word in draw(st.sampled_from(COMMAND_SHAPES)).split()]
+    return argv + draw(st.sampled_from([[], ["--json"], ["--json", "@"]]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(command_lines())
+def test_fuzzed_command_lines_exit_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.ExitStack() as stack:
+        for module, name, value in SMALL_BOUNDS:
+            stack.enter_context(mock.patch.object(module, name, value))
+        stack.enter_context(mock.patch("lrq.cli.MAX_ENUMERATE_ORDER", 6))
+        stack.enter_context(contextlib.redirect_stdout(out))
+        stack.enter_context(contextlib.redirect_stderr(err))
+        code = run(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

@@ -54,6 +54,13 @@ def test_terms_are_canonically_sorted(x):
     assert len(set(keys)) == len(keys)
 
 
+@given(st.lists(graphs, unique=True))
+def test_sum_of_distinct_elements_is_the_accumulated_sum(basis):
+    x = LinComb.sum_of(basis)
+    assert x == LinComb((b, 1) for b in basis)
+    assert str(x) == str(LinComb((b, 1) for b in basis))
+
+
 def test_accumulation_normalizes():
     a, b = POOL[1], POOL[2]
     x = LinComb([(a, 1), (b, 1), (b, 1)])

@@ -20,10 +20,15 @@ from lrq.loopgraphs import (
     count_graphs,
     decompose,
     enumerate_graphs,
+    family_keys,
+    graph_of,
     is_regular,
+    key_str,
     loop_slots,
     rank_string,
+    shape_keys,
     signature,
+    slot_masks,
     underlying_tree,
     vee,
     with_slots,
@@ -219,6 +224,46 @@ def test_graphs_of_a_mask_are_every_shape_once():
             assert len(graphs) == comb(2 * n, n) // (n + 1)
             assert all(t.slots == m for t in graphs)
             assert sorted(map(underlying_tree, graphs), key=LoopGraph.sort_key) == shapes
+
+
+def shape_strings(n: int) -> list[str]:
+    """Every tree of order n printed, from the splits of the order (oracle)."""
+    if n == 0:
+        return ["|"]
+    return [f"({a}v{b})" for p in range(n)
+            for a in shape_strings(p) for b in shape_strings(n - 1 - p)]
+
+
+def with_marks(text: str, mask: int) -> str:
+    """A tree string with its i-th "v" made "o" for each bit i of mask."""
+    parts = text.split("v")
+    return parts[0] + "".join(("o" if mask >> i & 1 else "v") + part
+                              for i, part in enumerate(parts[1:]))
+
+
+def test_walk_is_the_sorted_union_over_masks():
+    for n in range(9):
+        shapes = sorted(shape_strings(n), key=rank_string)
+        marked = {m: [with_marks(s, m) for s in shapes] for m in range(1 << n)}
+        for m, want in marked.items():
+            # One mask sorts as its shapes.
+            assert [key_str(k) for k in shape_keys(n, m)] == want, (n, m)
+            assert want == sorted(want, key=rank_string)
+        for gg in range(n + 2):
+            for regular in (False, True):
+                union = [s for m in slot_masks(n, gg, regular) for s in marked[m]]
+                got = [key_str(k) for k in family_keys(n, gg, regular)]
+                assert got == sorted(union, key=rank_string), (n, gg, regular)
+
+
+def test_keys_print_as_their_interned_graphs():
+    for n in range(6):
+        for gg in range(n + 1):
+            for key in family_keys(n, gg):
+                graph = graph_of(key)
+                assert _NODES[key] is graph
+                assert (graph.order, graph.genus, graph.slots) == (n, gg, key[2])
+                assert key_str(key) == printed(graph)
 
 
 def test_regular_filter_matches_filtering_graphs():

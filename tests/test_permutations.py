@@ -6,6 +6,7 @@ from math import comb
 import pytest
 
 from lrq.freemodule import LinComb
+from lrq.hopfops import delta_h, star_h
 from lrq.permutations import (
     IDENTITY,
     Permutation,
@@ -206,3 +207,50 @@ def test_tree_projection_covers_all_trees():
             power = _star_sums(power, LinComb.basis(P(1)))
         images = {perm_to_tree(sigma) for sigma, _ in power.items()}
         assert images == set(enumerate_trees(n))
+
+
+def class_sums(max_order: int) -> dict:
+    """ι(t) = Σ{σ : perm_to_tree(σ) = t} for every tree t of order at most
+    max_order, as a dict tree -> list of permutations."""
+    classes = {t: [] for n in range(max_order + 1) for t in enumerate_trees(n)}
+    for n in range(max_order + 1):
+        for sigma in all_permutations(n):
+            classes[perm_to_tree(sigma)].append(sigma)
+    return classes
+
+
+def test_class_sums_multiply_as_trees():
+    iota = class_sums(6)
+
+    def image(x: LinComb) -> LinComb:
+        return LinComb((sigma, c) for t, c in x.items() for sigma in iota[t])
+
+    small = {t: cls for t, cls in iota.items() if t.order <= 3}
+    pairs = 0
+    for t, left in small.items():
+        for u, right in small.items():
+            got = LinComb(
+                (tau, c)
+                for rho in left
+                for sigma in right
+                for tau, c in star_perm(rho, sigma).items()
+            )
+            assert got == image(star_h(t, u)), (t, u)
+            pairs += 1
+    assert pairs == 81
+
+
+def test_class_sums_comultiply_as_trees():
+    iota = class_sums(6)
+    assert len(iota) == 197
+    for t, cls in iota.items():
+        got = LinComb(
+            (pair, c) for sigma in cls for pair, c in coproduct_perm(sigma).items()
+        )
+        want = LinComb(
+            ((rho, sigma), c)
+            for (a, b), c in delta_h(t).items()
+            for rho in iota[a]
+            for sigma in iota[b]
+        )
+        assert got == want, t

@@ -151,7 +151,7 @@ def test_enumerate_words_matches_combinations():
 
 def test_psi_word_refuses_a_word_beyond_the_bound(monkeypatch):
     built = []
-    monkeypatch.setattr(subalgebras, "_graphs", lambda n, m: built.append((n, m)) or ())
+    monkeypatch.setattr(subalgebras, "shape_keys", lambda n, m: built.append((n, m)) or ())
     bound = f"beyond the psi bound length <= {MAX_PSI_LENGTH}"
     for letters in ("T" * (MAX_PSI_LENGTH + 1), "LT" * MAX_PSI_LENGTH):
         with pytest.raises(ValueError, match=bound):
@@ -206,7 +206,7 @@ def test_full_correlator_refuses_an_order_beyond_the_bound(monkeypatch):
     def enumerated(*args):
         raise AssertionError(f"enumerated {args} before checking the bound")
 
-    monkeypatch.setattr(subalgebras, "_graphs", enumerated)
+    monkeypatch.setattr(subalgebras, "family_keys", enumerated)
     bound = f"beyond the correlator bound n <= {MAX_CORRELATOR_ORDER}"
     for n in (MAX_CORRELATOR_ORDER + 1, 10**6):
         with pytest.raises(ValueError, match=bound):

@@ -1,9 +1,13 @@
 """Trees: enumeration against the Catalan oracle, simplicial relations."""
 
+import contextlib
+import io
+from itertools import permutations as iter_perms
 from math import comb
 
 import pytest
 
+from lrq.cli import run
 from lrq.exprs import parse
 from lrq.loopgraphs import LoopGraph
 from lrq.trees import (
@@ -152,6 +156,34 @@ def test_perm_to_tree_examples():
     assert perm_to_tree([1, 3, 2]) == t("((|v|)v(|v|))")
     assert perm_to_tree([1, 2]) != perm_to_tree([2, 1])
     assert {perm_to_tree([1, 2]), perm_to_tree([2, 1])} == set(enumerate_trees(2))
+
+
+def perm_to_tree_recursive(word) -> LoopGraph:
+    """Oracle: the root in the slot of the maximum, the subwords on either
+    side as its subtrees."""
+    if not word:
+        return LEAF
+    i = word.index(max(word))
+    return LoopGraph(perm_to_tree_recursive(word[:i]), perm_to_tree_recursive(word[i + 1:]))
+
+
+def test_perm_to_tree_is_the_recursive_cartesian_tree():
+    for n in range(8):
+        for word in iter_perms(range(1, n + 1)):
+            assert perm_to_tree(word) is perm_to_tree_recursive(word), word
+
+
+@pytest.mark.parametrize("word", [range(1, 1501), range(1500, 0, -1)])
+def test_perm_to_tree_of_a_long_monotone_word_prints_and_parses(word):
+    tree = perm_to_tree(word)
+    assert tree.order == 1500
+    text = str(tree)
+    assert len(text) == 4 * 1500 + 1
+    assert parse(text, "graph-sum").single_basis() is tree
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert run(["tree-of-perm", f"[{','.join(map(str, word))}]"]) == 0
+    assert out.getvalue() == text + "\n"
 
 
 def test_perm_to_tree_rejects_bad_words():
