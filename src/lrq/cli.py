@@ -320,11 +320,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--legs", type=int, required=True)
 
     p = add("axioms", cmd_axioms, help="exhaustively check a Hopf axiom")
-    p.add_argument(
-        "--axiom",
-        choices=["assoc", "coassoc", "compat", "counit", "antipode"],
-        required=True,
-    )
+    p.add_argument("--axiom", choices=hopfops.AXIOMS, required=True)
     p.add_argument("--max-order", type=int, required=True)
 
     p = add("parse-check", cmd_parse_check, help="parse and reprint canonically")

@@ -16,8 +16,9 @@ from .loopgraphs import LEAF, LoopGraph, enumerate_graphs, with_slots
 GraphSum = LinComb
 
 # Largest total order `check_axiom` accepts: on a 2-core x86-64 VM (Python
-# 3.11.7) the slowest axiom there, antipode, takes 4 to 7 s at 25 MiB;
-# at total order 8 antipode takes 47 s and assoc 28 s.
+# 3.11.7, single cold runs) the slowest axiom there, antipode, takes 1.7 to
+# 7 s at 27 MiB; at total order 8 antipode takes 27 to 47 s at 86 MiB, and
+# each other axiom under 4 s.
 MAX_AXIOM_ORDER = 7
 
 UNIT = LinComb.basis(LEAF)
@@ -104,23 +105,38 @@ def antipode(x: GraphSum) -> GraphSum:
     return x.map_basis(_antipode)
 
 
-def graphs_of_total_order(m: int) -> list[LoopGraph]:
-    """All basis graphs with order + genus equal to m."""
-    out = []
-    for n in range((m + 1) // 2, m + 1):
-        out.extend(enumerate_graphs(n, m - n))
-    return out
-
-
 def graphs_up_to_total_order(m: int) -> list[LoopGraph]:
-    out = []
-    for k in range(m + 1):
-        out.extend(graphs_of_total_order(k))
-    return out
+    """All basis graphs with order + genus at most m, by total order."""
+    return [t for k in range(m + 1) for n in range((k + 1) // 2, k + 1)
+            for t in enumerate_graphs(n, k - n)]
 
 
-def _tensor_star(x: LinComb, y: LinComb) -> LinComb:
-    # Componentwise product of 2-tensors: (a(x)b)(c(x)d) = (a*c)(x)(b*d).
+def bounded_tuples(basis: list[LoopGraph], k: int, m: int):
+    """The k-tuples of graphs of `basis`, which is ordered by total order,
+    whose total orders sum to at most m: the first factor running over
+    `basis`, then the second, and so on, each bounded by the total order
+    still left."""
+    if not k:
+        yield ()
+        return
+    for x in basis:
+        if x.total_order > m:
+            break
+        for rest in bounded_tuples(basis, k - 1, m - x.total_order):
+            yield (x, *rest)
+
+
+def first_counterexample(sides, tuples):
+    """The first tuple whose two sides, `sides(*xs)`, differ, or None."""
+    for xs in tuples:
+        lhs, rhs = sides(*xs)
+        if lhs != rhs:
+            return xs
+    return None
+
+
+def tensor_star(x: LinComb, y: LinComb) -> LinComb:
+    """Componentwise product of 2-tensors: (a(x)b)(c(x)d) = (a*c)(x)(b*d)."""
     out = []
     for (a, b), c in x.items():
         for (d, e), f in y.items():
@@ -131,22 +147,47 @@ def _tensor_star(x: LinComb, y: LinComb) -> LinComb:
     return LinComb(out)
 
 
-def _delta_left(t2: LinComb) -> LinComb:
-    # (delta (x) id) on a 2-tensor, flattened to 3-tensors.
-    out = []
-    for (a, b), c in t2.items():
-        for (x, y), d in delta_h(a).items():
-            out.append(((x, y, b), c * d))
-    return LinComb(out)
+# Each Hopf law as its arity and its two sides on one tuple of basis graphs.
 
 
-def _delta_right(t2: LinComb) -> LinComb:
-    # (id (x) delta) on a 2-tensor, flattened to 3-tensors.
-    out = []
-    for (a, b), c in t2.items():
-        for (x, y), d in delta_h(b).items():
-            out.append(((a, x, y), c * d))
-    return LinComb(out)
+def _assoc(x, y, z):
+    # (xy)z = x(yz)
+    return (star_h_sum(star_h(x, y), LinComb.basis(z)),
+            star_h_sum(LinComb.basis(x), star_h(y, z)))
+
+
+def _coassoc(t):
+    # (delta (x) id) delta = (id (x) delta) delta, as 3-tensors
+    d = delta_h(t).items()
+    return (LinComb(((x, y, b), c * e) for (a, b), c in d for (x, y), e in delta_h(a).items()),
+            LinComb(((a, x, y), c * e) for (a, b), c in d for (x, y), e in delta_h(b).items()))
+
+
+def _compat(x, y):
+    # delta(xy) = delta(x) delta(y)
+    return delta_h_sum(star_h(x, y)), tensor_star(delta_h(x), delta_h(y))
+
+
+def _counit(t):
+    # (eps (x) id) delta = id = (id (x) eps) delta; eps reads the leaf
+    d = delta_h(t).items()
+    left = LinComb((b, c) for (a, b), c in d if a is LEAF)
+    right = LinComb((a, c) for (a, b), c in d if b is LEAF)
+    return (left, right), (LinComb.basis(t),) * 2
+
+
+def _antipode_law(t):
+    # S(t') t'' = eps(t) 1 = t' S(t'')
+    left = []
+    right = []
+    for (a, b), c in delta_h(t).items():
+        left += bilinear_terms(star_h, _antipode(a).items(), ((b, 1),), c)
+        right += bilinear_terms(star_h, ((a, 1),), _antipode(b).items(), c)
+    return (LinComb(left), LinComb(right)), (counit(LinComb.basis(t)) * UNIT,) * 2
+
+
+AXIOMS = {"assoc": (3, _assoc), "coassoc": (1, _coassoc), "compat": (2, _compat),
+          "counit": (1, _counit), "antipode": (1, _antipode_law)}
 
 
 def check_axiom(axiom: str, max_total_order: int):
@@ -154,73 +195,15 @@ def check_axiom(axiom: str, max_total_order: int):
 
     The bound limits the sum of the total orders of the inputs.  Returns
     None on success, otherwise the first counterexample (a tuple of basis
-    graphs).  Bounds above MAX_AXIOM_ORDER are refused before anything is
-    built.
+    graphs) in the order of `bounded_tuples`.  Bounds above MAX_AXIOM_ORDER
+    are refused before anything is built.
     """
     m = max_total_order
     if m > MAX_AXIOM_ORDER:
         raise ValueError(
             f"total order {m} is beyond the axiom bound m <= {MAX_AXIOM_ORDER}"
         )
-    basis = graphs_up_to_total_order(m)
-
-    if axiom == "assoc":
-        for x in basis:
-            for y in basis:
-                if x.total_order + y.total_order > m:
-                    continue
-                xy = star_h(x, y)
-                for z in basis:
-                    if x.total_order + y.total_order + z.total_order > m:
-                        continue
-                    lhs = star_h_sum(xy, LinComb.basis(z))
-                    rhs = star_h_sum(LinComb.basis(x), star_h(y, z))
-                    if lhs != rhs:
-                        return (x, y, z)
-        return None
-
-    if axiom == "coassoc":
-        for t in basis:
-            d = delta_h(t)
-            if _delta_left(d) != _delta_right(d):
-                return (t,)
-        return None
-
-    if axiom == "compat":
-        for x in basis:
-            for y in basis:
-                if x.total_order + y.total_order > m:
-                    continue
-                lhs = delta_h_sum(star_h(x, y))
-                rhs = _tensor_star(delta_h(x), delta_h(y))
-                if lhs != rhs:
-                    return (x, y)
-        return None
-
-    if axiom == "counit":
-        for t in basis:
-            d = delta_h(t)
-            left = LinComb(
-                ((b, c * counit(LinComb.basis(a))) for (a, b), c in d.items())
-            )
-            right = LinComb(
-                ((a, c * counit(LinComb.basis(b))) for (a, b), c in d.items())
-            )
-            if left != LinComb.basis(t) or right != LinComb.basis(t):
-                return (t,)
-        return None
-
-    if axiom == "antipode":
-        for t in basis:
-            d = delta_h(t)
-            left = []
-            right = []
-            for (a, b), c in d.items():
-                left += bilinear_terms(star_h, _antipode(a).items(), ((b, 1),), c)
-                right += bilinear_terms(star_h, ((a, 1),), _antipode(b).items(), c)
-            expected = counit(LinComb.basis(t)) * UNIT
-            if LinComb(left) != expected or LinComb(right) != expected:
-                return (t,)
-        return None
-
-    raise ValueError(f"unknown axiom {axiom!r}")
+    if axiom not in AXIOMS:
+        raise ValueError(f"unknown axiom {axiom!r}")
+    arity, sides = AXIOMS[axiom]
+    return first_counterexample(sides, bounded_tuples(graphs_up_to_total_order(m), arity, m))

@@ -314,13 +314,15 @@ def contract(i: int, t: LoopGraph) -> LoopGraph | None:
 
 def slot_masks(n: int, g: int, regular: bool) -> list[int]:
     """The n-bit masks with g set bits, in the regular case only those with
-    no two adjacent set bits; in the order of `itertools.combinations`."""
-    out = []
-    for bits in combinations(range(n), g):
-        m = sum(1 << i for i in bits)
-        if not (regular and m & (m >> 1)):
-            out.append(m)
-    return out
+    no two adjacent set bits; in the order of `itertools.combinations`.
+
+    The regular masks are built directly: adding i to the i-th of g slots
+    taken from n - g + 1 is an increasing bijection onto the g-subsets of n
+    slots with no two adjacent, so they come in the same order."""
+    if regular:
+        return [sum(1 << (b + i) for i, b in enumerate(bits))
+                for bits in combinations(range(n - g + 1), g)]
+    return [sum(1 << b for b in bits) for bits in combinations(range(n), g)]
 
 
 def _walk(n: int, g: int, c: int, regular: bool, exact: bool):

@@ -11,6 +11,16 @@ its mask (`psi_word` proves this).  The graph sums are therefore enumerated
 by mask, never by multiplying, and they are read in canonical order from the
 walks of `lrq.loopgraphs` (`word_keys`, `correlator_keys`), which the CLI
 prints one graph at a time.
+
+A full correlator is every regular graph of its order and genus once; it
+is not an expansion of the Airy correlator W^g_k of `lrq.airy`.  Expand the
+recursion of W^g_k fully, down to W^0_2, and compare its number of terms
+with the regular graphs of order 2g-2+k and genus g times (k-1)!, the
+labellings of the legs other than the first.  The two agree for (g, k) =
+(0,3), (0,4), (0,5), (1,1), (1,2) and (2,1), but not for (1,3): 32 terms
+against 30, nor (2,2) 50 against 42, (3,1) 60 against 42, (1,4) 384 against
+336 or (4,1) 1105 against 429.  So for g >= 1 `full_correlator` is not a
+term-by-term expansion of W^g_k; the tests pin these counts.
 """
 
 from __future__ import annotations
@@ -22,12 +32,14 @@ from math import factorial
 from .freemodule import LinComb
 from .hopfops import (
     GraphSum,
-    _tensor_star,
+    bounded_tuples,
     delta_h,
     delta_h_sum,
+    first_counterexample,
     graphs_up_to_total_order,
     star_h,
     star_h_sum,
+    tensor_star,
 )
 from .loopgraphs import family_keys, graph_of, is_regular, shape_keys, slot_masks
 
@@ -42,9 +54,10 @@ MAX_PSI_LENGTH = 13
 MAX_CORRELATOR_ORDER = 10
 
 # Largest degree `generating_function` accepts.  Each degree costs about
-# 1.85 times the one before: `lrq genfun --max-degree 22` takes 15 to 16 s at
-# 54 MiB (text or --json), and 23 takes 27 s as text and 33 s with --json
-# (Python 3.11.7, 2-core x86-64 VM).
+# 1.6 times the one before, as the valid words grow like the Fibonacci
+# numbers: `lrq genfun --max-degree 22` takes 1.4 to 2.2 s at 54 MiB (text or
+# --json), 23 takes 3.1 s at 77 MiB and 24 takes 5 to 6 s at 117 MiB (Python
+# 3.11.7, 2-core x86-64 VM, single cold runs).
 MAX_GENFUN_DEGREE = 22
 
 
@@ -190,9 +203,10 @@ def delta_h_quotient_counterexample(max_total_order: int):
     the regular quotient.
 
     Compares (pi x pi) delta(pi(x * y)) against the componentwise product of
-    the projected coproducts over regular basis pairs, and returns the first
-    mismatch (or None).  The projected coproduct fails to be an algebra map,
-    so a counterexample exists already at small total order.
+    the projected coproducts over pairs of regular basis graphs, walked as
+    `check_axiom` walks them, and returns the first mismatch (or None).  The
+    projected coproduct fails to be an algebra map, so a counterexample
+    exists already at small total order.
     """
 
     def proj_tensor(x: LinComb) -> LinComb:
@@ -202,17 +216,13 @@ def delta_h_quotient_counterexample(max_total_order: int):
             if is_regular(a) and is_regular(b)
         )
 
-    basis = [t for t in graphs_up_to_total_order(max_total_order) if is_regular(t)]
-    for x in basis:
-        for y in basis:
-            if x.total_order + y.total_order > max_total_order:
-                continue
-            product = project_regular(star_h(x, y))
-            lhs = proj_tensor(delta_h_sum(product))
-            rhs = proj_tensor(_tensor_star(delta_h(x), delta_h(y)))
-            if lhs != rhs:
-                return x, y
-    return None
+    def sides(x, y):
+        return (proj_tensor(delta_h_sum(project_regular(star_h(x, y)))),
+                proj_tensor(tensor_star(delta_h(x), delta_h(y))))
+
+    m = max_total_order
+    basis = [t for t in graphs_up_to_total_order(m) if is_regular(t)]
+    return first_counterexample(sides, bounded_tuples(basis, 2, m))
 
 
 def generating_function(max_degree: int) -> dict[tuple[int, int], LinComb]:

@@ -8,7 +8,7 @@ import pytest
 from lrq import hopfops, trees
 from lrq.complexes import d_h_graph
 from lrq.exprs import parse
-from lrq.freemodule import LinComb, bilinear_extend
+from lrq.freemodule import LinComb, bilinear_extend, bilinear_terms
 from lrq.hopfops import (
     UNIT,
     _antipode,
@@ -80,6 +80,65 @@ def test_star_h_restricted_to_trees_equals_star():
             for a in trees.enumerate_trees(n1):
                 for b in trees.enumerate_trees(n2):
                     assert star_h(a, b) == star_tree(a, b)
+
+
+def over(t, u):
+    """t/u: t grafted on the leftmost leaf of u."""
+    return t if u.is_leaf else trees.graft(over(t, u.left), u.right)
+
+
+def under(t, u):
+    """t\\u: u grafted on the rightmost leaf of t."""
+    return u if t.is_leaf else trees.graft(t.left, under(t.right, u))
+
+
+def right_rotations(s):
+    """The trees one right rotation ((a v b) v c) -> (a v (b v c)) above s."""
+    if s.is_leaf:
+        return
+    a, b = s.left, s.right
+    if not a.is_leaf:
+        yield trees.graft(a.left, trees.graft(a.right, b))
+    yield from (trees.graft(x, b) for x in right_rotations(a))
+    yield from (trees.graft(a, x) for x in right_rotations(b))
+
+
+def left_rotations(s):
+    """The trees that one right rotation takes to s."""
+    if s.is_leaf:
+        return
+    a, b = s.left, s.right
+    if not b.is_leaf:
+        yield trees.graft(trees.graft(a, b.left), b.right)
+    yield from (trees.graft(x, b) for x in left_rotations(a))
+    yield from (trees.graft(a, x) for x in left_rotations(b))
+
+
+def closure(s, step) -> set:
+    seen = {s}
+    todo = [s]
+    while todo:
+        for x in step(todo.pop()):
+            if x not in seen:
+                seen.add(x)
+                todo.append(x)
+    return seen
+
+
+def test_star_h_on_trees_is_the_tamari_interval():
+    # Oracle (Loday-Ronco, J. Algebraic Combin. 15, 2002): on trees,
+    # t * u is the sum of the Tamari interval [t/u, t\u], each tree once;
+    # every pair of combined order <= 6, 625 pairs.
+    pairs = 0
+    for n1 in range(7):
+        for n2 in range(7 - n1):
+            for t in trees.enumerate_trees(n1):
+                for u in trees.enumerate_trees(n2):
+                    interval = (closure(over(t, u), right_rotations)
+                                & closure(under(t, u), left_rotations))
+                    assert star_h(t, u) == LinComb.sum_of(interval), (t, u)
+                    pairs += 1
+    assert pairs == 625
 
 
 def test_star_h_worked_examples():
@@ -277,3 +336,121 @@ def test_antipode_check_finds_a_wrong_antipode(monkeypatch):
 
     monkeypatch.setattr(hopfops, "_antipode", wrong)
     assert check_axiom("antipode", 3) == (ONELOOP,)
+
+
+def check_axiom_by_cases(axiom: str, m: int):
+    """Oracle: the axiom check written out as one loop per axiom, each over
+    the whole basis with its own total-order bound."""
+    star = hopfops.star_h
+    delta = hopfops.delta_h
+    basis = graphs_up_to_total_order(m)
+
+    def delta_left(t2):
+        return LinComb(((x, y, b), c * d) for (a, b), c in t2.items()
+                       for (x, y), d in delta(a).items())
+
+    def delta_right(t2):
+        return LinComb(((a, x, y), c * d) for (a, b), c in t2.items()
+                       for (x, y), d in delta(b).items())
+
+    if axiom == "assoc":
+        for x in basis:
+            for y in basis:
+                if x.total_order + y.total_order > m:
+                    continue
+                xy = star(x, y)
+                for z in basis:
+                    if x.total_order + y.total_order + z.total_order > m:
+                        continue
+                    lhs = star_h_sum(xy, LinComb.basis(z))
+                    rhs = star_h_sum(LinComb.basis(x), star(y, z))
+                    if lhs != rhs:
+                        return (x, y, z)
+        return None
+    if axiom == "coassoc":
+        for t in basis:
+            d = delta(t)
+            if delta_left(d) != delta_right(d):
+                return (t,)
+        return None
+    if axiom == "compat":
+        for x in basis:
+            for y in basis:
+                if x.total_order + y.total_order > m:
+                    continue
+                if delta_h_sum(star(x, y)) != hopfops.tensor_star(delta(x), delta(y)):
+                    return (x, y)
+        return None
+    if axiom == "counit":
+        for t in basis:
+            d = delta(t)
+            left = LinComb((b, c * counit(LinComb.basis(a))) for (a, b), c in d.items())
+            right = LinComb((a, c * counit(LinComb.basis(b))) for (a, b), c in d.items())
+            if left != LinComb.basis(t) or right != LinComb.basis(t):
+                return (t,)
+        return None
+    assert axiom == "antipode"
+    for t in basis:
+        left = []
+        right = []
+        for (a, b), c in delta(t).items():
+            left += bilinear_terms(star, hopfops._antipode(a).items(), ((b, 1),), c)
+            right += bilinear_terms(star, ((a, 1),), hopfops._antipode(b).items(), c)
+        expected = counit(LinComb.basis(t)) * UNIT
+        if LinComb(left) != expected or LinComb(right) != expected:
+            return (t,)
+    return None
+
+
+AXIOM_NAMES = ("assoc", "coassoc", "compat", "counit", "antipode")
+
+
+@pytest.mark.parametrize("m", range(6))
+@pytest.mark.parametrize("axiom", AXIOM_NAMES)
+def test_check_axiom_equals_the_case_by_case_oracle(axiom, m):
+    assert check_axiom(axiom, m) == check_axiom_by_cases(axiom, m)
+
+
+@pytest.fixture
+def memos_warm_and_cleared_after():
+    # Every memo the order-4 checks read is filled by the true maps first,
+    # so a fault reaches the checks only through their own calls; the memos
+    # are emptied afterwards, so nothing a faulty map left there outlives
+    # the test.
+    for axiom in AXIOM_NAMES:
+        assert check_axiom(axiom, 4) is None
+    yield
+    for memo in (star_h, delta_h, _antipode):
+        memo.cache_clear()
+
+
+def _double_star_on_one_pair():
+    pair = (ONELOOP, g("((|v|)v|)"))
+    return "star_h", lambda t, u: 2 * star_h(t, u) if (t, u) == pair else star_h(t, u)
+
+
+def _extra_coproduct_term():
+    t0 = g("((|v|)v|)")
+    return "delta_h", lambda t: delta_h(t) + LinComb.basis((t, t)) if t is t0 else delta_h(t)
+
+
+def _wrong_antipode_on_the_loop():
+    return "_antipode", lambda t: LinComb.basis(t) if t is ONELOOP else _antipode(t)
+
+
+@pytest.mark.parametrize("fault,found", [
+    (_double_star_on_one_pair, {"assoc": "|, (|o|), ((|v|)v|)",
+                                "compat": "(|o|), ((|v|)v|)",
+                                "antipode": "(|v(|v(|o|)))"}),
+    (_extra_coproduct_term, {"coassoc": "((|v|)v|)", "compat": "(|v|), (|v|)",
+                             "antipode": "((|v|)v|)"}),
+    (_wrong_antipode_on_the_loop, {"antipode": "(|o|)"}),
+])
+def test_check_axiom_finds_what_the_oracle_finds_under_a_fault(
+        monkeypatch, memos_warm_and_cleared_after, fault, found):
+    name, faulty = fault()
+    monkeypatch.setattr(hopfops, name, faulty)
+    for axiom in AXIOM_NAMES:
+        bad = check_axiom(axiom, 4)
+        assert bad == check_axiom_by_cases(axiom, 4), axiom
+        assert (bad and ", ".join(map(str, bad))) == found.get(axiom), axiom

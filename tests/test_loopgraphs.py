@@ -2,6 +2,7 @@
 enumeration, signatures."""
 
 import random
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -254,6 +255,15 @@ def test_walk_is_the_sorted_union_over_masks():
                 union = [s for m in slot_masks(n, gg, regular) for s in marked[m]]
                 got = [key_str(k) for k in family_keys(n, gg, regular)]
                 assert got == sorted(union, key=rank_string), (n, gg, regular)
+
+
+def test_regular_masks_are_the_filtered_combinations():
+    # Oracle: every g-subset of n slots, dropping those with two adjacent.
+    for n in range(17):
+        for gg in range(n + 2):
+            every = [sum(1 << i for i in bits) for bits in combinations(range(n), gg)]
+            assert slot_masks(n, gg, False) == every, (n, gg)
+            assert slot_masks(n, gg, True) == [m for m in every if not m & m >> 1], (n, gg)
 
 
 def test_keys_print_as_their_interned_graphs():

@@ -2,7 +2,9 @@
 function coefficients."""
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
+from math import comb, factorial
 
 import pytest
 
@@ -29,6 +31,7 @@ from lrq.subalgebras import (
     MAX_PSI_LENGTH,
     QuantumExpansion,
     Word,
+    delta_h_quotient_counterexample,
     enumerate_words,
     full_correlator,
     generating_function,
@@ -211,6 +214,48 @@ def test_full_correlator_refuses_an_order_beyond_the_bound(monkeypatch):
     for n in (MAX_CORRELATOR_ORDER + 1, 10**6):
         with pytest.raises(ValueError, match=bound):
             full_correlator(n)
+
+
+@lru_cache(maxsize=None)
+def recursion_terms(g: int, k: int) -> int:
+    """The number of terms of W^g_k, the recursion expanded down to W^0_2:
+    one term for W^{g-1}_{k+1}, and for each splitting (h, A) of the genus
+    and of the legs 1..k-1 with no W^0_1 factor, the products of the terms
+    of W^h_{1+|A|} and W^{g-h}_{k-|A|}."""
+    if (g, k) == (0, 2):
+        return 1
+    if g < 0 or 2 * g - 2 + k <= 0:
+        return 0
+    out = recursion_terms(g - 1, k + 1)
+    for h in range(g + 1):
+        for a in range(k):
+            if (h, a) != (0, 0) and (h, a) != (g, k - 1):
+                out += comb(k - 1, a) * recursion_terms(h, 1 + a) * recursion_terms(g - h, k - a)
+    return out
+
+
+def labelled_correlator_graphs(g: int, k: int) -> int:
+    # Regular graphs of order 2g-2+k and genus g, with the k-1 legs labelled.
+    return len(full_correlator(2 * g - 2 + k)[g]) * factorial(k - 1)
+
+
+@pytest.mark.parametrize("g,k", [(0, 3), (0, 4), (0, 5), (1, 1), (1, 2), (2, 1)])
+def test_correlator_graphs_count_the_recursion_terms_in_low_genus(g, k):
+    assert recursion_terms(g, k) == labelled_correlator_graphs(g, k)
+
+
+@pytest.mark.parametrize("g,k,terms,graphs", [
+    (1, 3, 32, 30), (2, 2, 50, 42), (3, 1, 60, 42), (1, 4, 384, 336), (4, 1, 1105, 429),
+])
+def test_correlator_graphs_are_not_the_recursion_terms(g, k, terms, graphs):
+    # So for g >= 1 `full_correlator` is no term-by-term expansion of W^g_k.
+    assert recursion_terms(g, k) == terms
+    assert labelled_correlator_graphs(g, k) == graphs
+
+
+def test_quotient_counterexample_first_appears_at_total_order_4():
+    witnesses = [delta_h_quotient_counterexample(m) for m in range(6)]
+    assert witnesses == [None] * 4 + [(ONELOOP, ONELOOP)] * 2
 
 
 def test_generating_function_examples():
