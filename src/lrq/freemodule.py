@@ -5,6 +5,15 @@ any other number is converted to `Fraction` exactly, and no floating point
 is used anywhere in this package.  Basis elements must be hashable and
 expose a ``sort_key()`` method returning something totally ordered; tensor
 factors are plain tuples of basis elements and compare componentwise.
+
+Sums are accumulated in place.  `LinComb(terms)` converts each outside
+coefficient to an exact number before it adds it, so floats are never
+summed as floats.  Sums of many products (`map_basis`, `bilinear_extend`
+through `add_bilinear`, and the antipode, the tensor product and the Hopf
+laws in `lrq.hopfops`) add each product term straight into one dict that
+the caller owns.  Their coefficients come from LinCombs and so are exact
+already; the dict becomes a LinComb once, dropping its zeros
+(`LinComb.of_dict`).
 """
 
 from __future__ import annotations
@@ -84,6 +93,13 @@ class LinComb:
     @classmethod
     def zero(cls) -> "LinComb":
         return cls()
+
+    @classmethod
+    def of_dict(cls, acc: dict) -> "LinComb":
+        """The sum held by a dict of exact coefficients, some maybe zero."""
+        out = cls.__new__(cls)
+        out._terms = {b: c for b, c in acc.items() if c}
+        return out
 
     @classmethod
     def sum_of(cls, distinct) -> "LinComb":
@@ -171,31 +187,24 @@ class LinComb:
     def map_basis(self, f: Callable) -> "LinComb":
         """Linear extension of f; f may return a basis element, a LinComb,
         or None (meaning zero)."""
-        out = []
+        acc: dict = {}
+        get = acc.get
         for b, c in self._terms.items():
             v = f(b)
             if v is None:
                 continue
             if isinstance(v, LinComb):
-                out.extend((b2, c * c2) for b2, c2 in v._terms.items())
+                for b2, c2 in v._terms.items():
+                    acc[b2] = get(b2, 0) + c * c2
             else:
-                out.append((v, c))
-        return LinComb(out)
+                acc[v] = get(v, 0) + c
+        return LinComb.of_dict(acc)
 
     def __str__(self) -> str:
         return "".join(sum_text(self.terms()))
 
     def __repr__(self) -> str:
         return f"LinComb<{self}>"
-
-
-def as_lincomb(v) -> LinComb:
-    """Coerce a basis element (or None, meaning zero) to a LinComb."""
-    if v is None:
-        return LinComb()
-    if isinstance(v, LinComb):
-        return v
-    return LinComb.basis(v)
 
 
 def tensor(*factors: LinComb) -> LinComb:
@@ -210,21 +219,25 @@ def tensor(*factors: LinComb) -> LinComb:
     return LinComb(out)
 
 
-def bilinear_terms(f: Callable, xs: Iterable, ys: Iterable, c=1) -> list:
-    """The terms of c * f(x, y) over the (basis, coefficient) pairs of xs
-    and ys, unsummed, so that a caller can sum many such products at once."""
-    out = []
+def add_bilinear(acc: dict, f: Callable, xs: Iterable, ys: Iterable, c=1) -> None:
+    """Add c * f(x, y) into acc over the (basis, coefficient) pairs of xs
+    and ys, so that a caller can sum many such products in one dict.  f
+    returns a LinComb, and the coefficients, c included, must be exact
+    (int or Fraction)."""
+    get = acc.get
     for bx, cx in xs:
         for by, cy in ys:
             k = c * cx * cy
-            out += [(b, k * d) for b, d in as_lincomb(f(bx, by)).items()]
-    return out
+            for b, d in f(bx, by)._terms.items():
+                acc[b] = get(b, 0) + k * d
 
 
 def bilinear_extend(f: Callable) -> Callable[[LinComb, LinComb], LinComb]:
-    """Extend a basis-level product (B, B) -> LinComb|B to pairs of LinCombs."""
+    """Extend a basis-level product (B, B) -> LinComb to pairs of LinCombs."""
 
     def extended(x: LinComb, y: LinComb) -> LinComb:
-        return LinComb(bilinear_terms(f, x.items(), y.items()))
+        acc: dict = {}
+        add_bilinear(acc, f, x.items(), y.items())
+        return LinComb.of_dict(acc)
 
     return extended

@@ -9,16 +9,16 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .freemodule import LinComb, bilinear_extend, bilinear_terms
+from .freemodule import LinComb, add_bilinear, bilinear_extend
 from .loopgraphs import LEAF, LoopGraph, enumerate_graphs, with_slots
 
 # A GraphSum is a LinComb over LoopGraph basis elements.
 GraphSum = LinComb
 
 # Largest total order `check_axiom` accepts: on a 2-core x86-64 VM (Python
-# 3.11.7, single cold runs) the slowest axiom there, antipode, takes 1.7 to
-# 7 s at 27 MiB; at total order 8 antipode takes 27 to 47 s at 86 MiB, and
-# each other axiom under 4 s.
+# 3.11.7, three cold runs each) the slowest axiom there, antipode, takes 0.6
+# to 0.8 s at 25 MiB; at total order 8 antipode takes 9 to 12 s at 83 MiB,
+# and each other axiom under 3 s at under 50 MiB.
 MAX_AXIOM_ORDER = 7
 
 UNIT = LinComb.basis(LEAF)
@@ -92,12 +92,12 @@ def _antipode(t: LoopGraph) -> GraphSum:
     # coproduct terms a (x) b (both factors away from the unit).
     if t.is_leaf:
         return UNIT
-    out = [(t, -1)]
+    acc = {t: -1}
     for (a, b), c in delta_h(t).items():
         if a.is_leaf or b.is_leaf:
             continue
-        out += bilinear_terms(star_h, _antipode(a).items(), ((b, 1),), -c)
-    return LinComb(out)
+        add_bilinear(acc, star_h, _antipode(a).items(), ((b, 1),), -c)
+    return LinComb.of_dict(acc)
 
 
 def antipode(x: GraphSum) -> GraphSum:
@@ -137,14 +137,17 @@ def first_counterexample(sides, tuples):
 
 def tensor_star(x: LinComb, y: LinComb) -> LinComb:
     """Componentwise product of 2-tensors: (a(x)b)(c(x)d) = (a*c)(x)(b*d)."""
-    out = []
+    acc: dict = {}
+    get = acc.get
     for (a, b), c in x.items():
         for (d, e), f in y.items():
-            coeff = c * f
+            right = star_h(b, e).items()
             for s1, c1 in star_h(a, d).items():
-                for s2, c2 in star_h(b, e).items():
-                    out.append(((s1, s2), coeff * c1 * c2))
-    return LinComb(out)
+                k = c * f * c1
+                for s2, c2 in right:
+                    key = (s1, s2)
+                    acc[key] = get(key, 0) + k * c2
+    return LinComb.of_dict(acc)
 
 
 # Each Hopf law as its arity and its two sides on one tuple of basis graphs.
@@ -158,9 +161,16 @@ def _assoc(x, y, z):
 
 def _coassoc(t):
     # (delta (x) id) delta = (id (x) delta) delta, as 3-tensors
-    d = delta_h(t).items()
-    return (LinComb(((x, y, b), c * e) for (a, b), c in d for (x, y), e in delta_h(a).items()),
-            LinComb(((a, x, y), c * e) for (a, b), c in d for (x, y), e in delta_h(b).items()))
+    left: dict = {}
+    right: dict = {}
+    for (a, b), c in delta_h(t).items():
+        for (x, y), e in delta_h(a).items():
+            key = (x, y, b)
+            left[key] = left.get(key, 0) + c * e
+        for (x, y), e in delta_h(b).items():
+            key = (a, x, y)
+            right[key] = right.get(key, 0) + c * e
+    return LinComb.of_dict(left), LinComb.of_dict(right)
 
 
 def _compat(x, y):
@@ -178,12 +188,13 @@ def _counit(t):
 
 def _antipode_law(t):
     # S(t') t'' = eps(t) 1 = t' S(t'')
-    left = []
-    right = []
+    left: dict = {}
+    right: dict = {}
     for (a, b), c in delta_h(t).items():
-        left += bilinear_terms(star_h, _antipode(a).items(), ((b, 1),), c)
-        right += bilinear_terms(star_h, ((a, 1),), _antipode(b).items(), c)
-    return (LinComb(left), LinComb(right)), (counit(LinComb.basis(t)) * UNIT,) * 2
+        add_bilinear(left, star_h, _antipode(a).items(), ((b, 1),), c)
+        add_bilinear(right, star_h, ((a, 1),), _antipode(b).items(), c)
+    return ((LinComb.of_dict(left), LinComb.of_dict(right)),
+            (counit(LinComb.basis(t)) * UNIT,) * 2)
 
 
 AXIOMS = {"assoc": (3, _assoc), "coassoc": (1, _coassoc), "compat": (2, _compat),

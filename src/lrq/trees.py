@@ -44,30 +44,45 @@ def enumerate_trees(n: int) -> list[LoopGraph]:
     return list(_trees(n))
 
 
+def _path_to_leaf(i: int, t: LoopGraph) -> list[tuple[LoopGraph, bool]]:
+    """The turns from the root of t down to its leaf i, each a vertex and
+    whether the walk went right there; a walk, so any depth is fine."""
+    if not 0 <= i <= t.order:
+        raise IndexError(f"leaf index {i} out of range 0..{t.order}")
+    path = []
+    while not t.is_leaf:
+        p = t.left.order
+        right = i > p
+        path.append((t, right))
+        if right:
+            i -= p + 1
+            t = t.right
+        else:
+            t = t.left
+    return path
+
+
+def _regraft(path: list[tuple[LoopGraph, bool]], sub: LoopGraph) -> LoopGraph:
+    """Rebuild the tree of `path` bottom-up with sub where the path ends."""
+    for node, right in reversed(path):
+        sub = LoopGraph(node.left, sub) if right else LoopGraph(sub, node.right)
+    return sub
+
+
 def face(i: int, t: LoopGraph) -> LoopGraph:
     """Erase the leaf in position i, fusing the freed edge through its parent."""
     _require_tree(t)
     if t.is_leaf:
         raise ValueError("face undefined on the bare leaf")
-    if not 0 <= i <= t.order:
-        raise IndexError(f"leaf index {i} out of range 0..{t.order}")
-    p = t.left.order
-    if i <= p:
-        return t.right if t.left.is_leaf else LoopGraph(face(i, t.left), t.right)
-    return t.left if t.right.is_leaf else LoopGraph(t.left, face(i - p - 1, t.right))
+    path = _path_to_leaf(i, t)
+    parent, right = path.pop()
+    return _regraft(path, parent.left if right else parent.right)
 
 
 def degeneracy(i: int, t: LoopGraph) -> LoopGraph:
     """Bifurcate the leaf in position i (replace it by a new vertex)."""
     _require_tree(t)
-    if not 0 <= i <= t.order:
-        raise IndexError(f"leaf index {i} out of range 0..{t.order}")
-    if t.is_leaf:
-        return LoopGraph(LEAF, LEAF)
-    p = t.left.order
-    if i <= p:
-        return LoopGraph(degeneracy(i, t.left), t.right)
-    return LoopGraph(t.left, degeneracy(i - p - 1, t.right))
+    return _regraft(_path_to_leaf(i, t), LoopGraph(LEAF, LEAF))
 
 
 def extra_degeneracy(t: LoopGraph) -> LoopGraph:

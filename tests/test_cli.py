@@ -423,6 +423,22 @@ def test_too_deep_for_the_algebra_is_a_domain_error(capsys):
     assert err == "error: input nested too deeply\n"
 
 
+def test_simplicial_operators_on_a_comb_deeper_than_the_recursion_limit(capsys):
+    # Face and degeneracy walk to their leaf and rebuild the path, so the
+    # depth of the tree is no bound.  Every face of a left comb is the left
+    # comb one smaller, so the alternating border of 1201 faces is that comb.
+    def comb(n):
+        return "(" * n + "|" + "v|)" * n
+
+    deep = comb(1200)
+    assert invoke(capsys, "face", deep, "--index", "0") == (0, comb(1199) + "\n", "")
+    assert invoke(capsys, "face", deep, "--index", "1200") == (0, comb(1199) + "\n", "")
+    assert invoke(capsys, "degeneracy", deep, "--index", "0") == (0, comb(1201) + "\n", "")
+    assert invoke(capsys, "degeneracy", deep, "--index", "1200") == (
+        0, "(" + comb(1199) + "v(|v|))\n", "")
+    assert invoke(capsys, "border", deep) == (0, comb(1199) + "\n", "")
+
+
 def test_dh_of_a_comb_deeper_than_the_recursion_limit(capsys):
     # The differential acts on the slot mask alone: one term per slot, the
     # term of slot i with sign (-1)^i, however deep the graph.

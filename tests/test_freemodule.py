@@ -1,10 +1,11 @@
 """Module axioms for exact-rational linear combinations, property-based."""
 
+from decimal import Decimal
 from fractions import Fraction
 
 from hypothesis import given, strategies as st
 
-from lrq.freemodule import LinComb, as_lincomb, bilinear_extend, tensor
+from lrq.freemodule import LinComb, bilinear_extend, tensor
 from lrq.hopfops import star_h, star_h_sum
 from lrq.loopgraphs import enumerate_graphs
 
@@ -101,13 +102,6 @@ def test_bilinear_extension_matches_basis_op():
     assert ext(LinComb.basis(a), LinComb.basis(b)) == star_h(a, b)
 
 
-def test_as_lincomb():
-    a = POOL[3]
-    assert as_lincomb(None).is_zero()
-    assert as_lincomb(a) == LinComb.basis(a)
-    assert as_lincomb(LinComb.basis(a, 2)) == LinComb.basis(a, 2)
-
-
 def test_coefficients_keep_their_exact_type():
     a = POOL[1]
     three = LinComb.basis(a, 3)
@@ -121,3 +115,30 @@ def test_coefficients_keep_their_exact_type():
     assert two == also_two
     assert hash(two) == hash(also_two)
     assert str(two) == str(also_two)
+
+
+def test_outside_coefficients_are_made_exact_before_they_are_added():
+    # Summed as floats first, 1e16 + 1.0 - 1e16 would be 0.
+    a = POOL[1]
+    assert LinComb([(a, 1e16), (a, 1.0), (a, -1e16)]).coeff(a) == 1
+    tenth = LinComb.basis(a, Decimal("0.1")).coeff(a)
+    assert type(tenth) is Fraction and tenth == Fraction(1, 10)
+
+
+def test_accumulated_sums_stay_exact():
+    # map_basis and the bilinear extension add the exact coefficients of
+    # their LinCombs in one dict: 1e16 and 1.0 merged on one basis element
+    # keep the 1, which a float sum would lose.
+    a, b, c = POOL[1], POOL[2], POOL[3]
+    x = LinComb([(a, 1e16), (b, 1.0)])
+    assert x.map_basis(lambda _: c).coeff(c) == 10**16 + 1
+    unit = LinComb.basis(POOL[0])
+    assert star_h_sum(x, unit) == x
+    assert star_h_sum(x - LinComb.basis(a, 1e16), unit) == LinComb.basis(b)
+
+
+def test_of_dict_drops_zero_coefficients():
+    a, b = POOL[1], POOL[2]
+    x = LinComb.of_dict({a: 0, b: Fraction(1, 2)})
+    assert x == LinComb.basis(b, Fraction(1, 2))
+    assert list(x.items()) == [(b, Fraction(1, 2))]

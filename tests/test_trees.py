@@ -109,6 +109,37 @@ def test_degeneracy_examples():
         degeneracy(2, V)
 
 
+def face_by_recursion(i: int, tree: LoopGraph) -> LoopGraph:
+    """Oracle: the face as the recursion on the branch holding leaf i."""
+    p = tree.left.order
+    if i <= p:
+        if tree.left.is_leaf:
+            return tree.right
+        return LoopGraph(face_by_recursion(i, tree.left), tree.right)
+    if tree.right.is_leaf:
+        return tree.left
+    return LoopGraph(tree.left, face_by_recursion(i - p - 1, tree.right))
+
+
+def degeneracy_by_recursion(i: int, tree: LoopGraph) -> LoopGraph:
+    """Oracle: the degeneracy as the recursion on the branch holding leaf i."""
+    if tree.is_leaf:
+        return V
+    p = tree.left.order
+    if i <= p:
+        return LoopGraph(degeneracy_by_recursion(i, tree.left), tree.right)
+    return LoopGraph(tree.left, degeneracy_by_recursion(i - p - 1, tree.right))
+
+
+def test_face_and_degeneracy_equal_their_recursions():
+    for n in range(7):
+        for tree in enumerate_trees(n):
+            for i in range(n + 1):
+                if n:
+                    assert face(i, tree) is face_by_recursion(i, tree)
+                assert degeneracy(i, tree) is degeneracy_by_recursion(i, tree)
+
+
 def test_face_face_relation():
     # d_i d_j = d_{j-1} d_i for i < j, exhaustively through order 5
     # (composites leave order >= 2, the smallest order where both are defined)
