@@ -156,9 +156,6 @@ class LaurentPoly:
             return NotImplemented
         return self.nvars == other.nvars and self.coeffs == other.coeffs
 
-    def __hash__(self) -> int:
-        return hash((self.nvars, frozenset(self.coeffs.items())))
-
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         if self.nvars != other.nvars:
             raise ValueError("variable counts differ")
@@ -209,9 +206,6 @@ class LaurentPoly:
 
     def __str__(self) -> str:
         return format_laurent(sorted(self.coeffs.items()))
-
-    def __repr__(self) -> str:
-        return f"LaurentPoly<{self}>"
 
 
 def var_name(i: int) -> str:
@@ -312,12 +306,6 @@ class QSeries:
         return QSeries(
             self.nvars, {e: p.scale(c) for e, p in self.coeffs.items()}, self.valid
         )
-
-    def __str__(self) -> str:
-        body = " + ".join(
-            f"q^{e}*({self.coeffs[e]})" for e in sorted(self.coeffs)
-        )
-        return f"{body or '0'}  [trusted through q^{self.valid}]"
 
 
 def bergman_series(leg: int, order: int, nvars: int | None = None) -> QSeries:

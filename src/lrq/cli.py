@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 expression syntax error, 2 domain error (including
 input nested too deeply for the recursive algebra).
-Output is deterministic (canonical ordering everywhere); --json switches the
-sum/polynomial commands to their JSON forms.
+Output is deterministic (canonical ordering everywhere); --json switches
+every command to its JSON form.
 """
 
 from __future__ import annotations
@@ -88,7 +88,11 @@ def cmd_enumerate(args) -> int:
             f"order {args.order} is beyond the enumerate bound n <= {MAX_ENUMERATE_ORDER}"
         )
     if args.family == "trees":
-        items = map(str, trees.enumerate_trees(args.order))
+        if args.genus < 0:
+            raise ValueError("order and genus must be nonnegative")
+        # A tree is a graph of genus 0: no other genus has one.
+        found = trees.enumerate_trees(args.order)
+        items = map(str, found if args.genus == 0 else [])
     elif args.family == "graphs":
         keys = loopgraphs.family_keys(args.order, args.genus, args.regular)
         items = map(loopgraphs.key_str, keys)
@@ -146,20 +150,22 @@ def cmd_perm_coproduct(args) -> int:
     return _emit_sum(args, permutations.coproduct_perm(sigma))
 
 
-def cmd_tree_of_perm(args) -> int:
-    sigma = _single(args.perm, "permutation")
-    print(trees.perm_to_tree(sigma))
+def _emit_tree(args, t) -> int:
+    """Print a tree, with --json as a JSON string."""
+    print(json.dumps(str(t)) if args.json else t)
     return 0
+
+
+def cmd_tree_of_perm(args) -> int:
+    return _emit_tree(args, trees.perm_to_tree(_single(args.perm, "permutation")))
 
 
 def cmd_face(args) -> int:
-    print(trees.face(args.index, _single(args.tree, "graph-sum")))
-    return 0
+    return _emit_tree(args, trees.face(args.index, _single(args.tree, "graph-sum")))
 
 
 def cmd_degeneracy(args) -> int:
-    print(trees.degeneracy(args.index, _single(args.tree, "graph-sum")))
-    return 0
+    return _emit_tree(args, trees.degeneracy(args.index, _single(args.tree, "graph-sum")))
 
 
 def cmd_border(args) -> int:
@@ -225,10 +231,12 @@ def cmd_airy(args) -> int:
 
 def cmd_axioms(args) -> int:
     bad = hopfops.check_axiom(args.axiom, args.max_order)
-    if bad is None:
+    if args.json:
+        print(json.dumps("pass" if bad is None else [str(t) for t in bad]))
+    elif bad is None:
         print("pass")
-        return 0
-    print("counterexample: " + ", ".join(str(t) for t in bad))
+    else:
+        print("counterexample: " + ", ".join(str(t) for t in bad))
     return 0
 
 

@@ -16,8 +16,8 @@ adjacent bits span a subcomplex of K_n, and K_n^reg is the quotient by it.)
 (a) The full and regular complexes are Catalan(n) copies of K_n and
 K_n^reg, by construction.  A graph is stored as its shape s and its mask m
 (`with_slots(s, m)` is the graph (s, m)), and `d_h_graph` applies `d_mask`
-to m and keeps s: d_h(s, m) is the sum of (s, m') over the terms m' of
-d(m), with the same signs.  (`contract(i, .)`, the single-slot part, maps
+to m and keeps s: its value on (s, m) is the sum of (s, m') over the terms
+m' of d(m), with the same signs.  (`contract(i, .)`, the single-slot part, maps
 (s, m) to (s, m | 2^i), or to zero when bit i is set.)  So for each shape
 s, m -> (s, m) is an isomorphism of K_n onto the span of the graphs of
 shape s, and the full complex is the direct sum of these Catalan(n)
@@ -54,7 +54,7 @@ that psi_word(w) = iota(mask(w)), where iota(m) is the sum of (s, m) over
 all trees s of order n and bit i of mask(w) is set when letter i of w is L;
 w -> mask(w) is a bijection from the words of length n with g loops to the
 regular n-bit masks with g bits.  iota is injective (distinct masks give
-disjoint supports), and by (a) project_regular(d_h(iota(m))) = iota(d(m)).
+disjoint supports), and by (a) project_regular(d_h_sum(iota(m))) = iota(d(m)).
 So the span of the words is a subcomplex, and iota is an isomorphism of
 K_n^reg onto it.
 
@@ -66,14 +66,11 @@ exact elimination on rows {mask: sign}, so every dimension is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb, gcd, lcm
 
 from . import trees
 from .freemodule import LinComb
-from .hopfops import GraphSum, star_h_sum
-from .loopgraphs import LoopGraph, contract, is_regular, slot_masks, with_slots
-from .subalgebras import project_regular
+from .loopgraphs import LoopGraph, slot_masks, with_slots
 
 # Largest order `cohomology_dim` accepts.  Its slowest space there, full
 # (14, 7), takes 2 to 3 s on a 2-core x86-64 VM (Python 3.11.7);
@@ -103,58 +100,15 @@ def border(x: LinComb) -> LinComb:
     return x.map_basis(border_tree)
 
 
-@dataclass(frozen=True)
-class Cochain:
-    """A graph sum homogeneous in (order, genus)."""
-
-    order: int
-    genus: int
-    value: GraphSum
-
-    def __post_init__(self):
-        for t, _ in self.value.items():
-            if (t.order, t.genus) != (self.order, self.genus):
-                raise ValueError(
-                    f"graph {t} has bidegree ({t.order},{t.genus}), "
-                    f"expected ({self.order},{self.genus})"
-                )
-
-
-def loops_before(i: int, t: LoopGraph) -> int:
-    """Number of looped slots strictly below slot i (original leaf numbering)."""
-    return (t.slots & ((1 << i) - 1)).bit_count()
-
-
-def signed_slot(i: int, t: LoopGraph) -> GraphSum:
-    """The single-slot operator (-1)^{loops before i} * contract(i, .)."""
-    c = contract(i, t)
-    if c is None:
-        return LinComb()
-    return LinComb.basis(c, (-1) ** loops_before(i, t))
-
-
-def d_h_graph(t: LoopGraph) -> GraphSum:
+def d_h_graph(t: LoopGraph) -> LinComb:
     """Differential of one graph: the differential of K_n on its mask, with
     the shape kept; the term of slot i has sign (-1)^(i + loops before i)."""
     return LinComb((with_slots(t, m), c)
                    for m, c in d_mask(t.slots, t.order, False).items())
 
 
-def d_h_sum(x: GraphSum) -> GraphSum:
+def d_h_sum(x: LinComb) -> LinComb:
     return x.map_basis(d_h_graph)
-
-
-def d_h(x: Cochain) -> Cochain:
-    """Quantum differential; raises the genus by one."""
-    return Cochain(x.order, x.genus + 1, d_h_sum(x.value))
-
-
-def d_h_reg(x: Cochain) -> Cochain:
-    """Differential followed by the regular projection."""
-    for t, _ in x.value.items():
-        if not is_regular(t):
-            raise ValueError(f"regular differential needs regular input: {t}")
-    return Cochain(x.order, x.genus + 1, project_regular(d_h_sum(x.value)))
 
 
 def matrix_rank(rows: list) -> int:
@@ -250,44 +204,3 @@ def border_homology_dim(n: int) -> int:
     rank_in = matrix_rank([border_tree(t) for t in trees.enumerate_trees(n + 1)])
     return len(here) - rank_down - rank_in
 
-
-@dataclass(frozen=True)
-class LeibnizReport:
-    """Which sign on the second term makes the product rule hold, if any."""
-
-    plus: bool
-    minus: bool
-
-    @property
-    def passed(self) -> bool:
-        return self.plus or self.minus
-
-    def __str__(self) -> str:
-        if self.plus and self.minus:
-            return "pass (either sign)"
-        if self.plus:
-            return "pass with sign +1 on the second term"
-        if self.minus:
-            return "pass with sign -1 on the second term"
-        return "counterexample (no sign works)"
-
-
-def _homogeneous_bidegree(x: GraphSum):
-    degs = {(t.order, t.genus) for t, _ in x.items()}
-    if len(degs) > 1:
-        raise ValueError(f"input is not homogeneous: bidegrees {sorted(degs)}")
-    return next(iter(degs), None)
-
-
-def leibniz_probe(x: GraphSum, y: GraphSum) -> LeibnizReport:
-    """Test d(x*y) = d(x)*y +/- x*d(y) on homogeneous graph sums.
-
-    No general product rule is asserted for this differential; the probe
-    gathers evidence one instance at a time.
-    """
-    _homogeneous_bidegree(x)
-    _homogeneous_bidegree(y)
-    lhs = d_h_sum(star_h_sum(x, y))
-    first = star_h_sum(d_h_sum(x), y)
-    second = star_h_sum(x, d_h_sum(y))
-    return LeibnizReport(plus=lhs == first + second, minus=lhs == first - second)

@@ -234,7 +234,3 @@ def parse(text: str, kind: str) -> Expression:
         p.error("unexpected trailing input")
     return Expression(kind, value)
 
-
-def print_expression(x: Expression) -> str:
-    """Canonical text: terms in basis order, coefficient 1 elided."""
-    return str(x.value)

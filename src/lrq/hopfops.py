@@ -12,9 +12,6 @@ from functools import lru_cache
 from .freemodule import LinComb, add_bilinear, bilinear_extend
 from .loopgraphs import LEAF, LoopGraph, enumerate_graphs, with_slots
 
-# A GraphSum is a LinComb over LoopGraph basis elements.
-GraphSum = LinComb
-
 # Largest total order `check_axiom` accepts: on a 2-core x86-64 VM (Python
 # 3.11.7, three cold runs each) the slowest axiom there, antipode, takes 0.6
 # to 0.8 s at 25 MiB; at total order 8 antipode takes 9 to 12 s at 83 MiB,
@@ -25,7 +22,7 @@ UNIT = LinComb.basis(LEAF)
 
 
 @lru_cache(maxsize=None)
-def star_h(t: LoopGraph, u: LoopGraph) -> GraphSum:
+def star_h(t: LoopGraph, u: LoopGraph) -> LinComb:
     """Loop-graph star product.
 
     On trees it is the Loday-Ronco recursion: each factor decomposes
@@ -77,17 +74,17 @@ def delta_h(t: LoopGraph) -> LinComb:
     return LinComb(out)
 
 
-def delta_h_sum(x: GraphSum) -> LinComb:
+def delta_h_sum(x: LinComb) -> LinComb:
     return x.map_basis(delta_h)
 
 
-def counit(x: GraphSum):
+def counit(x: LinComb):
     """Coefficient of the unit graph (an int, or a Fraction if x has one)."""
     return x.coeff(LEAF)
 
 
 @lru_cache(maxsize=None)
-def _antipode(t: LoopGraph) -> GraphSum:
+def _antipode(t: LoopGraph) -> LinComb:
     # Graded-connected recursion: S(t) = -t - sum S(a) * b over the reduced
     # coproduct terms a (x) b (both factors away from the unit).
     if t.is_leaf:
@@ -100,7 +97,7 @@ def _antipode(t: LoopGraph) -> GraphSum:
     return LinComb.of_dict(acc)
 
 
-def antipode(x: GraphSum) -> GraphSum:
+def antipode(x: LinComb) -> LinComb:
     """Antipode, extended linearly from basis graphs."""
     return x.map_basis(_antipode)
 

@@ -15,7 +15,7 @@ is (left tree, right tree, slots).  Genus counts the marks, and the total
 order of a graph is order + genus.  Every (shape, mask) pair occurs exactly
 once, and `with_slots(t, mask)` is the graph of t's shape with that mask,
 found by one lookup; so adding a loop (`contract`) and forgetting the loops
-(`underlying_tree`) are mask operations.  The subgraphs ``left`` and
+(`with_slots(t, 0)`) are mask operations.  The subgraphs ``left`` and
 ``right`` and the root's mark ``looped`` are read from the mask, and a
 subgraph is interned only when it is asked for.
 
@@ -260,28 +260,6 @@ def with_slots(t: LoopGraph, mask: int) -> LoopGraph:
 LEAF = LoopGraph()
 TREE = LoopGraph(LEAF, LEAF)            # the elementary tree (|v|)
 ONELOOP = LoopGraph(LEAF, LEAF, True)   # the elementary one-loop graph (|o|)
-
-
-def vee(a: LoopGraph, b: LoopGraph) -> LoopGraph:
-    """Graft under an unlooped root; genus adds."""
-    return LoopGraph(a, b, False)
-
-
-def bridge(a: LoopGraph, b: LoopGraph) -> LoopGraph:
-    """Graft under a looped root; genus is the sum plus one."""
-    return LoopGraph(a, b, True)
-
-
-def decompose(t: LoopGraph) -> tuple[LoopGraph, LoopGraph, bool]:
-    """The unique (left, right, root looped) decomposition of a non-leaf graph."""
-    if t.is_leaf:
-        raise ValueError("leaf has no decomposition")
-    return t.left, t.right, t.looped
-
-
-def underlying_tree(t: LoopGraph) -> LoopGraph:
-    """Forget the loop marks: the genus-0 graph of the same shape."""
-    return with_slots(t, 0)
 
 
 def loop_slots(t: LoopGraph) -> frozenset[int]:

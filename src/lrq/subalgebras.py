@@ -31,7 +31,6 @@ from math import factorial
 
 from .freemodule import LinComb
 from .hopfops import (
-    GraphSum,
     bounded_tuples,
     delta_h,
     delta_h_sum,
@@ -77,10 +76,6 @@ class Word:
     def length(self) -> int:
         return len(self.letters)
 
-    @property
-    def loops(self) -> int:
-        return self.letters.count("L")
-
     def __str__(self) -> str:
         return self.letters if self.letters else "1"
 
@@ -88,25 +83,25 @@ class Word:
         return self.letters
 
 
-def project_regular(x: GraphSum) -> GraphSum:
+def project_regular(x: LinComb) -> LinComb:
     """Drop every irregular basis graph."""
     return x.map_basis(lambda t: t if is_regular(t) else None)
 
 
-def _require_regular(x: GraphSum, what: str) -> None:
+def _require_regular(x: LinComb, what: str) -> None:
     for t in x.support():
         if not is_regular(t):
             raise ValueError(f"{what} must be supported on regular graphs: {t}")
 
 
-def star_reg(x: GraphSum, y: GraphSum) -> GraphSum:
+def star_reg(x: LinComb, y: LinComb) -> LinComb:
     """Product in the regular quotient: multiply, then project."""
     _require_regular(x, "left factor")
     _require_regular(y, "right factor")
     return project_regular(star_h_sum(x, y))
 
 
-def psi_word(w: Word) -> GraphSum:
+def psi_word(w: Word) -> LinComb:
     """Expand a word into its sum of regular graphs: every tree of order n
     = w.length carrying mask(w), each with coefficient 1, where bit i of
     mask(w) is set when letter i of w is L.
@@ -163,12 +158,12 @@ class QuantumExpansion:
     is homogeneous of genus g.
     """
 
-    by_genus: dict[int, GraphSum]
+    by_genus: dict[int, LinComb]
 
     def genera(self) -> list[int]:
         return sorted(self.by_genus)
 
-    def __getitem__(self, g: int) -> GraphSum:
+    def __getitem__(self, g: int) -> LinComb:
         return self.by_genus[g]
 
     def __str__(self) -> str:

@@ -1,5 +1,5 @@
-"""Planar binary trees as the genus-0 loop graphs: enumeration, grafting, and
-the simplicial operators.
+"""Planar binary trees as the genus-0 loop graphs: enumeration, the
+simplicial operators and the tree of a permutation.
 
 A tree is a `LoopGraph` without loop marks: the bare leaf ``|`` or an ordered
 pair of subtrees under an unlooped root.  Its order is the number of internal
@@ -18,18 +18,6 @@ from .loopgraphs import LEAF, LoopGraph, enumerate_graphs
 def _require_tree(t: LoopGraph) -> None:
     if t.genus:
         raise ValueError(f"expected an unmarked tree, got genus {t.genus}: {t}")
-
-
-def graft(t1: LoopGraph, t2: LoopGraph) -> LoopGraph:
-    """Join t1 (left) and t2 (right) under a new root vertex."""
-    return LoopGraph(t1, t2)
-
-
-def ungraft(t: LoopGraph) -> tuple[LoopGraph, LoopGraph]:
-    """The unique decomposition of a non-leaf tree into its two branches."""
-    if t.is_leaf:
-        raise ValueError("leaf has no decomposition")
-    return t.left, t.right
 
 
 @lru_cache(maxsize=None)

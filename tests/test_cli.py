@@ -156,6 +156,18 @@ def test_enumerate_commands(capsys):
     assert out == "LTT\nTLT\nTTL\n"
 
 
+@pytest.mark.parametrize("family, empty_genus", [("trees", 1), ("graphs", 3), ("words", 2)])
+def test_enumerate_by_genus(capsys, family, empty_genus):
+    # A genus with no members lists nothing, and a negative genus is refused;
+    # trees are the graphs of genus 0 and refuse it with the graphs' message.
+    base = ("enumerate", family, "--order", "2", "--genus")
+    assert invoke(capsys, *base, str(empty_genus)) == (0, "", "")
+    assert invoke(capsys, *base, str(empty_genus), "--json") == (0, "[]\n", "")
+    message = {"words": "error: length and loop count must be nonnegative\n"}.get(
+        family, "error: order and genus must be nonnegative\n")
+    assert invoke(capsys, *base, "-1") == (2, "", message)
+
+
 def test_product_algebras(capsys):
     _, reg, _ = invoke(capsys, "product", "(|o|)", "(|o|)", "--algebra", "reg")
     assert reg == "0\n"
@@ -201,6 +213,10 @@ def test_dh_command(capsys):
     assert out == "0\n"
     _, out, _ = invoke(capsys, "dh", "(|o(|v|))", "--space", "full")
     assert out == "(|o(|o|))\n"
+    # The regular differential takes irregular input too: adding a loop keeps
+    # two adjacent loops, so every term is dropped.
+    for irregular in ("(|o(|o|))", "((|o|)o(|v|))"):
+        assert invoke(capsys, "dh", irregular, "--space", "reg") == (0, "0\n", "")
 
 
 def test_psi_command(capsys):
@@ -276,6 +292,15 @@ def test_axioms_command(capsys):
     assert out == "pass\n"
 
 
+
+def test_axioms_command_prints_a_counterexample(capsys, monkeypatch):
+    bad = (parse("(|o|)", "graph-sum").single_basis(), loopgraphs.LEAF)
+    monkeypatch.setattr(hopfops, "check_axiom", lambda axiom, order: bad)
+    argv = ("axioms", "--axiom", "assoc", "--max-order", "2")
+    assert invoke(capsys, *argv) == (0, "counterexample: (|o|), |\n", "")
+    assert invoke(capsys, *argv, "--json") == (0, '["(|o|)", "|"]\n', "")
+
+
 @pytest.mark.parametrize("axiom", ["assoc", "coassoc", "compat", "counit", "antipode"])
 @pytest.mark.parametrize("order", [MAX_AXIOM_ORDER + 1, 10**6])
 def test_axioms_refuse_an_order_beyond_the_bound(capsys, monkeypatch, axiom, order):
@@ -317,6 +342,45 @@ def test_json_outputs(capsys):
         capsys, "cohomology", "--order", "2", "--genus", "1", "--json"
     )
     assert json.loads(out) == 1
+
+
+# One small command line for each subcommand.
+JSON_EXAMPLES = {
+    "enumerate": ("enumerate", "words", "--order", "3", "--genus", "1"),
+    "product": ("product", "(|o|)", "(|v|)"),
+    "coproduct": ("coproduct", "(|o|)"),
+    "antipode": ("antipode", "(|o|)"),
+    "counit": ("counit", "2*| + (|v|)"),
+    "perm-product": ("perm-product", "[1]", "[2,1]"),
+    "perm-coproduct": ("perm-coproduct", "[2,1]"),
+    "tree-of-perm": ("tree-of-perm", "[1,3,2]"),
+    "face": ("face", "(|v(|v|))", "--index", "1"),
+    "degeneracy": ("degeneracy", "(|v|)", "--index", "0"),
+    "border": ("border", "(|v(|v|))"),
+    "dh": ("dh", "(|v(|v|))"),
+    "cohomology": ("cohomology", "--order", "2", "--genus", "1"),
+    "psi": ("psi", "LTL"),
+    "correlator": ("correlator", "--order", "3"),
+    "genfun": ("genfun", "--max-degree", "2"),
+    "airy": ("airy", "--genus", "0", "--legs", "3"),
+    "axioms": ("axioms", "--axiom", "counit", "--max-order", "2"),
+    "parse-check": ("parse-check", "LTL", "--kind", "word"),
+}
+
+
+def subcommands() -> list[str]:
+    return list(next(a.choices for a in _build_parser()._actions if a.dest == "command"))
+
+
+@pytest.mark.parametrize("command", subcommands())
+def test_every_subcommand_writes_json(capsys, command):
+    argv = JSON_EXAMPLES[command]
+    code, out, err = invoke(capsys, *argv, "--json")
+    assert (code, err) == (0, "")
+    got = json.loads(out)
+    if isinstance(got, str):
+        # A tree, or "pass": the text output as a JSON string.
+        assert out == json.dumps(invoke(capsys, *argv)[1].rstrip("\n")) + "\n"
 
 
 @pytest.mark.parametrize("genus, legs", [(0, 3), (1, 1), (0, 7), (1, 4), (2, 3), (3, 1)])

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from lrq.exprs import Expression, ParseError, parse, print_expression
+from lrq.exprs import Expression, ParseError, parse
 from lrq.freemodule import LinComb
 from lrq.loopgraphs import ONELOOP, TREE, enumerate_graphs
 from lrq.permutations import Permutation, all_permutations
@@ -105,11 +105,11 @@ graph_sums = st.lists(
 @given(graph_sums)
 def test_graph_sum_roundtrip(x):
     # parse . print is the identity on every value
-    text = print_expression(Expression("graph-sum", x))
+    text = str(Expression("graph-sum", x))
     again = parse(text, "graph-sum")
     assert again.value == x
     # print . parse is the identity on canonical text
-    assert print_expression(again) == text
+    assert str(again) == text
 
 
 perm_sums = st.lists(

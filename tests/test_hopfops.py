@@ -54,14 +54,14 @@ def star_tree(t, u) -> LinComb:
         return LinComb.basis(u)
     if u.is_leaf:
         return LinComb.basis(t)
-    t1, t2 = trees.ungraft(t)
-    u1, u2 = trees.ungraft(u)
-    left = star_tree(t2, u).map_basis(lambda s: trees.graft(t1, s))
-    right = star_tree(t, u1).map_basis(lambda s: trees.graft(s, u2))
+    t1, t2 = t.left, t.right
+    u1, u2 = u.left, u.right
+    left = star_tree(t2, u).map_basis(lambda s: LoopGraph(t1, s))
+    right = star_tree(t, u1).map_basis(lambda s: LoopGraph(s, u2))
     return left + right
 
 
-TV = trees.graft(trees.LEAF, trees.LEAF)
+TV = LoopGraph(trees.LEAF, trees.LEAF)
 
 
 def test_star_one_step():
@@ -95,12 +95,12 @@ def test_star_h_restricted_to_trees_equals_star():
 
 def over(t, u):
     """t/u: t grafted on the leftmost leaf of u."""
-    return t if u.is_leaf else trees.graft(over(t, u.left), u.right)
+    return t if u.is_leaf else LoopGraph(over(t, u.left), u.right)
 
 
 def under(t, u):
     """t\\u: u grafted on the rightmost leaf of t."""
-    return u if t.is_leaf else trees.graft(t.left, under(t.right, u))
+    return u if t.is_leaf else LoopGraph(t.left, under(t.right, u))
 
 
 def right_rotations(s):
@@ -109,9 +109,9 @@ def right_rotations(s):
         return
     a, b = s.left, s.right
     if not a.is_leaf:
-        yield trees.graft(a.left, trees.graft(a.right, b))
-    yield from (trees.graft(x, b) for x in right_rotations(a))
-    yield from (trees.graft(a, x) for x in right_rotations(b))
+        yield LoopGraph(a.left, LoopGraph(a.right, b))
+    yield from (LoopGraph(x, b) for x in right_rotations(a))
+    yield from (LoopGraph(a, x) for x in right_rotations(b))
 
 
 def left_rotations(s):
@@ -120,9 +120,9 @@ def left_rotations(s):
         return
     a, b = s.left, s.right
     if not b.is_leaf:
-        yield trees.graft(trees.graft(a, b.left), b.right)
-    yield from (trees.graft(x, b) for x in left_rotations(a))
-    yield from (trees.graft(a, x) for x in left_rotations(b))
+        yield LoopGraph(LoopGraph(a, b.left), b.right)
+    yield from (LoopGraph(x, b) for x in left_rotations(a))
+    yield from (LoopGraph(a, x) for x in left_rotations(b))
 
 
 def closure(s, step) -> set:

@@ -16,10 +16,8 @@ from lrq.loopgraphs import (
     TREE,
     LoopGraph,
     _graphs,
-    bridge,
     contract,
     count_graphs,
-    decompose,
     enumerate_graphs,
     family_keys,
     graph_of,
@@ -30,8 +28,6 @@ from lrq.loopgraphs import (
     shape_keys,
     signature,
     slot_masks,
-    underlying_tree,
-    vee,
     with_slots,
 )
 from lrq.trees import enumerate_trees
@@ -48,18 +44,18 @@ def all_graphs(max_order: int):
 
 
 def test_vee_examples():
-    assert vee(LEAF, LEAF) == TREE
-    two = vee(LEAF, ONELOOP)
+    assert LoopGraph(LEAF, LEAF) == TREE
+    two = LoopGraph(LEAF, ONELOOP)
     assert (two.order, two.genus) == (2, 1)
-    reg = vee(ONELOOP, ONELOOP)
+    reg = LoopGraph(ONELOOP, ONELOOP, False)
     assert reg.genus == 2 and is_regular(reg)
 
 
 def test_bridge_examples():
-    assert bridge(LEAF, LEAF) == ONELOOP
-    ex = bridge(LEAF, TREE)
+    assert LoopGraph(LEAF, LEAF, True) == ONELOOP
+    ex = LoopGraph(LEAF, TREE, True)
     assert (ex.order, ex.genus) == (2, 1) and str(ex) == "(|o(|v|))"
-    irr = bridge(LEAF, ONELOOP)
+    irr = LoopGraph(LEAF, ONELOOP, True)
     assert not is_regular(irr)
 
 
@@ -68,16 +64,19 @@ def test_leaf_cannot_be_looped():
         LoopGraph(looped=True)
 
 
+def parts(t: LoopGraph) -> tuple:
+    return t.left, t.right, t.looped
+
+
 def test_decompose_examples_and_roundtrip():
-    assert decompose(ONELOOP) == (LEAF, LEAF, True)
-    assert decompose(TREE) == (LEAF, LEAF, False)
-    assert decompose(g("(|o(|v|))")) == (LEAF, TREE, True)
-    with pytest.raises(ValueError):
-        decompose(LEAF)
+    assert parts(ONELOOP) == (LEAF, LEAF, True)
+    assert parts(TREE) == (LEAF, LEAF, False)
+    assert parts(g("(|o(|v|))")) == (LEAF, TREE, True)
+    assert parts(LEAF) == (None, None, False)
     for a in all_graphs(2):
         for b in all_graphs(2):
-            assert decompose(vee(a, b)) == (a, b, False)
-            assert decompose(bridge(a, b)) == (a, b, True)
+            for looped in (False, True):
+                assert parts(LoopGraph(a, b, looped)) == (a, b, looped)
 
 
 def test_loop_slots_examples():
@@ -165,7 +164,7 @@ def test_contract_raises_genus_keeps_tree():
             else:
                 assert got is not None
                 assert got.genus == graph.genus + 1
-                assert underlying_tree(got) == underlying_tree(graph)
+                assert with_slots(got, 0) == with_slots(graph, 0)
 
 
 def test_contract_regularity():
@@ -224,7 +223,7 @@ def test_graphs_of_a_mask_are_every_shape_once():
             graphs = _graphs(n, m)
             assert len(graphs) == comb(2 * n, n) // (n + 1)
             assert all(t.slots == m for t in graphs)
-            assert sorted(map(underlying_tree, graphs), key=LoopGraph.sort_key) == shapes
+            assert sorted((with_slots(t, 0) for t in graphs), key=LoopGraph.sort_key) == shapes
 
 
 def shape_strings(n: int) -> list[str]:
@@ -314,7 +313,7 @@ def test_enumerate_distinct_and_sorted():
 
 def test_underlying_tree_forgets_loops():
     for t in all_graphs(4):
-        tree = underlying_tree(t)
+        tree = with_slots(t, 0)
         assert tree.genus == 0
         assert str(tree) == str(t).replace("o", "v")
         if t.genus == 0:
@@ -467,10 +466,10 @@ def test_contract_equals_the_path_rebuilding_oracle():
 
 def test_with_slots_puts_every_mask_on_the_shape():
     for graph in all_graphs(4):
-        tree = underlying_tree(graph)
+        tree = with_slots(graph, 0)
         for mask in range(1 << graph.order):
             got = with_slots(graph, mask)
-            assert (got.slots, underlying_tree(got)) == (mask, tree)
+            assert (got.slots, with_slots(got, 0)) == (mask, tree)
             assert with_slots(tree, graph.slots) is graph
             marks = [c for c in str(got) if c in "vo"]
             assert marks == ["o" if mask >> i & 1 else "v" for i in range(graph.order)]

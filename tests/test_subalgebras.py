@@ -81,7 +81,6 @@ def gsum(s: str) -> LinComb:
 
 
 def test_word_validation():
-    assert Word("LTL").loops == 2
     with pytest.raises(ValueError):
         Word("LL")
     with pytest.raises(ValueError):

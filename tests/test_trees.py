@@ -16,12 +16,10 @@ from lrq.trees import (
     enumerate_trees,
     extra_degeneracy,
     face,
-    graft,
     perm_to_tree,
-    ungraft,
 )
 
-V = graft(LEAF, LEAF)  # the one-vertex tree (|v|)
+V = LoopGraph(LEAF, LEAF)  # the one-vertex tree (|v|)
 
 
 def t(s: str) -> LoopGraph:
@@ -34,25 +32,23 @@ def catalan(n: int) -> int:
 
 
 def test_graft_examples():
-    assert str(graft(LEAF, LEAF)) == "(|v|)"
-    assert str(graft(LEAF, V)) == "(|v(|v|))"
-    assert str(graft(V, V)) == "((|v|)v(|v|))"
+    assert str(LoopGraph(LEAF, LEAF)) == "(|v|)"
+    assert str(LoopGraph(LEAF, V)) == "(|v(|v|))"
+    assert str(LoopGraph(V, V)) == "((|v|)v(|v|))"
 
 
 def test_graft_order_and_roundtrip():
     for n in range(5):
         for a in enumerate_trees(n):
             for b in enumerate_trees(3 - n if n <= 3 else 0):
-                g = graft(a, b)
+                g = LoopGraph(a, b)
                 assert g.order == a.order + b.order + 1
-                assert ungraft(g) == (a, b)
+                assert (g.left, g.right) == (a, b)
 
 
 def test_ungraft_examples():
-    assert ungraft(V) == (LEAF, LEAF)
-    assert ungraft(graft(LEAF, V)) == (LEAF, V)
-    with pytest.raises(ValueError):
-        ungraft(LEAF)
+    assert (V.left, V.right) == (LEAF, LEAF)
+    assert (LoopGraph(LEAF, V).left, LoopGraph(LEAF, V).right) == (LEAF, V)
 
 
 def test_enumerate_counts_catalan():
