@@ -110,7 +110,15 @@ def test_d_h_bracket_identity():
     lhs = d_h_sum(star_h(TREE, TREE))
     bracket = star_h(ONELOOP, TREE) - star_h(TREE, ONELOOP)
     assert lhs == bracket
-    assert {(t.order, t.genus) for t in lhs.support()} == {(2, 1)}
+
+
+def test_d_h_cochain_wrappers():
+    # d_h takes the (2, 0) cochain T*T to the (2, 1) cochain L*T - T*L.
+    x = star_h(TREE, TREE)
+    assert {(t.order, t.genus) for t in x.support()} == {(2, 0)}
+    y = d_h_sum(x)
+    assert {(t.order, t.genus) for t in y.support()} == {(2, 1)}
+    assert y == star_h(ONELOOP, TREE) - star_h(TREE, ONELOOP)
 
 
 def test_d_h_raises_the_genus_by_one():
