@@ -10,7 +10,7 @@ anything is computed.
 import argparse
 import sys
 
-from lrq.airy import MAX_NEG_EULER, airy_correlator, laurent_text
+from lrq.airy import MAX_NEG_EULER, airy_correlator
 
 
 def main() -> None:
@@ -28,9 +28,8 @@ def main() -> None:
             k = chi + 2 - 2 * g
             if k < 1:
                 continue
-            terms = airy_correlator(g, k).terms()
             sys.stdout.write(f"g={g} k={k}:  ")
-            sys.stdout.writelines(laurent_text(terms))
+            sys.stdout.writelines(airy_correlator(g, k).text_chunks())
             print()
 
 

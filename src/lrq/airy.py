@@ -62,10 +62,24 @@ is symmetric in its variables (Eynard-Orantin 2007), so U^g_k[a] depends
 only on the multiset of the a_i: it is memoized on (g, sorted key), the
 smallest entry serves as a_0, and the splittings are summed over the
 sub-multisets A of L, each with its number of labelled choices.  A
-Correlator stores one coefficient per orbit of the leg permutations; its
-terms are read from that table in canonical order, by a depth-first walk
-over the even compositions of the degree, so no correlator is ever held
-expanded to every ordering of each key.
+Correlator stores one coefficient per orbit of the leg permutations.
+
+Printing.  A writer formats each orbit's coefficient once, into a table of
+printed entries (the coefficient's text with its sign, or the tail
+`], num, den]` of a JSON monomial) keyed by an integer code of the orbit's
+multiset: with w = k.bit_length(), the code of the exponents -a_0, ...,
+-a_(k-1) is sum_i 2^(w a_i / 2).  Every a_i is even (the support lemma), so
+a_i / 2 is an integer v >= 1, and grouping equal exponents writes the code
+as sum_v n_v 2^(w v), where n_v is the number of legs with a_i = 2v.  Each
+n_v is at most k < 2^w, so n_v is the v-th digit of the code in base 2^w;
+base-2^w digits are unique, so the code gives back every n_v, and with them
+the multiset: the code is injective.  One iterative depth-first walk over
+the even compositions of the degree, largest a_0 first, then largest a_1,
+and so on (ascending exponent vectors), carries down the printed prefix of
+the legs fixed so far and its partial code, and looks up each monomial's
+entry with one dict lookup.  It hands the writer a few dozen monomials at
+a time, so no correlator is ever held expanded to every ordering of each
+key.
 
 The series route computes the same numerators from truncation-tracked
 series and serves as the tests' independent check of the coefficient
@@ -89,10 +103,12 @@ from operator import add
 
 _EXACT = 10**9  # "trusted through any exponent we will ever look at"
 
-# Recursion bound on 2g - 2 + k.  Its largest pair, (0, 13), prints its
-# 646 646 monomials in 8 to 9 s as text and 6 to 6.5 s as JSON, at 17 MiB
-# peak (Python 3.11.7 on a 2-core Intel Xeon).
-MAX_NEG_EULER = 11
+# Recursion bound on 2g - 2 + k, by the rule that the worst call finishes
+# within 30 s and 1 GiB.  Its largest pair, (0, 14), prints its 2 496 144
+# monomials in 2.5 to 3.1 s as text or JSON, at 17 MiB peak, and
+# scripts/airy_table.py --max-euler 12 takes 6.8 to 7.1 s (Python 3.11.7 on
+# a 2-core Intel Xeon).
+MAX_NEG_EULER = 12
 
 
 def _owning(nvars: int, acc: dict) -> "LaurentPoly":
@@ -212,28 +228,25 @@ def var_name(i: int) -> str:
     return "p" if i == 0 else f"p{i}"
 
 
-def laurent_text(terms: Iterable) -> Iterator[str]:
-    """The text of `format_laurent`, one monomial at a time, each with its
-    sign and the separator before it."""
-    first = True
-    heads: list[str] = []  # "p^", "p1^", ...: the factor text before its exponent
-    for exps, c in terms:
-        if len(heads) < len(exps):
-            heads = [var_name(i) + "^" for i in range(len(exps))]
-        body = " * ".join([str(abs(c))] + [h + str(e) for h, e in zip(heads, exps) if e])
-        if first:
-            yield body if c > 0 else "-" + body
-            first = False
-        else:
-            yield (" + " if c > 0 else " - ") + body
-    if first:
-        yield "0"
+def _sign(c) -> str:
+    """The separator before a monomial of coefficient c: " + " or " - "."""
+    return " + " if c > 0 else " - "
+
+
+def _lead(text: str) -> str:
+    """`text`, a sum that starts with `_sign` of its first monomial, as
+    printed: no separator before a positive first monomial, "-" before a
+    negative one."""
+    return text[3:] if text[1] == "+" else "-" + text[3:]
 
 
 def format_laurent(terms: Iterable) -> str:
     """Sum of monomials "c * p^a * p1^b * ..." with the rational c always shown,
     from (exponent vector, coefficient) pairs in the order given."""
-    return "".join(laurent_text(terms))
+    text = "".join(
+        _sign(c) + " * ".join([str(abs(c))] + [f"{var_name(i)}^{e}" for i, e in enumerate(exps) if e])
+        for exps, c in terms)
+    return _lead(text) if text else "0"
 
 
 def laurent_json(poly: LaurentPoly) -> list:
@@ -370,22 +383,81 @@ class Correlator:
     legs: int
     orbits: dict[tuple[int, ...], Fraction]
 
-    def terms(self) -> Iterator[tuple[tuple[int, ...], Fraction]]:
-        """Every (exponent vector, coefficient) in ascending order of the vectors,
-        each coefficient read from the orbit table."""
-        orbits = self.orbits
-        for exps in _compositions(6 * self.genus - 6 + 4 * self.legs, self.legs, ()):
-            c = orbits.get(tuple(sorted(exps)))
-            if c is not None:
-                yield exps, c
+    def _chunks(self, piece, entry, entry_first: bool) -> Iterator[list]:
+        """The expansion in ascending order of the exponent vectors, as flat
+        lists of a few dozen monomials each.  The monomial prod_i p_i^-a_i of
+        coefficient c adds three items: a prefix and a tail whose sum (+) is
+        piece(0, a_0) + ... + piece(k-1, a_(k-1)), and entry(c), looked up by
+        the orbit code of the module docstring; the entry comes first if
+        `entry_first`, else last.
+        """
+        k = self.legs
+        half = 3 * self.genus - 3 + 2 * k  # the sum of the a_i / 2
+        top = half - k + 1  # the largest a_i / 2, every other leg at 1
+        bits = [1 << (k.bit_length() * b) for b in range(top + 1)]
+        get = {sum(bits[-e // 2] for e in key): entry(c) for key, c in self.orbits.items()}.get
+        pieces = [[piece(i, 2 * b) for b in range(top + 1)] for i in range(k)]
+        # The last one or two legs in one loop: (tail, code) by their sum of halves.
+        last = pieces[-1]
+        if k == 1:
+            tails = [[(last[r], bits[r])] for r in range(top + 1)]
+        else:
+            tails = [[(pieces[-2][b] + last[r - b], bits[b] + bits[r - b])
+                      for b in range(r - 1, 0, -1)] for r in range(top + 2)]
+        out: list = []
+        # (leg, halves left, prefix, its code); the first prefix is "" or ().
+        stack = [(0, half, last[0][:0], 0)]
+        while stack:
+            i, rest, prefix, code = stack.pop()
+            if i < k - 2:
+                # Every later leg takes at least 1; pushed smallest first, so
+                # the largest a_i is popped first.
+                p = pieces[i]
+                stack.extend((i + 1, rest - b, prefix + p[b], code + bits[b])
+                             for b in range(1, rest - k + i + 2))
+                continue
+            for x, c in tails[rest]:
+                e = get(code + c)
+                if e is not None:
+                    out += (e, prefix, x) if entry_first else (prefix, x, e)
+            if len(out) >= 96:  # 32 monomials: small next to the interpreter
+                yield out
+                out = []
+        if out:
+            yield out
+
+    def text_chunks(self) -> Iterator[str]:
+        """`format_laurent` of the expansion, a few dozen monomials at a time."""
+        lead = True
+        for out in self._chunks(lambda i, a: f" * {var_name(i)}^-{a}",
+                                lambda c: _sign(c) + str(abs(c)), True):
+            yield _lead("".join(out)) if lead else "".join(out)
+            lead = False
+        if lead:
+            yield "0"
+
+    def json_chunks(self) -> Iterator[str]:
+        """`json.dumps(laurent_json(self.coeff))`, a few dozen monomials at a time."""
+        yield "["
+        cut = 2  # the ", " before the first monomial
+        for out in self._chunks(lambda i, a: f", -{a}" if i else f", [[-{a}",
+                                lambda c: f"], {c.numerator}, {c.denominator}]", False):
+            yield "".join(out)[cut:]
+            cut = 0
+        yield "]"
 
     @property
     def coeff(self) -> LaurentPoly:
         """The whole expansion, built anew on each read."""
-        return _owning(self.legs, dict(self.terms()))
+        acc: dict = {}
+        for out in self._chunks(lambda i, a: (-a,), lambda c: c, False):
+            items = iter(out)
+            for prefix, x, c in zip(items, items, items):
+                acc[prefix + x] = c
+        return _owning(self.legs, acc)
 
     def __str__(self) -> str:
-        return format_laurent(self.terms())
+        return "".join(self.text_chunks())
 
 
 def default_truncation(g: int, k: int) -> int:
@@ -472,16 +544,6 @@ def _residue_recursion(g: int, k: int, order: int) -> LaurentPoly:
     bracket = QSeries(nv, [(e, p) for t in terms for e, p in t.coeffs.items()],
                       min(t.valid for t in terms))
     return residue_at_zero(kernel_series(order, nv).scale(4) * bracket)
-
-
-def _compositions(total: int, parts: int, prefix: tuple) -> Iterator[tuple[int, ...]]:
-    """`prefix` extended by every (-a_1, ..., -a_parts) with even a_i >= 2
-    summing to `total`, in ascending order: depth first, largest a_1 first."""
-    if parts == 1:
-        yield prefix + (-total,)
-        return
-    for a in range(total - 2 * parts + 2, 1, -2):
-        yield from _compositions(total - a, parts - 1, prefix + (-a,))
 
 
 def _target_keys(total: int, parts: int, least: int = 2):

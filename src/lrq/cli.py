@@ -217,14 +217,8 @@ def cmd_genfun(args) -> int:
 
 
 def cmd_airy(args) -> int:
-    terms = airy.airy_correlator(args.genus, args.legs).terms()
-    if args.json:
-        # [exponent vector, numerator, denominator] per monomial, as
-        # `airy.laurent_json` gives them.
-        _write_json_list(f'[[{", ".join(map(str, exps))}], {c.numerator}, {c.denominator}]'
-                         for exps, c in terms)
-    else:
-        sys.stdout.writelines(airy.laurent_text(terms))
+    corr = airy.airy_correlator(args.genus, args.legs)
+    sys.stdout.writelines(corr.json_chunks() if args.json else corr.text_chunks())
     print()
     return 0
 

@@ -1,6 +1,7 @@
 """CLI: golden outputs, exit codes, JSON forms, round trips."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -22,6 +23,7 @@ from lrq.freemodule import LinComb
 from lrq.hopfops import MAX_AXIOM_ORDER
 from lrq.loopgraphs import enumerate_graphs
 from lrq.subalgebras import MAX_CORRELATOR_ORDER, MAX_GENFUN_DEGREE, MAX_PSI_LENGTH
+from test_airy import arrangements, stable_pairs
 
 
 def invoke(capsys, *argv):
@@ -383,12 +385,34 @@ def test_every_subcommand_writes_json(capsys, command):
         assert out == json.dumps(invoke(capsys, *argv)[1].rstrip("\n")) + "\n"
 
 
-@pytest.mark.parametrize("genus, legs", [(0, 3), (1, 1), (0, 7), (1, 4), (2, 3), (3, 1)])
+@pytest.mark.parametrize("genus, legs", stable_pairs(8))
 def test_airy_output_is_streamed_in_canonical_order(capsys, genus, legs):
-    poly = airy.airy_correlator(genus, legs).coeff
+    # The oracle expands the orbit table to every ordering of each key and
+    # sorts the whole expansion, without the walk or its orbit codes.
+    orbits = airy.airy_correlator(genus, legs).orbits
+    expansion = sorted((exps, c) for key, c in orbits.items() for exps in arrangements(key))
     argv = ("airy", "--genus", str(genus), "--legs", str(legs))
-    assert invoke(capsys, *argv) == (0, f"{poly}\n", "")
-    assert invoke(capsys, *argv, "--json") == (0, json.dumps(airy.laurent_json(poly)) + "\n", "")
+    assert invoke(capsys, *argv) == (0, airy.format_laurent(expansion) + "\n", "")
+    want = json.dumps([[list(exps), c.numerator, c.denominator] for exps, c in expansion])
+    assert invoke(capsys, *argv, "--json") == (0, want + "\n", "")
+
+
+# SHA-256 of the stdout of `lrq airy`, pinned from the writer that printed
+# one monomial at a time, before the per-orbit text table.
+AIRY_DIGESTS = {
+    "0 12": "c147cf47416516fd513591ad4b8cf80232261ef2239d3b8409cf374c9c73875c",
+    "0 12 --json": "7703166091ae3b949331f0b904fe0aed222d49a4c7dfabef8220e135c56df5ba",
+    "3 7": "802b0733c58823294857bc35ccf1257e2a596114ba5e1a3f81db5450d79874f7",
+    "3 7 --json": "4523a7f91db547c5d96c97cf997f9e6080ae9b9a2cdb9987b5642b3077b6b4b2",
+}
+
+
+@pytest.mark.parametrize("args", AIRY_DIGESTS)
+def test_airy_output_digests(capsys, args):
+    genus, legs, *flags = args.split()
+    code, out, err = invoke(capsys, "airy", "--genus", genus, "--legs", legs, *flags)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == AIRY_DIGESTS[args]
 
 
 def test_graph_sums_are_streamed_in_canonical_order(capsys):
@@ -625,3 +649,5 @@ def test_fuzzed_command_lines_exit_cleanly(argv):
         code = run(argv)
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+    if code == 0 and "--json" in argv:
+        json.loads(out.getvalue())
