@@ -1,7 +1,8 @@
 """Command-line front end: one subcommand per computation.
 
 Exit codes: 0 success, 1 expression syntax error, 2 domain error (including
-input nested too deeply for the recursive algebra).
+input nested too deeply for the recursive algebra, a request beyond a size
+bound, and running out of memory).
 Output is deterministic (canonical ordering everywhere); --json switches
 every command to its JSON form.
 """
@@ -11,8 +12,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from functools import lru_cache
 from itertools import repeat
+from math import comb
 
 from . import airy, complexes, hopfops, loopgraphs, permutations, subalgebras, trees
 from .exprs import ParseError, parse
@@ -24,6 +27,24 @@ from .freemodule import LinComb, sum_text
 # (4.2 million graphs) 14 to 31 s at 238 to 287 MiB, text or --json, too close to
 # the limit (Python 3.11.7 on a 2-core Intel Xeon).
 MAX_ENUMERATE_ORDER = 9
+
+# Bound on the terms that `product` and `perm-product` form, checked before
+# anything is multiplied, by the same rule.  A product of trees of orders p
+# and q is a sum over the (p, q)-shuffles (Loday-Ronco), so it has at most
+# C(p + q, p) terms, and a masked product is the shape product.  `star_h`
+# recurses on the subtrees along the right spine of its left factor and the
+# left spine of its right factor, whose orders are distinct, so all its
+# subproducts together hold at most the sum of C(a + b, a) over a <= p and
+# b <= q, which is C(p + q + 2, p + 1) - 1 terms.  That sum over the pairs of
+# input terms is bounded, not the output alone: (|v(|v|)) times the left
+# comb of order 200 has 20 301 terms but takes 12 s at 371 MiB.
+# `perm-product` (C(p + q, p) words of p + q letters) takes the same sum.
+# At the bound the worst measured calls, looped combs of orders (66, 3),
+# (3, 66), (8, 13) and (2, 178) and reversed permutations of 8 and 13
+# letters, take 6 to 9.3 s at up to 486 MiB; the combs of orders 10 and 11
+# (1 352 077) take 12 to 14 s at 655 MiB, and of order 11 (2 704 155) 24 s
+# at 1.1 GiB (Python 3.11.7, 2-core x86-64 VM, single cold runs).
+MAX_PRODUCT_TERMS = 1_000_000
 
 
 def _write_json_list(items) -> None:
@@ -60,14 +81,19 @@ def _emit_sum(args, x: LinComb) -> int:
 
 
 def _parse_graph_sum(text: str) -> LinComb:
-    x = parse(text, "graph-sum").value
+    x = parse(text, "graph-sum")
     if any(isinstance(t, tuple) for t, _ in x.items()):
         raise ValueError(f"expected a graph sum without tensors, got {x}")
     return x
 
 
 def _single(text: str, kind: str):
-    b = parse(text, kind).single_basis()
+    """The lone basis element of a one-term sum with coefficient 1."""
+    x = parse(text, kind)
+    items = list(x.items())
+    if len(items) != 1 or items[0][1] != 1:
+        raise ValueError(f"expected a single basis element, got {x}")
+    b = items[0][0]
     if isinstance(b, tuple):
         noun = kind.removesuffix("-sum")
         raise ValueError(f"expected a single {noun}, not a tensor")
@@ -75,7 +101,7 @@ def _single(text: str, kind: str):
 
 
 def _parse_tree_sum(text: str) -> LinComb:
-    x = parse(text, "graph-sum").value
+    x = parse(text, "graph-sum")
     for t, _ in x.items():
         if isinstance(t, tuple) or t.genus != 0:
             raise ValueError(f"expected an unmarked tree sum, got {x}")
@@ -106,20 +132,24 @@ def cmd_enumerate(args) -> int:
     return 0
 
 
+def _refuse_large_product(left, right) -> None:
+    """Refuse a product before it is computed when the sum of
+    C(p + q + 2, p + 1) - 1 over the pairs of input term sizes p in left and
+    q in right exceeds MAX_PRODUCT_TERMS."""
+    bound = sum(i * j * (comb(p + q + 2, p + 1) - 1) for p, i in Counter(left).items()
+                for q, j in Counter(right).items())
+    if bound > MAX_PRODUCT_TERMS:
+        raise ValueError(f"product is beyond the product bound of {MAX_PRODUCT_TERMS} terms")
+
+
 def cmd_product(args) -> int:
-    if args.algebra == "classical":
-        # On trees the loop-graph product is the classical one.
-        x = _parse_tree_sum(args.left)
-        y = _parse_tree_sum(args.right)
-        result = hopfops.star_h_sum(x, y)
-    else:
-        x = _parse_graph_sum(args.left)
-        y = _parse_graph_sum(args.right)
-        if args.algebra == "reg":
-            result = subalgebras.star_reg(x, y)
-        else:
-            result = hopfops.star_h_sum(x, y)
-    return _emit_sum(args, result)
+    # On trees the loop-graph product is the classical one.
+    parse_sum = _parse_tree_sum if args.algebra == "classical" else _parse_graph_sum
+    x = parse_sum(args.left)
+    y = parse_sum(args.right)
+    _refuse_large_product([t.order for t, _ in x.items()], [t.order for t, _ in y.items()])
+    multiply = subalgebras.star_reg if args.algebra == "reg" else hopfops.star_h_sum
+    return _emit_sum(args, multiply(x, y))
 
 
 def cmd_coproduct(args) -> int:
@@ -142,6 +172,7 @@ def cmd_counit(args) -> int:
 def cmd_perm_product(args) -> int:
     left = _single(args.left, "permutation")
     right = _single(args.right, "permutation")
+    _refuse_large_product([len(left)], [len(right)])
     return _emit_sum(args, permutations.star_perm(left, right))
 
 
@@ -235,11 +266,7 @@ def cmd_axioms(args) -> int:
 
 
 def cmd_parse_check(args) -> int:
-    expr = parse(args.expr, args.kind)
-    if args.json:
-        return _emit_sum(args, expr.value)
-    print(expr)
-    return 0
+    return _emit_sum(args, parse(args.expr, args.kind))
 
 
 @lru_cache(maxsize=None)
@@ -349,6 +376,9 @@ def run(argv: list[str]) -> int:
         return 2
     except RecursionError:
         print("error: input nested too deeply", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

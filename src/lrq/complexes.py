@@ -193,14 +193,3 @@ def cohomology_dim(n: int, g: int, space: str) -> int:
     below = slot_masks(n, g - 1, regular) if g else []
     dim = len(here) - rank_d(here) - rank_d(below)
     return dim if space == "toprec" else comb(2 * n, n) // (n + 1) * dim
-
-
-def border_homology_dim(n: int) -> int:
-    """Dimension of the order-n homology of the tree complex (n >= 1)."""
-    if n < 1:
-        raise ValueError("homology considered in positive orders only")
-    here = trees.enumerate_trees(n)
-    rank_down = matrix_rank([border_tree(t) for t in here])
-    rank_in = matrix_rank([border_tree(t) for t in trees.enumerate_trees(n + 1)])
-    return len(here) - rank_down - rank_in
-

@@ -13,7 +13,6 @@ the empty word.  Whitespace is ignored everywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .freemodule import LinComb
@@ -29,24 +28,6 @@ class ParseError(ValueError):
         super().__init__(f"syntax error at offset {offset}: {message}")
         self.offset = offset
         self.reason = message
-
-
-@dataclass(frozen=True)
-class Expression:
-    """A parsed sum, tagged by the grammar it came from."""
-
-    kind: str
-    value: LinComb
-
-    def __str__(self) -> str:
-        return str(self.value)
-
-    def single_basis(self):
-        """The lone basis element of a one-term sum with coefficient 1."""
-        items = list(self.value.items())
-        if len(items) != 1 or items[0][1] != 1:
-            raise ValueError(f"expected a single basis element, got {self.value}")
-        return items[0][0]
 
 
 class _Parser:
@@ -176,9 +157,7 @@ class _Parser:
             return self.parse_graph()
         if kind == "permutation":
             return self.parse_permutation()
-        if kind == "word":
-            return self.parse_word()
-        raise ValueError(f"unknown expression kind {kind!r}")
+        return self.parse_word()
 
     def parse_basis(self, kind: str):
         first = self.parse_atom(kind)
@@ -224,13 +203,13 @@ class _Parser:
         return LinComb(terms)
 
 
-def parse(text: str, kind: str) -> Expression:
-    """Parse a sum in the given grammar; errors carry the failing offset."""
+def parse(text: str, kind: str) -> LinComb:
+    """Parse a sum in the given grammar, one of KINDS; errors carry the
+    failing offset."""
     if kind not in KINDS:
         raise ValueError(f"unknown expression kind {kind!r} (expected one of {KINDS})")
     p = _Parser(text)
     value = p.parse_sum(kind)
     if not p.at_end():
         p.error("unexpected trailing input")
-    return Expression(kind, value)
-
+    return value

@@ -91,10 +91,6 @@ class LinComb:
         return cls(((b, coeff),))
 
     @classmethod
-    def zero(cls) -> "LinComb":
-        return cls()
-
-    @classmethod
     def of_dict(cls, acc: dict) -> "LinComb":
         """The sum held by a dict of exact coefficients, some maybe zero."""
         out = cls.__new__(cls)
@@ -205,18 +201,6 @@ class LinComb:
 
     def __repr__(self) -> str:
         return f"LinComb<{self}>"
-
-
-def tensor(*factors: LinComb) -> LinComb:
-    """Tensor product of LinCombs over atomic bases, as a LinComb over tuples."""
-    out = [((), 1)]
-    for f in factors:
-        out = [
-            (key + (b,), c * c2)
-            for key, c in out
-            for b, c2 in f.items()
-        ]
-    return LinComb(out)
 
 
 def add_bilinear(acc: dict, f: Callable, xs: Iterable, ys: Iterable, c=1) -> None:

@@ -391,16 +391,3 @@ def count_graphs(n: int, g: int) -> int:
     """Closed-form count of unrestricted graphs: Catalan(n) * binomial(n, g)."""
     catalan = comb(2 * n, n) // (n + 1)
     return catalan * comb(n, g)
-
-
-def signature(t: LoopGraph) -> tuple[int, int, int]:
-    """(genus, external legs, Euler characteristic) of a regular graph.
-
-    Legs count all external labels including the root: k = n + 2 - 2g, and
-    the Euler characteristic is -n.  Irregular graphs admit no surface
-    interpretation and are rejected.
-    """
-    if not is_regular(t):
-        raise ValueError("irregular graph has no surface interpretation")
-    n, g = t.order, t.genus
-    return g, n + 2 - 2 * g, -n

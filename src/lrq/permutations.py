@@ -50,13 +50,6 @@ class Permutation:
         return (len(self.word), self.word)
 
 
-IDENTITY = Permutation()
-
-
-def identity(n: int) -> Permutation:
-    return Permutation(tuple(range(1, n + 1)))
-
-
 def compose(rho: Permutation, sigma: Permutation) -> Permutation:
     """(rho . sigma)(x) = rho(sigma(x)); both factors must have equal size."""
     if len(rho) != len(sigma):
@@ -117,10 +110,3 @@ def coproduct_perm(sigma: Permutation) -> LinComb:
         left, right, _ = split(sigma, i)
         out.append(((left, right), 1))
     return LinComb(out)
-
-
-def all_permutations(n: int) -> list[Permutation]:
-    """All of S_n in a deterministic order."""
-    from itertools import permutations as _perms
-
-    return [Permutation(w) for w in _perms(range(1, n + 1))]

@@ -1,9 +1,18 @@
 """The regular quotient, the word algebra of topological recursion, and the
 representation of correlation functions by graph sums.
 
-Irregular graphs are projected to zero; what remains of the product is still
-associative.  The solution space of the recursion is spanned by words in the
-two generators T (the elementary tree) and L (the elementary one-loop graph)
+The irregular graphs span a two-sided ideal, and the regular quotient is
+the quotient algebra by it.  By (b) of `lrq.complexes`, every term of a
+product x * y of graphs carries the mask x.slots | y.slots << x.order, the
+two masks concatenated.  Two adjacent looped slots of x, or of y (shifted
+by x.order), stay adjacent there, so if x or y is irregular then so is
+every term of x * y.  An irregular graph is therefore the zero class, and
+the product of two classes is the projection of the product of any of
+their representatives: `star_reg` is `project_regular` after the product,
+on any input, and it is associative.
+
+The solution space of the recursion is spanned by words in the two
+generators T (the elementary tree) and L (the elementary one-loop graph)
 subject to L^2 = 0: no two adjacent L letters.  A word of length n is read
 as the n-bit slot mask with bit i set when letter i is L, so the valid words
 are the regular masks, and a word expands to every tree of order n carrying
@@ -88,16 +97,9 @@ def project_regular(x: LinComb) -> LinComb:
     return x.map_basis(lambda t: t if is_regular(t) else None)
 
 
-def _require_regular(x: LinComb, what: str) -> None:
-    for t in x.support():
-        if not is_regular(t):
-            raise ValueError(f"{what} must be supported on regular graphs: {t}")
-
-
 def star_reg(x: LinComb, y: LinComb) -> LinComb:
-    """Product in the regular quotient: multiply, then project."""
-    _require_regular(x, "left factor")
-    _require_regular(y, "right factor")
+    """Product in the regular quotient: multiply, then project.  An irregular
+    term of x or y is the zero class and adds nothing (module docstring)."""
     return project_regular(star_h_sum(x, y))
 
 

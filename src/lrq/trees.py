@@ -73,12 +73,6 @@ def degeneracy(i: int, t: LoopGraph) -> LoopGraph:
     return _regraft(_path_to_leaf(i, t), LoopGraph(LEAF, LEAF))
 
 
-def extra_degeneracy(t: LoopGraph) -> LoopGraph:
-    """Graft a bare leaf on the left; a contracting homotopy for the border."""
-    _require_tree(t)
-    return LoopGraph(LEAF, t)
-
-
 def perm_to_tree(perm) -> LoopGraph:
     """Tree of a permutation word, forgetting levels.
 

@@ -12,13 +12,12 @@ from lrq import trees
 from lrq.airy import _residue_recursion, airy_correlator, default_truncation
 from lrq.cli import run
 from lrq.complexes import (
-    border_homology_dim,
     border_tree,
     cohomology_dim,
     d_h_graph,
     d_h_sum,
 )
-from lrq.exprs import parse, Expression
+from lrq.exprs import parse
 from lrq.freemodule import LinComb
 from lrq.hopfops import antipode, check_axiom, delta_h, star_h
 from lrq.loopgraphs import (
@@ -36,13 +35,14 @@ from lrq.subalgebras import (
     psi_word,
     star_reg,
 )
+from oracles import border_homology_dim, extra_degeneracy, single_basis
 
 L = LinComb.basis(ONELOOP)
 T = LinComb.basis(TREE)
 
 
 def gsum(s: str) -> LinComb:
-    return parse(s, "graph-sum").value
+    return parse(s, "graph-sum")
 
 
 def done(n: int, label: str) -> None:
@@ -59,7 +59,7 @@ def test_c01_tree_counts():
 def test_c02_generator_products():
     one = Permutation((1,))
     power = star_perm(one, one)
-    acc = LinComb.zero()
+    acc = LinComb()
     for sigma, c in power.items():
         acc = acc + c * star_perm(sigma, one)
     expected = LinComb(
@@ -85,7 +85,7 @@ def test_c03_graph_counts_order_3():
 def test_c04_product_worked_examples():
     assert star_h(ONELOOP, ONELOOP) == gsum("(|o(|o|)) + ((|o|)o|)")
     assert star_h(TREE, ONELOOP) == gsum("((|v|)o|) + (|v(|o|))")
-    left_factor = parse("(|o(|v|))", "graph-sum").single_basis()
+    left_factor = single_basis("(|o(|v|))")
     example_4_2 = star_h(left_factor, ONELOOP)
     assert example_4_2 == gsum("((|o(|v|))o|) + (|o((|v|)o|)) + (|o(|v(|o|)))")
     assert len(example_4_2) == 3
@@ -96,9 +96,9 @@ def test_c05_coproduct_examples():
     assert delta_h(ONELOOP) == LinComb(
         [((LEAF, ONELOOP), 1), ((ONELOOP, LEAF), 1)]
     )
-    bridged_tree = parse("(|o(|v|))", "graph-sum").single_basis()
+    bridged_tree = single_basis("(|o(|v|))")
     assert delta_h(bridged_tree).coeff((TREE, ONELOOP)) == 1
-    bridged_loop = parse("(|o(|o|))", "graph-sum").single_basis()
+    bridged_loop = single_basis("(|o(|o|))")
     assert delta_h(bridged_loop).coeff((ONELOOP, ONELOOP)) == 1
     done(5, "coproduct examples: primitive loop, T(x)L and L(x)L terms")
 
@@ -174,8 +174,8 @@ def test_c10_simplicial_suite():
             assert border_tree(t).map_basis(border_tree).is_zero()
     for n in range(1, 6):
         for t in trees.enumerate_trees(n):
-            dh = border_tree(trees.extra_degeneracy(t))
-            hd = border_tree(t).map_basis(trees.extra_degeneracy)
+            dh = border_tree(extra_degeneracy(t))
+            hd = border_tree(t).map_basis(extra_degeneracy)
             assert dh + hd == LinComb.basis(t)
     for n in range(1, 6):
         assert border_homology_dim(n) == 0
@@ -211,6 +211,6 @@ def test_c12_cli(capsys):
     for n in range(7):
         for g in range(n + 1):
             for t in enumerate_graphs(n, g):
-                text = str(Expression("graph-sum", LinComb.basis(t)))
-                assert parse(text, "graph-sum").value == LinComb.basis(t)
+                text = str(LinComb.basis(t))
+                assert parse(text, "graph-sum") == LinComb.basis(t)
     done(12, "CLI goldens byte-exact, parse/print round-trip through order 6")

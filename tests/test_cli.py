@@ -23,6 +23,7 @@ from lrq.freemodule import LinComb
 from lrq.hopfops import MAX_AXIOM_ORDER
 from lrq.loopgraphs import enumerate_graphs
 from lrq.subalgebras import MAX_CORRELATOR_ORDER, MAX_GENFUN_DEGREE, MAX_PSI_LENGTH
+from oracles import single_basis
 from test_airy import arrangements, stable_pairs
 
 
@@ -219,6 +220,9 @@ def test_dh_command(capsys):
     # two adjacent loops, so every term is dropped.
     for irregular in ("(|o(|o|))", "((|o|)o(|v|))"):
         assert invoke(capsys, "dh", irregular, "--space", "reg") == (0, "0\n", "")
+    # So does the regular product: an irregular factor is the zero class.
+    argv = ("product", "(|o(|o|))", "(|v|)", "--algebra", "reg")
+    assert invoke(capsys, *argv) == (0, "0\n", "")
 
 
 def test_psi_command(capsys):
@@ -296,7 +300,7 @@ def test_axioms_command(capsys):
 
 
 def test_axioms_command_prints_a_counterexample(capsys, monkeypatch):
-    bad = (parse("(|o|)", "graph-sum").single_basis(), loopgraphs.LEAF)
+    bad = (single_basis("(|o|)"), loopgraphs.LEAF)
     monkeypatch.setattr(hopfops, "check_axiom", lambda axiom, order: bad)
     argv = ("axioms", "--axiom", "assoc", "--max-order", "2")
     assert invoke(capsys, *argv) == (0, "counterexample: (|o|), |\n", "")
@@ -442,9 +446,7 @@ GRAPH_POOL = [
 
 @given(st.sampled_from(GRAPH_POOL))
 def test_roundtrip_property_graphs_up_to_order_6(graph):
-    from lrq.exprs import parse
-
-    assert parse(str(graph), "graph-sum").single_basis() == graph
+    assert single_basis(str(graph)) == graph
 
 
 def test_missing_command_is_usage_error(capsys):
@@ -499,6 +501,73 @@ def test_parse_check_deeply_nested_graph(capsys):
     looped = "(|o" * 5000 + "|" + ")" * 5000
     code, out, _ = invoke(capsys, "parse-check", looped)
     assert (code, out) == (0, looped + "\n")
+
+
+def right_comb(n: int) -> str:
+    return "(|v" * n + "|" + ")" * n
+
+
+def left_comb(n: int) -> str:
+    return "(" * n + "|" + "v|)" * n
+
+
+def reversed_perm(n: int) -> str:
+    return "[" + ",".join(map(str, range(n, 0, -1))) + "]"
+
+
+@pytest.mark.parametrize("argv, computed", [
+    (("product", right_comb(10), left_comb(10)), True),
+    (("product", right_comb(10), left_comb(11)), False),
+    (("product", right_comb(11), left_comb(10), "--algebra", "reg"), False),
+    (("product", left_comb(11), right_comb(10), "--algebra", "classical"), False),
+    # Each pair of input terms counts: two trees of order 9 times a tree of
+    # order 10 are within the bound, three are not.
+    (("product", f"{right_comb(9)} + {left_comb(9)}", left_comb(10)), True),
+    (("product", f"{right_comb(9)} + {left_comb(9)} - ({right_comb(8)}v|)",
+      left_comb(10)), False),
+    (("perm-product", reversed_perm(10), reversed_perm(10)), True),
+    (("perm-product", reversed_perm(10), reversed_perm(11)), False),
+    (("perm-product", reversed_perm(11), reversed_perm(10)), False),
+])
+def test_products_beyond_the_bound_are_refused_before_computing(
+        capsys, monkeypatch, argv, computed):
+    # The right comb times the left comb forms every term the bound allows
+    # (tests/test_hopfops.py), so orders 10 and 10 are the largest combs
+    # within MAX_PRODUCT_TERMS and 10 and 11 the first beyond it.
+    from lrq.cli import MAX_PRODUCT_TERMS
+
+    calls = []
+
+    def multiply(x, y):
+        calls.append((x, y))
+        return LinComb()
+
+    monkeypatch.setattr(hopfops, "star_h_sum", multiply)
+    monkeypatch.setattr(subalgebras, "star_h_sum", multiply)
+    monkeypatch.setattr(permutations, "star_perm", multiply)
+    if computed:
+        assert invoke(capsys, *argv) == (0, "0\n", "")
+        assert len(calls) == 1
+    else:
+        assert invoke(capsys, *argv) == (
+            2, "", f"error: product is beyond the product bound of {MAX_PRODUCT_TERMS} terms\n")
+        assert calls == []
+
+
+def test_out_of_memory_is_a_domain_error(capsys, monkeypatch):
+    _, full, _ = invoke(capsys, "psi", "TLTT")
+    word_keys = subalgebras.word_keys
+
+    def exhausted(w):
+        keys = iter(word_keys(w))
+        yield next(keys)
+        raise MemoryError
+
+    monkeypatch.setattr(subalgebras, "word_keys", exhausted)
+    code, out, err = invoke(capsys, "psi", "TLTT")
+    assert (code, err) == (2, "error: out of memory\n")
+    # What was streamed before the error stays written.
+    assert out and full.startswith(out)
 
 
 def test_too_deep_for_the_algebra_is_a_domain_error(capsys):
@@ -556,7 +625,7 @@ def sum_json(x) -> list:
 
 
 def value(text):
-    return parse(text, "graph-sum").value
+    return parse(text, "graph-sum")
 
 
 @pytest.mark.parametrize(
@@ -568,7 +637,7 @@ def value(text):
         (("product", "1/2*(|o|)", "-3/4*(|v|) + |"),
          lambda: sum_json(hopfops.star_h_sum(value("1/2*(|o|)"), value("-3/4*(|v|) + |")))),
         (("perm-coproduct", "[3,1,2]"),
-         lambda: sum_json(permutations.coproduct_perm(parse("[3,1,2]", "permutation").single_basis()))),
+         lambda: sum_json(permutations.coproduct_perm(single_basis("[3,1,2]", "permutation")))),
         (("parse-check", "2/3*(|o|)@(|v|) - |"),
          lambda: sum_json(value("2/3*(|o|)@(|v|) - |"))),
         (("correlator", "--order", "5"),

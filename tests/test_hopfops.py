@@ -2,13 +2,14 @@
 
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 
 import pytest
 
 from lrq import hopfops, trees
 from lrq.complexes import d_h_graph
 from lrq.exprs import parse
-from lrq.freemodule import LinComb, bilinear_extend, tensor
+from lrq.freemodule import LinComb, bilinear_extend
 from lrq.hopfops import (
     UNIT,
     _antipode,
@@ -22,6 +23,7 @@ from lrq.hopfops import (
     star_h_sum,
 )
 from lrq.loopgraphs import LEAF, ONELOOP, TREE, LoopGraph, enumerate_graphs
+from oracles import single_basis, tensor
 
 
 def bilinear_terms(f, xs, ys, c=1) -> list:
@@ -36,11 +38,11 @@ def bilinear_terms(f, xs, ys, c=1) -> list:
 
 
 def g(s: str):
-    return parse(s, "graph-sum").single_basis()
+    return single_basis(s)
 
 
 def gsum(s: str) -> LinComb:
-    return parse(s, "graph-sum").value
+    return parse(s, "graph-sum")
 
 
 @lru_cache(maxsize=None)
@@ -152,6 +154,52 @@ def test_star_h_on_trees_is_the_tamari_interval():
     assert pairs == 625
 
 
+def spine(t, side: str) -> list:
+    """t and its subtrees down the given spine, to the leaf."""
+    out = [t]
+    while not t.is_leaf:
+        t = getattr(t, side)
+        out.append(t)
+    return out
+
+
+def test_tree_products_are_bounded_by_the_shuffles():
+    # The premise of `cli.MAX_PRODUCT_TERMS`.  Loday-Ronco (Adv. Math. 139,
+    # 1998): the product of trees of orders n and m is a sum over the
+    # (n, m)-shuffles, so it has at most C(n+m, n) terms, each with
+    # coefficient 1.  The recursion multiplies the trees on the right spine
+    # of t by those on the left spine of u, whose orders are distinct, so
+    # all its subproducts hold at most the sum of C(a+b, a) over a <= n and
+    # b <= m, that is C(n+m+2, n+1) - 1 terms.  The right comb times the
+    # left comb attains both.
+    everything = [t for n in range(6) for t in trees.enumerate_trees(n)]
+    counts = {"pairs": 0, "at the bound": 0}
+    for t in everything:
+        for u in everything:
+            n, m = t.order, u.order
+            product = star_h(t, u)
+            assert len(product) <= comb(n + m, n)
+            assert all(c == 1 for _, c in product.items())
+            formed = sum(len(star_h(a, b)) for a in spine(t, "right") for b in spine(u, "left"))
+            assert formed <= comb(n + m + 2, n + 1) - 1
+            counts["pairs"] += 1
+            counts["at the bound"] += len(product) == comb(n + m, n)
+    assert counts == {"pairs": 4225, "at the bound": 154}
+
+    def right_comb(n):
+        return LoopGraph(LEAF, right_comb(n - 1)) if n else LEAF
+
+    def left_comb(n):
+        return LoopGraph(left_comb(n - 1), LEAF) if n else LEAF
+
+    for n in range(6):
+        for m in range(6):
+            t, u = right_comb(n), left_comb(m)
+            assert len(star_h(t, u)) == comb(n + m, n)
+            formed = sum(len(star_h(a, b)) for a in spine(t, "right") for b in spine(u, "left"))
+            assert formed == comb(n + m + 2, n + 1) - 1
+
+
 def test_star_h_worked_examples():
     assert star_h(ONELOOP, ONELOOP) == gsum("(|o(|o|)) + ((|o|)o|)")
     assert star_h(TREE, ONELOOP) == gsum("((|v|)o|) + (|v(|o|))")
@@ -249,7 +297,7 @@ def test_counit_examples():
     assert counit(UNIT) == 1
     assert counit(LinComb.basis(ONELOOP)) == 0
     assert counit(LinComb([(LEAF, 2), (TREE, 3)])) == 2
-    assert counit(LinComb.zero()) == 0
+    assert counit(LinComb()) == 0
 
 
 def test_antipode_on_primitives():
@@ -259,7 +307,7 @@ def test_antipode_on_primitives():
 
 def test_antipode_defining_property_instance():
     x = g("(|o(|v|))")
-    acc = LinComb.zero()
+    acc = LinComb()
     for (a, b), c in delta_h(x).items():
         acc = acc + c * star_h_sum(antipode(LinComb.basis(a)), LinComb.basis(b))
     assert acc == counit(LinComb.basis(x)) * UNIT

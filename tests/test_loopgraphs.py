@@ -7,7 +7,6 @@ from math import comb
 
 import pytest
 
-from lrq.exprs import parse
 from lrq.loopgraphs import (
     _KEPT_STRING_ORDER,
     _NODES,
@@ -26,15 +25,15 @@ from lrq.loopgraphs import (
     loop_slots,
     rank_string,
     shape_keys,
-    signature,
     slot_masks,
     with_slots,
 )
 from lrq.trees import enumerate_trees
+from oracles import single_basis
 
 
 def g(s: str) -> LoopGraph:
-    return parse(s, "graph-sum").single_basis()
+    return single_basis(s)
 
 
 def all_graphs(max_order: int):
@@ -320,30 +319,14 @@ def test_underlying_tree_forgets_loops():
             assert tree is t
 
 
-def test_signature_examples():
-    assert signature(ONELOOP) == (1, 1, -1)
-    for t in enumerate_graphs(3, 0):
-        assert signature(t) == (0, 5, -3)
-    for t in enumerate_graphs(3, 2, regular_only=True):
-        assert signature(t) == (2, 1, -3)
-
-
-def test_signature_rejects_irregular():
-    with pytest.raises(ValueError):
-        signature(g("(|o(|o|))"))
-
-
 def test_slot_readers_take_any_depth():
     # Far deeper than the recursion limit: the readers use the slot mask.
     comb_tree = g("(" * 5000 + "|" + "v|)" * 5000)
     assert loop_slots(comb_tree) == frozenset()
     assert is_regular(comb_tree)
-    assert signature(comb_tree) == (0, 5002, -5000)
     all_looped = g("(|o" * 5000 + "|" + ")" * 5000)
     assert loop_slots(all_looped) == frozenset(range(5000))
     assert not is_regular(all_looped)
-    with pytest.raises(ValueError, match="irregular"):
-        signature(all_looped)
 
 
 def printed(t: LoopGraph) -> str:

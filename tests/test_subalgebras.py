@@ -24,7 +24,7 @@ from lrq.loopgraphs import (
     ONELOOP,
     TREE,
     enumerate_graphs,
-    signature,
+    is_regular,
 )
 from lrq.subalgebras import (
     MAX_CORRELATOR_ORDER,
@@ -40,6 +40,7 @@ from lrq.subalgebras import (
     star_reg,
 )
 from lrq.trees import enumerate_trees
+from oracles import single_basis
 from test_hopfops import star_tree
 
 L = LinComb.basis(ONELOOP)
@@ -77,7 +78,7 @@ def words_by_combinations(n: int, g: int) -> list[Word]:
 
 
 def gsum(s: str) -> LinComb:
-    return parse(s, "graph-sum").value
+    return parse(s, "graph-sum")
 
 
 def test_word_validation():
@@ -106,9 +107,23 @@ def test_star_reg_examples():
     assert lhs == rhs
 
 
-def test_star_reg_rejects_irregular_inputs():
-    with pytest.raises(ValueError):
-        star_reg(gsum("(|o(|o|))"), T)
+def test_irregular_graphs_span_a_two_sided_ideal():
+    # The product concatenates the masks, so two adjacent loops of either
+    # factor stay adjacent in every term: an irregular graph is the zero
+    # class, and the quotient product may take any representatives.
+    graphs = [t for n in range(6) for gg in range(n + 1) for t in enumerate_graphs(n, gg)]
+    pairs = 0
+    for x in graphs:
+        for y in graphs:
+            if x.order + y.order > 5:
+                continue
+            if not (is_regular(x) and is_regular(y)):
+                pairs += 1
+                assert not any(is_regular(s) for s in star_h(x, y).support())
+            xs, ys = LinComb.basis(x), LinComb.basis(y)
+            assert star_reg(xs, ys) == project_regular(
+                star_h_sum(project_regular(xs), project_regular(ys)))
+    assert pairs > 0
 
 
 def test_psi_word_generators():
@@ -142,7 +157,7 @@ def test_psi_word_summands_regular_with_word_bidegree():
                 val = psi_word(w)
                 for t, _ in val.items():
                     assert t.order == n and t.genus == g
-                    assert signature(t) == (g, n + 2 - 2 * g, -n)
+                    assert is_regular(t)
 
 
 def test_enumerate_words_matches_combinations():
@@ -198,7 +213,7 @@ def test_full_correlator_is_the_sum_of_the_word_folds():
     for n in range(8):
         exp = full_correlator(n)
         for g in exp.genera():
-            want = LinComb.zero()
+            want = LinComb()
             for w in enumerate_words(n, g):
                 want += psi_fold(w)
             assert exp[g] == want, (n, g)
@@ -290,7 +305,7 @@ def test_regular_projection_is_an_ideal():
 def test_coproduct_fails_on_regular_quotient():
     # The structural reason: the coproduct of an irregular graph contains a
     # regular (x) regular term, so projecting does not commute with it.
-    double = parse("(|o(|o|))", "graph-sum").single_basis()
+    double = single_basis("(|o(|o|))")
     assert delta_h(double).coeff((ONELOOP, ONELOOP)) == 1
 
     # Concrete failure: delta(L *_reg L) = 0 but (pi x pi) delta(L)*delta(L) != 0.

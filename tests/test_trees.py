@@ -8,23 +8,22 @@ from math import comb
 import pytest
 
 from lrq.cli import run
-from lrq.exprs import parse
 from lrq.loopgraphs import LoopGraph
 from lrq.trees import (
     LEAF,
     degeneracy,
     enumerate_trees,
-    extra_degeneracy,
     face,
     perm_to_tree,
 )
+from oracles import extra_degeneracy, single_basis
 
 V = LoopGraph(LEAF, LEAF)  # the one-vertex tree (|v|)
 
 
 def t(s: str) -> LoopGraph:
     """Tiny tree literal helper for tests."""
-    return parse(s, "graph-sum").single_basis()
+    return single_basis(s)
 
 
 def catalan(n: int) -> int:
@@ -206,7 +205,7 @@ def test_perm_to_tree_of_a_long_monotone_word_prints_and_parses(word):
     assert tree.order == 1500
     text = str(tree)
     assert len(text) == 4 * 1500 + 1
-    assert parse(text, "graph-sum").single_basis() is tree
+    assert single_basis(text) is tree
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert run(["tree-of-perm", f"[{','.join(map(str, word))}]"]) == 0
