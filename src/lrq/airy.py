@@ -119,9 +119,10 @@ def _owning(nvars: int, acc: dict) -> "LaurentPoly":
     return out
 
 
-def _accumulate(acc: dict, coeffs: dict) -> None:
-    """Add the coefficients `coeffs` into `acc` in place (zeros may remain)."""
-    for exps, c in coeffs.items():
+def _accumulate(acc: dict, terms) -> None:
+    """Add the (exponent vector, coefficient) pairs `terms` into `acc` in
+    place (zeros may remain)."""
+    for exps, c in terms:
         acc[exps] = acc.get(exps, 0) + c
 
 
@@ -135,23 +136,15 @@ class LaurentPoly:
     __slots__ = ("nvars", "coeffs")
 
     def __init__(self, nvars: int, coeffs=()):
-        acc: dict = {}
         items = coeffs.items() if isinstance(coeffs, dict) else coeffs
-        for exps, c in items:
-            if not isinstance(c, (int, Fraction)):
-                c = Fraction(c)
-            if not c:
-                continue
-            exps = tuple(exps)
+        terms = [(tuple(e), c if isinstance(c, (int, Fraction)) else Fraction(c))
+                 for e, c in items]
+        for exps, _ in terms:
             if len(exps) != nvars:
                 raise ValueError(f"exponent vector {exps} needs {nvars} slots")
-            new = acc.get(exps, 0) + c
-            if new:
-                acc[exps] = new
-            else:
-                del acc[exps]
-        self.nvars = nvars
-        self.coeffs = acc
+        acc: dict = {}
+        _accumulate(acc, terms)
+        self.nvars, self.coeffs = nvars, _owning(nvars, acc).coeffs
 
     @classmethod
     def monomial(cls, nvars: int, exps, coeff=1) -> "LaurentPoly":
@@ -176,15 +169,8 @@ class LaurentPoly:
         if self.nvars != other.nvars:
             raise ValueError("variable counts differ")
         acc = dict(self.coeffs)
-        for exps, c in other.coeffs.items():
-            new = acc.get(exps, 0) + c
-            if new:
-                acc[exps] = new
-            else:
-                del acc[exps]
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.nvars, out.coeffs = self.nvars, acc
-        return out
+        _accumulate(acc, other.coeffs.items())
+        return _owning(self.nvars, acc)
 
     def __neg__(self) -> "LaurentPoly":
         return self.scale(-1)
@@ -205,20 +191,15 @@ class LaurentPoly:
     def scale(self, c) -> "LaurentPoly":
         if not isinstance(c, (int, Fraction)):
             c = Fraction(c)
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.nvars = self.nvars
-        out.coeffs = {e: c * v for e, v in self.coeffs.items()} if c else {}
-        return out
+        return _owning(self.nvars, {e: c * v for e, v in self.coeffs.items()})
 
     def permute_vars(self, perm) -> "LaurentPoly":
         """Relabel variables: slot i of the result reads slot perm[i]."""
         perm = tuple(perm)
         if sorted(perm) != list(range(self.nvars)):
             raise ValueError(f"not a variable permutation: {perm}")
-        return LaurentPoly(
-            self.nvars,
-            ((tuple(e[p] for p in perm), c) for e, c in self.coeffs.items()),
-        )
+        return _owning(self.nvars, {tuple(e[p] for p in perm): c
+                                    for e, c in self.coeffs.items()})
 
     def __str__(self) -> str:
         return format_laurent(sorted(self.coeffs.items()))
@@ -310,7 +291,7 @@ class QSeries:
                 if have is None:
                     acc[e] = prod
                 else:
-                    _accumulate(have, prod)
+                    _accumulate(have, prod.items())
         return QSeries(
             self.nvars, {e: _owning(self.nvars, d) for e, d in acc.items()}, valid
         )

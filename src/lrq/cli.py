@@ -235,13 +235,11 @@ def cmd_correlator(args) -> int:
 
 
 def cmd_genfun(args) -> int:
-    table = subalgebras.generating_function(args.max_degree)
-    keys = sorted(table, key=lambda ij: (ij[0] + ij[1], ij[1]))
     write = sys.stdout.write
-    for k, (i, j) in enumerate(keys):
+    for k, (i, j, c, words) in enumerate(subalgebras.generating_function(args.max_degree)):
         write(f'{", " if k else "["}{{"a1": {i}, "a2": {j}, "value": ' if args.json
               else f"a1^{i}*a2^{j}: ")
-        _write_sum(args, table[(i, j)].terms())
+        _write_sum(args, zip(words, repeat(c)))
         write("}" if args.json else "\n")
     write("]\n" if args.json else "")
     return 0
@@ -378,6 +376,10 @@ def run(argv: list[str]) -> int:
         print("error: input nested too deeply", file=sys.stderr)
         return 2
     except MemoryError:
+        # The walk's memo of pair lists holds much of what was built; freed,
+        # it leaves the interpreter room to print this and exit.  The node
+        # table stays, since node identity depends on it.
+        loopgraphs._pairs.cache_clear()
         print("error: out of memory", file=sys.stderr)
         return 2
 

@@ -90,13 +90,9 @@ def border_tree(t: LoopGraph) -> LinComb:
 
 def border(x: LinComb) -> LinComb:
     """Border of a homogeneous tree sum; drops the order by one."""
-    if x.is_zero():
-        return LinComb()
     orders = {t.order for t, _ in x.items()}
     if len(orders) > 1:
         raise ValueError(f"border needs a homogeneous input, got orders {sorted(orders)}")
-    if orders == {0}:
-        raise ValueError("border undefined in order 0")
     return x.map_basis(border_tree)
 
 

@@ -46,11 +46,6 @@ class _Parser:
         self.skip_ws()
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
-    def take(self) -> str:
-        ch = self.peek()
-        self.pos += 1
-        return ch
-
     def expect(self, ch: str) -> None:
         if self.peek() != ch:
             self.error(f"expected {ch!r}")
@@ -186,21 +181,19 @@ class _Parser:
         return self.parse_basis(kind), 1
 
     def parse_sum(self, kind: str) -> LinComb:
+        # A sign is optional before the first term and required before each
+        # later one.
         terms = []
-        sign = 1
         ch = self.peek()
-        if ch in ("+", "-"):
-            sign = -1 if ch == "-" else 1
-            self.pos += 1
-        basis, coeff = self.parse_term(kind)
-        if basis is not None:
-            terms.append((basis, sign * coeff))
-        while self.peek() in ("+", "-"):
-            sign = -1 if self.take() == "-" else 1
+        while True:
+            if ch in ("+", "-"):
+                self.pos += 1
             basis, coeff = self.parse_term(kind)
             if basis is not None:
-                terms.append((basis, sign * coeff))
-        return LinComb(terms)
+                terms.append((basis, -coeff if ch == "-" else coeff))
+            ch = self.peek()
+            if ch not in ("+", "-"):
+                return LinComb(terms)
 
 
 def parse(text: str, kind: str) -> LinComb:

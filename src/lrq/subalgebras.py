@@ -61,12 +61,14 @@ from .loopgraphs import family_keys, graph_of, is_regular, shape_keys, slot_mask
 MAX_PSI_LENGTH = 13
 MAX_CORRELATOR_ORDER = 10
 
-# Largest degree `generating_function` accepts.  Each degree costs about
-# 1.6 times the one before, as the valid words grow like the Fibonacci
-# numbers: `lrq genfun --max-degree 22` takes 1.4 to 2.2 s at 54 MiB (text or
-# --json), 23 takes 3.1 s at 77 MiB and 24 takes 5 to 6 s at 117 MiB (Python
-# 3.11.7, 2-core x86-64 VM, single cold runs).
-MAX_GENFUN_DEGREE = 22
+# Largest degree `generating_function` accepts, by the same rule.  The CLI
+# writes one cell at a time, and each degree costs about 1.5 times the one
+# before, as the valid words grow like the Fibonacci numbers: `lrq genfun
+# --max-degree 27` takes 14 to 15 s at 65 MiB as text and 9.4 s as --json,
+# and 28 takes 20 s at 91 MiB, too close to the limit (Python 3.11.7, 2-core
+# x86-64 VM, single cold runs in a slow phase, `lrq psi` of 13 letters at 6
+# to 7 s).
+MAX_GENFUN_DEGREE = 27
 
 
 @dataclass(frozen=True)
@@ -222,14 +224,16 @@ def delta_h_quotient_counterexample(max_total_order: int):
     return first_counterexample(sides, bounded_tuples(basis, 2, m))
 
 
-def generating_function(max_degree: int) -> dict[tuple[int, int], LinComb]:
+def generating_function(max_degree: int):
     """Coefficients of the truncated exponential of (a1*T + a2*L) in the word
     algebra modulo L^2 = 0.
 
-    Returns the coefficient of a1^i * a2^j for all i + j <= max_degree as a
-    rational combination of words: (1/(i+j)!) times the sum of the valid
-    words with i T letters and j L letters.  Degrees above
-    MAX_GENFUN_DEGREE are refused before anything is built.
+    The coefficient of a1^i * a2^j is (1/(i+j)!) times the sum of the valid
+    words with i T letters and j L letters.  Returns an iterator over the
+    cells i + j <= max_degree in print order, by degree i + j and then by j,
+    each as (i, j, 1/(i+j)!, its words in canonical order); a cell's words
+    are built only when the iterator reaches it.  Degrees above
+    MAX_GENFUN_DEGREE are refused here, before anything is built.
     """
     if max_degree < 0:
         raise ValueError("degree must be nonnegative")
@@ -238,10 +242,5 @@ def generating_function(max_degree: int) -> dict[tuple[int, int], LinComb]:
             f"degree {max_degree} is beyond the genfun bound "
             f"max degree <= {MAX_GENFUN_DEGREE}"
         )
-    out: dict[tuple[int, int], LinComb] = {}
-    for m in range(max_degree + 1):
-        c = Fraction(1, factorial(m))
-        for j in range(m + 1):
-            i = m - j
-            out[(i, j)] = LinComb((w, c) for w in enumerate_words(m, j))
-    return out
+    return ((m - j, j, Fraction(1, factorial(m)), enumerate_words(m, j))
+            for m in range(max_degree + 1) for j in range(m + 1))

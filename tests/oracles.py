@@ -1,14 +1,18 @@
 """Helpers that only the tests use: the border homology of the trees, its
-contracting homotopy, the symmetric groups, tensor products of sums, and the
-lone basis element of a parsed sum."""
+contracting homotopy, the symmetric groups, tensor products of sums, the
+lone basis element of a parsed sum, and the generating function of the
+words."""
 
-from itertools import permutations
+from fractions import Fraction
+from itertools import permutations, product
+from math import factorial
 
 from lrq.complexes import border_tree, matrix_rank
 from lrq.exprs import parse
 from lrq.freemodule import LinComb
 from lrq.loopgraphs import LEAF, LoopGraph
 from lrq.permutations import Permutation
+from lrq.subalgebras import Word
 from lrq.trees import enumerate_trees
 
 
@@ -53,3 +57,17 @@ def tensor(*factors: LinComb) -> LinComb:
     for f in factors:
         out = [(key + (b,), c * c2) for key, c in out for b, c2 in f.items()]
     return LinComb(out)
+
+
+def genfun_table(max_degree: int) -> dict:
+    """The coefficient of a1^i * a2^j in exp(a1*T + a2*L) modulo L^2 = 0, for
+    every i + j <= max_degree, as a LinComb: every string over {L, T} of
+    length m = i + j with j letters L and no "LL", each with coefficient
+    1/m!."""
+    table = {}
+    for m in range(max_degree + 1):
+        words = [w for w in map("".join, product("LT", repeat=m)) if "LL" not in w]
+        for j in range(m + 1):
+            table[(m - j, j)] = LinComb((Word(w), Fraction(1, factorial(m)))
+                                        for w in words if w.count("L") == j)
+    return table

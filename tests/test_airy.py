@@ -211,6 +211,18 @@ def test_laurent_arithmetic():
     assert a * b == mono(2, (2, 0)) - mono(2, (0, 2))
     assert (a - a).is_zero()
     assert a.scale(Fraction(1, 2)) + a.scale(Fraction(1, 2)) == a
+    # Coefficients are exact, and no stored coefficient is zero.
+    assert LaurentPoly(1, [((1,), 0.5), ((1,), Fraction(1, 2))]).coeffs == {(1,): 1}
+    assert LaurentPoly(1, {(1,): 2, (2,): 0}).coeffs == {(1,): 2}
+    assert LaurentPoly(2, [([1, 0], 1), ((1, 0), -1)]).coeffs == {}
+    assert (a + b.scale(-1)).coeffs == {(0, 1): 2}
+    assert a.scale(0).coeffs == {}
+    assert a.scale(0.25).coeffs == {(1, 0): Fraction(1, 4), (0, 1): Fraction(1, 4)}
+    with pytest.raises(ValueError, match=r"exponent vector \(1,\) needs 2 slots"):
+        LaurentPoly(2, [((1, 0), 1), ((1,), 1)])
+    for op in (a.__add__, a.__mul__):
+        with pytest.raises(ValueError, match="variable counts differ"):
+            op(mono(3, (1, 0, 0)))
 
 
 def test_laurent_permute_vars():

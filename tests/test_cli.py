@@ -23,7 +23,7 @@ from lrq.freemodule import LinComb
 from lrq.hopfops import MAX_AXIOM_ORDER
 from lrq.loopgraphs import enumerate_graphs
 from lrq.subalgebras import MAX_CORRELATOR_ORDER, MAX_GENFUN_DEGREE, MAX_PSI_LENGTH
-from oracles import single_basis
+from oracles import genfun_table, single_basis
 from test_airy import arrangements, stable_pairs
 
 
@@ -439,6 +439,17 @@ def test_graph_sums_are_streamed_in_canonical_order(capsys):
                 assert invoke(capsys, *argv, "--json") == (0, json.dumps(want) + "\n", "")
 
 
+def test_genfun_is_streamed_in_canonical_order(capsys):
+    # The oracle prints each cell through a LinComb, sorted by sort_key.
+    for d in range(13):
+        cells = sorted(genfun_table(d).items(), key=lambda kv: (sum(kv[0]), kv[0][1]))
+        text = "".join(f"a1^{i}*a2^{j}: {x}\n" for (i, j), x in cells)
+        structure = [{"a1": i, "a2": j, "value": sum_json(x)} for (i, j), x in cells]
+        assert invoke(capsys, "genfun", "--max-degree", str(d)) == (0, text, "")
+        assert invoke(capsys, "genfun", "--max-degree", str(d), "--json") == (
+            0, json.dumps(structure) + "\n", "")
+
+
 GRAPH_POOL = [
     t for n in range(7) for g in range(n + 1) for t in enumerate_graphs(n, g)
 ]
@@ -564,10 +575,13 @@ def test_out_of_memory_is_a_domain_error(capsys, monkeypatch):
         raise MemoryError
 
     monkeypatch.setattr(subalgebras, "word_keys", exhausted)
+    assert loopgraphs._pairs.cache_info().currsize
     code, out, err = invoke(capsys, "psi", "TLTT")
     assert (code, err) == (2, "error: out of memory\n")
     # What was streamed before the error stays written.
     assert out and full.startswith(out)
+    # The walk's memo of pair lists is freed, so the interpreter has room to exit.
+    assert loopgraphs._pairs.cache_info().currsize == 0
 
 
 def test_too_deep_for_the_algebra_is_a_domain_error(capsys):
@@ -645,7 +659,7 @@ def value(text):
                   for gg in subalgebras.full_correlator(5).genera()}),
         (("genfun", "--max-degree", "3"),
          lambda: [{"a1": i, "a2": j, "value": sum_json(x)}
-                  for (i, j), x in sorted(subalgebras.generating_function(3).items(),
+                  for (i, j), x in sorted(genfun_table(3).items(),
                                           key=lambda kv: (sum(kv[0]), kv[0][1]))]),
     ],
 )

@@ -78,6 +78,37 @@ def test_parse_words():
         parse("xyz", "word")
 
 
+PARSE_ERRORS = [
+    ("(|v|", "graph-sum", 4, "expected ')'"),
+    ("1/*|", "graph-sum", 2, "expected digits"),
+    ("1/0*|", "graph-sum", 3, "zero denominator"),
+    ("3|", "graph-sum", 0, "expected '|' or '('"),
+    ("(|x|)", "graph-sum", 2, "expected 'v' or 'o'"),
+    ("012", "graph-sum", 3, "expected '*' after a coefficient"),
+    ("| |", "graph-sum", 2, "unexpected trailing input"),
+    ("[1,1]", "permutation", 5, "not a permutation word: (1, 1)"),
+    ("X", "word", 0, "expected a word over {T, L}"),
+    ("TLL", "word", 0, "invalid word (adjacent loops): 'TLL'"),
+    # Errors in a later term of a sum.
+    ("- - |", "graph-sum", 2, "expected '|' or '('"),
+    ("| + 2/0*|", "graph-sum", 7, "zero denominator"),
+    ("| + 0 + 7", "graph-sum", 8, "expected '|' or '('"),
+]
+
+
+@pytest.mark.parametrize("text, kind, offset, message", PARSE_ERRORS)
+def test_parse_error_messages(text, kind, offset, message):
+    with pytest.raises(ParseError) as err:
+        parse(text, kind)
+    assert (err.value.offset, err.value.reason) == (offset, message)
+    assert str(err.value) == f"syntax error at offset {offset}: {message}"
+
+
+def test_parse_check_reports_the_syntax_error(capsys):
+    assert run(["parse-check", "1/0*|"]) == 1
+    assert capsys.readouterr() == ("", "syntax error at offset 3: zero denominator\n")
+
+
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError):
         parse("(|v|)", "graphs")

@@ -28,6 +28,7 @@ from lrq.loopgraphs import (
 )
 from lrq.subalgebras import (
     MAX_CORRELATOR_ORDER,
+    MAX_GENFUN_DEGREE,
     MAX_PSI_LENGTH,
     QuantumExpansion,
     Word,
@@ -40,7 +41,7 @@ from lrq.subalgebras import (
     star_reg,
 )
 from lrq.trees import enumerate_trees
-from oracles import single_basis
+from oracles import genfun_table, single_basis
 from test_hopfops import star_tree
 
 L = LinComb.basis(ONELOOP)
@@ -273,7 +274,8 @@ def test_quotient_counterexample_first_appears_at_total_order_4():
 
 
 def test_generating_function_examples():
-    table = generating_function(3)
+    cells = list(generating_function(3))
+    table = {(i, j): LinComb((w, c) for w in words) for i, j, c, words in cells}
     assert table[(1, 0)] == LinComb.basis(Word("T"))
     assert table[(1, 1)] == LinComb(
         [(Word("TL"), Fraction(1, 2)), (Word("LT"), Fraction(1, 2))]
@@ -282,6 +284,24 @@ def test_generating_function_examples():
     assert table[(0, 0)] == LinComb.basis(Word(""))
     assert table[(3, 0)] == LinComb.basis(Word("TTT"), Fraction(1, 6))
     assert set(table) == {(i, j) for m in range(4) for j in range(m + 1) for i in [m - j]}
+    # Every cell against the words over {L, T} without "LL", in print order.
+    assert table == genfun_table(3)
+    assert list(table) == sorted(table, key=lambda ij: (sum(ij), ij[1]))
+
+
+def test_generating_function_checks_its_bound_before_building(monkeypatch):
+    def built(*args):
+        raise AssertionError(f"enumerated words {args} before checking the bound")
+
+    monkeypatch.setattr(subalgebras, "enumerate_words", built)
+    with pytest.raises(ValueError, match=f"max degree <= {MAX_GENFUN_DEGREE}"):
+        generating_function(MAX_GENFUN_DEGREE + 1)
+    with pytest.raises(ValueError, match="degree must be nonnegative"):
+        generating_function(-1)
+    # Within the bound a cell's words are built only when it is reached.
+    cells = generating_function(MAX_GENFUN_DEGREE)
+    with pytest.raises(AssertionError, match=r"\(0, 0\)"):
+        next(cells)
 
 
 def test_regular_projection_is_an_ideal():
