@@ -21,11 +21,14 @@ from . import airy, complexes, hopfops, loopgraphs, permutations, subalgebras, t
 from .exprs import ParseError, parse
 from .freemodule import LinComb, sum_text
 
-# Bound on `enumerate --order`, by the rule that the worst call finishes
-# within 30 s and 1 GiB.  The worst call at order n lists the graphs of genus
-# n // 2, one at a time: at 9 that takes 1.7 to 4.3 s at 45 MiB, and at 10
-# (4.2 million graphs) 14 to 31 s at 238 to 287 MiB, text or --json, too close to
-# the limit (Python 3.11.7 on a 2-core Intel Xeon).
+# Bound on the `--order` of `enumerate trees` and `enumerate graphs`, by the
+# rule that the worst call finishes within 30 s and 1 GiB.  The worst call at order n
+# lists the graphs of genus n // 2, one at a time: at 9 that takes 1.7 to 4.3 s
+# at 45 MiB, and at 10 (4.2 million graphs) 14 to 31 s at 238 to 287 MiB, text
+# or --json, too close to the limit (Python 3.11.7 on a 2-core Intel Xeon).
+# `enumerate words` lists one cell of `genfun` and takes its bound,
+# `subalgebras.MAX_GENFUN_DEGREE`: at 27 letters its worst genus, 7 or 8
+# (125 970 words), takes under 1 s at 44 MiB, text or --json.
 MAX_ENUMERATE_ORDER = 9
 
 # Bound on the terms that `product` and `perm-product` form, checked before
@@ -40,10 +43,11 @@ MAX_ENUMERATE_ORDER = 9
 # comb of order 200 has 20 301 terms but takes 12 s at 371 MiB.
 # `perm-product` (C(p + q, p) words of p + q letters) takes the same sum.
 # At the bound the worst measured calls, looped combs of orders (66, 3),
-# (3, 66), (8, 13) and (2, 178) and reversed permutations of 8 and 13
-# letters, take 6 to 9.3 s at up to 486 MiB; the combs of orders 10 and 11
-# (1 352 077) take 12 to 14 s at 655 MiB, and of order 11 (2 704 155) 24 s
-# at 1.1 GiB (Python 3.11.7, 2-core x86-64 VM, single cold runs).
+# (3, 66), (8, 13) and (2, 178), take 6 to 9.3 s at up to 486 MiB, and the
+# reversed permutations of 8 and 13 letters (203 490 terms) 4.4 to 5.1 s at
+# 128 MiB; the combs of orders 10 and 11 (1 352 077) take 12 to 14 s at
+# 655 MiB, and of order 11 (2 704 155) 24 s at 1.1 GiB (Python 3.11.7,
+# 2-core x86-64 VM, single cold runs).
 MAX_PRODUCT_TERMS = 1_000_000
 
 
@@ -109,10 +113,10 @@ def _parse_tree_sum(text: str) -> LinComb:
 
 
 def cmd_enumerate(args) -> int:
-    if args.order > MAX_ENUMERATE_ORDER:
-        raise ValueError(
-            f"order {args.order} is beyond the enumerate bound n <= {MAX_ENUMERATE_ORDER}"
-        )
+    # Words are what one genfun cell prints, so they share its bound.
+    bound = subalgebras.MAX_GENFUN_DEGREE if args.family == "words" else MAX_ENUMERATE_ORDER
+    if args.order > bound:
+        raise ValueError(f"order {args.order} is beyond the enumerate bound n <= {bound}")
     if args.family == "trees":
         if args.genus < 0:
             raise ValueError("order and genus must be nonnegative")

@@ -43,16 +43,20 @@ def basis_str(basis) -> str:
 def sum_text(terms: Iterable) -> Iterator[str]:
     """The printed form of the sum of (basis, coeff) pairs, in the order
     given, one term at a time: "0" for no terms, else the first term, then
-    " + " or " - " before each later one."""
+    " + " or " - " before each later one.  A coefficient's sign and scale
+    are formatted again only when a term's coefficient is not the same
+    object as the term's before, so a run of terms that share one
+    coefficient formats it once."""
     first = True
+    prev = None
     for b, c in terms:
-        mag = abs(c)
-        body = basis_str(b) if mag == 1 else f"{mag}*{basis_str(b)}"
-        if first:
-            yield body if c > 0 else "-" + body
-            first = False
-        else:
-            yield (" + " if c > 0 else " - ") + body
+        if c is not prev:
+            prev = c
+            mag = abs(c)
+            scale = "" if mag == 1 else f"{mag}*"
+            lead, sep = ("", " + ") if c > 0 else ("-", " - ")
+        yield (lead if first else sep) + scale + basis_str(b)
+        first = False
     if first:
         yield "0"
 

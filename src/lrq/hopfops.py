@@ -3,6 +3,23 @@
 There is one star product.  On unmarked graphs, which are the planar binary
 trees, it is the classical Loday-Ronco product of trees.  Its unit is the
 bare leaf graph.
+
+Through order 5 the algebra is free and cofree, by counting.  Let H(x, y) =
+sum C_n (1 + y)^n x^n be its Hilbert series, C_n the Catalan numbers, so
+that 1 - 1/H has the coefficient C_{n-1} * binomial(n, g) at x^n y^g.  In
+every bidegree (n, g) with 1 <= n <= 5 the tests find that dimension twice:
+for the primitives, the kernel of the reduced coproduct (every term with a
+leaf factor dropped), and for the indecomposables, the graphs modulo the
+products of two graphs of positive order.  The graphs (| m s), whose left
+subtree is a leaf, span a complement of the decomposables there.  A
+connected graded algebra whose indecomposables have the series 1 - 1/H
+has no relations in those degrees, so it is free on them through order 5;
+the same count on the primitives makes it cofree through order 5.  The
+product splits into the two halves of its recursion,
+x < y = x.left v (x.right * y) under x's root and x > y = (x * y.left) v
+y.right under y's root, which satisfy Loday's three dendriform axioms on
+every triple of non-leaf graphs of total order at most 7.  The statement
+for all orders is open.
 """
 
 from __future__ import annotations

@@ -1,8 +1,18 @@
-"""The algebra of permutations: shuffles, block product, star product, coproduct.
+"""The algebra of permutations: star product and coproduct.
 
 Permutations are written in one-line notation; the empty permutation is the
-unit of the star product.  Composition is (rho . sigma)(x) = rho(sigma(x)),
-a convention pinned by the order-3 product of three generators.
+unit of the star product.  This is the Malvenuto-Reutenauer algebra, and
+each operation writes the words it returns straight from its inputs.
+
+The star product of rho in S_p and sigma in S_q is defined as the sum over
+the (p, q)-shuffles alpha of alpha . (rho x sigma), where rho x sigma is the
+block product and (alpha . beta)(x) = alpha(beta(x)); `tests/oracles.py`
+keeps that definition as the oracle of `star_perm`.  A (p, q)-shuffle is
+fixed by the set `chosen` of its values on the first p positions: it lists
+`chosen` and then the complement `rest`, each in increasing order.  So
+alpha . (rho x sigma) sends position i <= p to chosen[rho(i) - 1] and
+position p + j to rest[sigma(j) - 1]; its word is rho's letters read through
+`chosen`, followed by sigma's letters read through `rest`.
 
 The tree algebra embeds here by class sums, not by images: with
 ι(t) = Σ{σ : `lrq.trees.perm_to_tree`(σ) = t}, `star_perm` of ι(t) and ι(u)
@@ -30,18 +40,11 @@ class Permutation:
         if sorted(self.word) != list(range(1, len(self.word) + 1)):
             raise ValueError(f"not a permutation word: {self.word!r}")
 
-    @property
-    def n(self) -> int:
-        return len(self.word)
-
     def __len__(self) -> int:
         return len(self.word)
 
     def __iter__(self):
         return iter(self.word)
-
-    def __call__(self, x: int) -> int:
-        return self.word[x - 1]
 
     def __str__(self) -> str:
         return "[" + ",".join(str(x) for x in self.word) + "]"
@@ -50,63 +53,43 @@ class Permutation:
         return (len(self.word), self.word)
 
 
-def compose(rho: Permutation, sigma: Permutation) -> Permutation:
-    """(rho . sigma)(x) = rho(sigma(x)); both factors must have equal size."""
-    if len(rho) != len(sigma):
-        raise ValueError("can only compose permutations of equal size")
-    return Permutation(tuple(rho.word[s - 1] for s in sigma.word))
-
-
-def shuffles(p: int, q: int) -> list[Permutation]:
-    """All (p, q)-shuffles: increasing on the first p and the last q positions.
-
-    A shuffle is determined by the set of values taken on the first block,
-    so there are binomial(p+q, p) of them.
-    """
-    n = p + q
-    out = []
-    for chosen in combinations(range(1, n + 1), p):
-        rest = tuple(x for x in range(1, n + 1) if x not in set(chosen))
-        out.append(Permutation(chosen + rest))
-    return out
-
-
-def times(rho: Permutation, sigma: Permutation) -> Permutation:
-    """Block product: rho acts on the first p letters, sigma on the last q."""
-    p = len(rho)
-    return Permutation(rho.word + tuple(x + p for x in sigma.word))
-
-
 def star_perm(rho: Permutation, sigma: Permutation) -> LinComb:
-    """Star product: the sum of all shuffles composed with the block product."""
-    base = times(rho, sigma)
-    return LinComb(
-        (compose(alpha, base), 1) for alpha in shuffles(len(rho), len(sigma))
-    )
+    """Star product: one term for each p-subset `chosen` of {1..p+q}, in
+    `combinations` order, whose word is rho's letters read through `chosen`
+    followed by sigma's letters read through the complement `rest`.
+
+    That term is alpha . (rho x sigma) for the shuffle alpha that lists
+    `chosen` and then `rest` (module docstring).  Distinct subsets put
+    distinct value sets on rho's positions, so no two terms are equal and
+    each has coefficient 1.
+    """
+    values = range(1, len(rho) + len(sigma) + 1)
+
+    def term(chosen: tuple[int, ...]) -> Permutation:
+        rest = [x for x in values if x not in chosen]
+        return Permutation(tuple(chosen[r - 1] for r in rho.word)
+                           + tuple(rest[s - 1] for s in sigma.word))
+
+    return LinComb.sum_of(map(term, combinations(values, len(rho))))
 
 
-def split(sigma: Permutation, i: int) -> tuple[Permutation, Permutation, Permutation]:
-    """The unique (sigma_i, sigma'_{n-i}, w) with sigma = (sigma_i x sigma') . w^{-1}.
+def split(sigma: Permutation, i: int) -> tuple[Permutation, Permutation]:
+    """(head, tail): the subword of sigma's letters <= i and the subword of
+    its letters > i, standardized.  O(n).
 
-    The (i, n-i)-shuffle w lists the positions holding the values <= i, then
-    the other positions, each group in increasing order; sigma . w is then
-    the block permutation of the two subwords, standardized.  O(n).
+    For exactly one (i, n-i)-shuffle w, sigma . w is the block product
+    head x tail: w lists the positions holding the letters <= i, then the
+    other positions, each in increasing order.
     """
     n = len(sigma)
     if not 0 <= i <= n:
         raise IndexError(f"split index {i} out of range 0..{n}")
     word = sigma.word
-    low = tuple(p for p, x in enumerate(word, start=1) if x <= i)
-    high = tuple(p for p, x in enumerate(word, start=1) if x > i)
-    head = tuple(x for x in word if x <= i)
-    tail = tuple(x - i for x in word if x > i)
-    return Permutation(head), Permutation(tail), Permutation(low + high)
+    return (Permutation(tuple(x for x in word if x <= i)),
+            Permutation(tuple(x - i for x in word if x > i)))
 
 
 def coproduct_perm(sigma: Permutation) -> LinComb:
-    """Deconcatenation-style coproduct: one tensor term per split index."""
-    out = []
-    for i in range(len(sigma) + 1):
-        left, right, _ = split(sigma, i)
-        out.append(((left, right), 1))
-    return LinComb(out)
+    """Deconcatenation-style coproduct: the sum of the n+1 splits
+    head (x) tail, distinct because their heads have distinct lengths."""
+    return LinComb.sum_of(split(sigma, i) for i in range(len(sigma) + 1))

@@ -64,10 +64,10 @@ MAX_CORRELATOR_ORDER = 10
 # Largest degree `generating_function` accepts, by the same rule.  The CLI
 # writes one cell at a time, and each degree costs about 1.5 times the one
 # before, as the valid words grow like the Fibonacci numbers: `lrq genfun
-# --max-degree 27` takes 14 to 15 s at 65 MiB as text and 9.4 s as --json,
-# and 28 takes 20 s at 91 MiB, too close to the limit (Python 3.11.7, 2-core
-# x86-64 VM, single cold runs in a slow phase, `lrq psi` of 13 letters at 6
-# to 7 s).
+# --max-degree 27` takes 5.4 to 8.3 s as text and 6.7 to 8.2 s as --json at
+# 65 MiB, and 28 takes 7.4 to 11.3 s at 91 MiB (Python 3.11.7, 2-core x86-64
+# VM, single cold runs in a noisy phase).  The bound was set when 28 took
+# 20 s in a slow phase of the host; 28 has not been measured in one since.
 MAX_GENFUN_DEGREE = 27
 
 
@@ -142,16 +142,19 @@ def word_keys(w: Word):
     return shape_keys(w.length, sum(1 << i for i, x in enumerate(w.letters) if x == "L"))
 
 
+_LETTERS = str.maketrans("01", "TL")
+
+
 def enumerate_words(n: int, g: int) -> list[Word]:
     """All valid words of length n with g loops, in lexicographic order:
     the regular n-bit masks with g bits, written as letters, which
-    `slot_masks` yields in that order (bit i set is letter i L, and L < T)."""
+    `slot_masks` yields in that order (bit i set is letter i L, and L < T).
+    Each word is written in one step: the binary digits of m | 1 << n
+    after the leading 1, reversed so that bit 0 comes first."""
     if n < 0 or g < 0:
         raise ValueError("length and loop count must be nonnegative")
-    return [
-        Word("".join("L" if m >> i & 1 else "T" for i in range(n)))
-        for m in slot_masks(n, g, regular=True)
-    ]
+    return [Word(bin(m | 1 << n)[:2:-1].translate(_LETTERS))
+            for m in slot_masks(n, g, regular=True)]
 
 
 @dataclass(frozen=True)

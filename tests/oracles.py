@@ -1,10 +1,10 @@
 """Helpers that only the tests use: the border homology of the trees, its
-contracting homotopy, the symmetric groups, tensor products of sums, the
-lone basis element of a parsed sum, and the generating function of the
-words."""
+contracting homotopy, the symmetric groups and the definition of their star
+product, tensor products of sums, the lone basis element of a parsed sum,
+and the generating function of the words."""
 
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from math import factorial
 
 from lrq.complexes import border_tree, matrix_rank
@@ -49,6 +49,42 @@ def identity(n: int) -> Permutation:
 def all_permutations(n: int) -> list[Permutation]:
     """All of S_n in a deterministic order."""
     return [Permutation(w) for w in permutations(range(1, n + 1))]
+
+
+def compose(rho: Permutation, sigma: Permutation) -> Permutation:
+    """(rho . sigma)(x) = rho(sigma(x)); both factors must have equal size."""
+    if len(rho) != len(sigma):
+        raise ValueError("can only compose permutations of equal size")
+    return Permutation(tuple(rho.word[s - 1] for s in sigma.word))
+
+
+def shuffles(p: int, q: int) -> list[Permutation]:
+    """All (p, q)-shuffles: increasing on the first p and the last q positions.
+
+    A shuffle is determined by the set of values taken on the first block,
+    so there are binomial(p+q, p) of them.
+    """
+    n = p + q
+    out = []
+    for chosen in combinations(range(1, n + 1), p):
+        rest = tuple(x for x in range(1, n + 1) if x not in set(chosen))
+        out.append(Permutation(chosen + rest))
+    return out
+
+
+def times(rho: Permutation, sigma: Permutation) -> Permutation:
+    """Block product: rho acts on the first p letters, sigma on the last q."""
+    p = len(rho)
+    return Permutation(rho.word + tuple(x + p for x in sigma.word))
+
+
+def star_perm_by_shuffles(rho: Permutation, sigma: Permutation) -> LinComb:
+    """The star product by its definition: the sum over the
+    (p, q)-shuffles alpha of alpha . (rho x sigma)."""
+    base = times(rho, sigma)
+    return LinComb(
+        (compose(alpha, base), 1) for alpha in shuffles(len(rho), len(sigma))
+    )
 
 
 def tensor(*factors: LinComb) -> LinComb:

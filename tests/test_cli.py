@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -265,8 +266,14 @@ def test_genfun_refuses_a_degree_beyond_the_bound(capsys, monkeypatch, degree):
     assert invoke(capsys, "genfun", "--max-degree", str(degree)) == (2, "", message)
 
 
-@pytest.mark.parametrize("family", ["trees", "graphs", "words"])
-@pytest.mark.parametrize("order", [MAX_ENUMERATE_ORDER + 1, 10**6])
+# Words are bounded by the genfun bound, trees and graphs by the enumerate one.
+ENUMERATE_BOUNDS = {"trees": MAX_ENUMERATE_ORDER, "graphs": MAX_ENUMERATE_ORDER,
+                    "words": MAX_GENFUN_DEGREE}
+
+
+@pytest.mark.parametrize(("order", "family"),
+                         [(bound + 1, family) for family, bound in ENUMERATE_BOUNDS.items()]
+                         + [(10**6, family) for family in ENUMERATE_BOUNDS])
 def test_enumerate_refuses_an_order_beyond_the_bound(capsys, monkeypatch, family, order):
     def built(*args):
         raise AssertionError(f"enumerated {args} before checking the bound")
@@ -275,9 +282,25 @@ def test_enumerate_refuses_an_order_beyond_the_bound(capsys, monkeypatch, family
     monkeypatch.setattr(trees, "enumerate_trees", built)
     monkeypatch.setattr(loopgraphs, "enumerate_graphs", built)
     monkeypatch.setattr(subalgebras, "enumerate_words", built)
-    message = f"error: order {order} is beyond the enumerate bound n <= {MAX_ENUMERATE_ORDER}\n"
+    bound = ENUMERATE_BOUNDS[family]
+    message = f"error: order {order} is beyond the enumerate bound n <= {bound}\n"
     assert invoke(capsys, "enumerate", family, "--order", str(order), "--genus", "1") == (
         2, "", message)
+
+
+@pytest.mark.parametrize("genus", range(7))
+def test_enumerate_words_beyond_the_graph_bound(capsys, genus):
+    # The words of order MAX_ENUMERATE_ORDER + 1 with g letters L are the
+    # g-subsets of positions with no two adjacent: C(n - g + 1, g) of them.
+    n = MAX_ENUMERATE_ORDER + 1
+    argv = ("enumerate", "words", "--order", str(n), "--genus", str(genus))
+    code, out, err = invoke(capsys, *argv)
+    words = out.splitlines()
+    assert (code, err) == (0, "")
+    assert len(words) == comb(n - genus + 1, genus)
+    assert words == sorted(set(words))
+    assert all(len(w) == n and w.count("L") == genus and "LL" not in w for w in words)
+    assert invoke(capsys, *argv, "--json") == (0, json.dumps(words) + "\n", "")
 
 
 def test_correlator_command(capsys):

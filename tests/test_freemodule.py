@@ -5,7 +5,7 @@ from fractions import Fraction
 
 from hypothesis import given, strategies as st
 
-from lrq.freemodule import LinComb, bilinear_extend
+from lrq.freemodule import LinComb, bilinear_extend, sum_text
 from lrq.hopfops import star_h, star_h_sum
 from lrq.loopgraphs import enumerate_graphs
 from oracles import tensor
@@ -61,6 +61,25 @@ def test_sum_of_distinct_elements_is_the_accumulated_sum(basis):
     x = LinComb.sum_of(basis)
     assert x == LinComb((b, 1) for b in basis)
     assert str(x) == str(LinComb((b, 1) for b in basis))
+
+
+# Shared coefficient objects, as a genfun cell passes one Fraction for all
+# of its words, next to fresh equal ones.
+SHARED = [Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-3, 2), 1, -1, 2]
+coefficients = st.one_of(st.sampled_from(SHARED), fractions.filter(bool))
+
+
+@given(st.lists(st.tuples(graphs, coefficients), max_size=8))
+def test_sum_text_formats_each_term_by_its_coefficient(terms):
+    def term_text(k, b, c):
+        mag = abs(c)
+        body = str(b) if mag == 1 else f"{mag}*{b}"
+        if k == 0:
+            return body if c > 0 else "-" + body
+        return (" + " if c > 0 else " - ") + body
+
+    want = [term_text(k, b, c) for k, (b, c) in enumerate(terms)] or ["0"]
+    assert list(sum_text(terms)) == want
 
 
 def test_accumulation_normalizes():

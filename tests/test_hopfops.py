@@ -7,13 +7,14 @@ from math import comb
 import pytest
 
 from lrq import hopfops, trees
-from lrq.complexes import d_h_graph
+from lrq.complexes import d_h_graph, matrix_rank
 from lrq.exprs import parse
 from lrq.freemodule import LinComb, bilinear_extend
 from lrq.hopfops import (
     UNIT,
     _antipode,
     antipode,
+    bounded_tuples,
     check_axiom,
     counit,
     delta_h,
@@ -541,3 +542,73 @@ def test_check_axiom_finds_what_the_oracle_finds_under_a_fault(
         bad = check_axiom(axiom, 4)
         assert bad == check_axiom_by_cases(axiom, 4), axiom
         assert (bad and ", ".join(map(str, bad))) == found.get(axiom), axiom
+
+
+# Freeness and cofreeness through order 5, and the dendriform halves of the
+# product (the `lrq.hopfops` docstring states the result).
+
+
+def catalan(n: int) -> int:
+    return comb(2 * n, n) // (n + 1)
+
+
+def decomposables(n: int, genus: int) -> list:
+    """The products x * y of graphs of positive orders in bidegree (n, genus)."""
+    return [star_h(x, y) for a in range(1, n) for h in range(genus + 1)
+            for x in enumerate_graphs(a, h) for y in enumerate_graphs(n - a, genus - h)]
+
+
+def test_primitives_have_the_free_count():
+    # Prim is the kernel of the reduced coproduct, which drops every term
+    # with a leaf factor; its dimension is the coefficient of 1 - 1/H for
+    # the Hilbert series H(x, y) = sum C_n (1 + y)^n x^n.
+    for n in range(1, 6):
+        for genus in range(n + 1):
+            basis = enumerate_graphs(n, genus)
+            reduced = [LinComb((pair, c) for pair, c in delta_h(t).items()
+                               if not (pair[0].is_leaf or pair[1].is_leaf))
+                       for t in basis]
+            assert len(basis) - matrix_rank(reduced) == catalan(n - 1) * comb(n, genus)
+
+
+def test_indecomposables_have_the_free_count_and_a_free_basis():
+    # The graphs (| m s), whose left subtree is a leaf, span a complement of
+    # the decomposables in every bidegree.
+    for n in range(1, 6):
+        for genus in range(n + 1):
+            basis = enumerate_graphs(n, genus)
+            products = decomposables(n, genus)
+            rank = matrix_rank(products)
+            assert len(basis) - rank == catalan(n - 1) * comb(n, genus)
+            generators = [LoopGraph(LEAF, s, looped)
+                          for looped in (False, True) if looped <= genus
+                          for s in enumerate_graphs(n - 1, genus - looped)]
+            assert len(generators) == len(basis) - rank
+            assert matrix_rank(products + [LinComb.basis(t) for t in generators]) == len(basis)
+
+
+def prec(x, y) -> LinComb:
+    """x < y = x.left v (x.right * y), under x's root."""
+    return star_h(x.right, y).map_basis(lambda s: LoopGraph(x.left, s, x.looped))
+
+
+def succ(x, y) -> LinComb:
+    """x > y = (x * y.left) v y.right, under y's root."""
+    return star_h(x, y.left).map_basis(lambda s: LoopGraph(s, y.right, y.looped))
+
+
+def test_product_is_dendriform():
+    # Loday's axioms on the non-leaf graphs: (x < y) < z = x < (y * z),
+    # (x > y) < z = x > (y < z), and (x * y) > z = x > (y > z).
+    prec_sum, succ_sum = bilinear_extend(prec), bilinear_extend(succ)
+    basis = [t for t in graphs_up_to_total_order(7) if not t.is_leaf]
+    for x, y in bounded_tuples(basis, 2, 7):
+        assert prec(x, y) + succ(x, y) == star_h(x, y), (x, y)
+    triples = 0
+    for x, y, z in bounded_tuples(basis, 3, 7):
+        bx, bz = LinComb.basis(x), LinComb.basis(z)
+        assert prec_sum(prec(x, y), bz) == prec_sum(bx, star_h(y, z)), (x, y, z)
+        assert prec_sum(succ(x, y), bz) == succ_sum(bx, prec(y, z)), (x, y, z)
+        assert succ_sum(star_h(x, y), bz) == succ_sum(bx, succ(y, z)), (x, y, z)
+        triples += 1
+    assert triples == 1729

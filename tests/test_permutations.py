@@ -1,4 +1,5 @@
-"""Permutation algebra: shuffles, star product, unique splits, coproduct."""
+"""Permutation algebra: star product against its shuffle definition, unique
+splits, coproduct."""
 
 from itertools import permutations as iter_perms
 from math import comb
@@ -7,17 +8,16 @@ import pytest
 
 from lrq.freemodule import LinComb
 from lrq.hopfops import delta_h, star_h
-from lrq.permutations import (
-    Permutation,
+from lrq.permutations import Permutation, coproduct_perm, split, star_perm
+from lrq.trees import enumerate_trees, perm_to_tree
+from oracles import (
+    all_permutations,
     compose,
-    coproduct_perm,
+    identity,
     shuffles,
-    split,
-    star_perm,
+    star_perm_by_shuffles,
     times,
 )
-from lrq.trees import enumerate_trees, perm_to_tree
-from oracles import all_permutations, identity
 
 
 def P(*word):
@@ -58,6 +58,18 @@ def test_times_examples():
     assert times(P(1), P(2, 1)) == P(1, 3, 2)
 
 
+def test_star_is_the_sum_over_the_shuffles():
+    # Every pair with p + q <= 6 against the definition in tests/oracles.py.
+    pairs = 0
+    for p in range(7):
+        for q in range(7 - p):
+            for rho in all_permutations(p):
+                for sigma in all_permutations(q):
+                    assert star_perm(rho, sigma) == star_perm_by_shuffles(rho, sigma)
+                    pairs += 1
+    assert pairs == 2212
+
+
 def test_star_generator_squared():
     assert star_perm(P(1), P(1)) == LinComb([(P(1, 2), 1), (P(2, 1), 1)])
 
@@ -88,20 +100,31 @@ def test_star_support_count():
 
 
 def test_split_examples():
-    left, right, w = split(P(1, 2), 1)
-    assert (left, right, w) == (P(1), P(1), P(1, 2))
+    assert split(P(1, 2), 1) == (P(1), P(1))
+    assert _split_by_search(P(1, 2), 1) == [(P(1), P(1), P(1, 2))]
     sigma = P(2, 3, 1)
-    assert split(sigma, 0) == (P(), sigma, identity(3))
-    assert split(sigma, 3) == (sigma, P(), identity(3))
+    assert split(sigma, 0) == (P(), sigma)
+    assert split(sigma, 3) == (sigma, P())
+    assert _split_by_search(sigma, 0) == [(P(), sigma, identity(3))]
+    assert _split_by_search(sigma, 3) == [(sigma, P(), identity(3))]
+
+
+def test_split_index_out_of_range():
+    for i in (-1, 3):
+        with pytest.raises(IndexError, match=f"split index {i} out of range 0..2"):
+            split(P(2, 1), i)
 
 
 def test_split_satisfies_defining_identity():
-    # sigma . w = sigma_i x sigma' for every split point of every small word.
+    # sigma . w = sigma_i x sigma' for exactly one shuffle w, for every split
+    # point of every small word.
     for n in range(5):
         for sigma in all_permutations(n):
             for i in range(n + 1):
-                left, right, w = split(sigma, i)
-                assert compose(sigma, w) == times(left, right)
+                left, right = split(sigma, i)
+                found = [w for w in shuffles(i, n - i)
+                         if compose(sigma, w) == times(left, right)]
+                assert len(found) == 1
 
 
 def _split_by_search(sigma, i):
@@ -116,10 +139,15 @@ def _split_by_search(sigma, i):
 
 
 def test_split_is_the_unique_shuffle_decomposition():
+    # The one shuffle lists the positions of the letters <= i, then the
+    # others, each in increasing order.
     for n in range(7):
         for sigma in all_permutations(n):
             for i in range(n + 1):
-                assert _split_by_search(sigma, i) == [split(sigma, i)]
+                low = tuple(p for p, x in enumerate(sigma.word, start=1) if x <= i)
+                high = tuple(p for p, x in enumerate(sigma.word, start=1) if x > i)
+                w = Permutation(low + high)
+                assert _split_by_search(sigma, i) == [(*split(sigma, i), w)]
 
 
 def test_coproduct_examples():
