@@ -5,6 +5,21 @@ input nested too deeply for the recursive algebra, a request beyond a size
 bound, and running out of memory).
 Output is deterministic (canonical ordering everywhere); --json switches
 every command to its JSON form.
+
+Each command line is parsed once.  When its first word names a subcommand,
+`run` hands the rest of the line to that subcommand's parser alone
+(`parse_known_args`), and any words it leaves over go to the top-level
+parser's "unrecognized arguments" error.  Every other line (empty, `-h`,
+`--help`, `--`, an unknown word) goes through the top-level `parse_args`.
+This answers exactly as the top-level parser would, byte for byte and exit
+code for exit code: in argparse the subparsers action has `nargs=PARSER`, so
+behind a subcommand name it takes the whole rest of the line, options and
+`--` included (the top level knows only `-h` and `--help`, which no word
+matches ambiguously).  The action calls the subparser's `parse_known_args`
+on those words, so every usage line, help text and error comes from the
+subparser either way, and copies its namespace over.  The top level then
+only reports what the subparser left over, with its own usage line.  The
+one difference is the top level's `command` attribute, which nothing reads.
 """
 
 from __future__ import annotations
@@ -44,8 +59,8 @@ MAX_ENUMERATE_ORDER = 9
 # `perm-product` (C(p + q, p) words of p + q letters) takes the same sum.
 # At the bound the worst measured calls, looped combs of orders (66, 3),
 # (3, 66), (8, 13) and (2, 178), take 6 to 9.3 s at up to 486 MiB, and the
-# reversed permutations of 8 and 13 letters (203 490 terms) 4.4 to 5.1 s at
-# 128 MiB; the combs of orders 10 and 11 (1 352 077) take 12 to 14 s at
+# reversed permutations of 8 and 13 letters (203 490 terms) 3.1 to 3.4 s at
+# 115 MiB; the combs of orders 10 and 11 (1 352 077) take 12 to 14 s at
 # 655 MiB, and of order 11 (2 704 155) 24 s at 1.1 GiB (Python 3.11.7,
 # 2-core x86-64 VM, single cold runs).
 MAX_PRODUCT_TERMS = 1_000_000
@@ -67,10 +82,19 @@ def _write_sum(args, terms) -> None:
     if not args.json:
         sys.stdout.writelines(sum_text(terms))
         return
-    _write_json_list(
-        f'{{"coeff": [{c.numerator}, {c.denominator}], "basis": '
-        f'{json.dumps([str(f) for f in b] if isinstance(b, tuple) else str(b))}}}'
-        for b, c in terms)
+    _write_json_list(_json_terms(terms))
+
+
+def _json_terms(terms):
+    """The JSON text of each (basis, coeff) pair.  As in `sum_text`, a
+    coefficient is formatted again only when it is not the same object as
+    the term's before, so terms that share one coefficient format it once."""
+    prev = None
+    for b, c in terms:
+        if c is not prev:
+            prev = c
+            head = f'{{"coeff": [{c.numerator}, {c.denominator}], "basis": '
+        yield f'{head}{json.dumps([str(f) for f in b] if isinstance(b, tuple) else str(b))}}}'
 
 
 def _graph_terms(keys):
@@ -363,9 +387,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str]) -> int:
-    """Dispatch a command line; returns the process exit code."""
+    """Dispatch a command line, parsing it once (module docstring); returns
+    the process exit code."""
+    top = _build_parser()
+    commands = next(a.choices for a in top._actions if a.dest == "command")
+    sub = commands.get(argv[0]) if argv else None
     try:
-        args = _build_parser().parse_args(argv)
+        if sub is None:
+            args = top.parse_args(argv)
+        else:
+            args, extra = sub.parse_known_args(argv[1:])
+            if extra:
+                top.error("unrecognized arguments: " + " ".join(extra))
     except SystemExit as e:
         return int(e.code or 0)
     try:

@@ -113,7 +113,15 @@ class LinComb:
         return self._terms.items()
 
     def terms(self) -> list:
-        return sorted(self._terms.items(), key=lambda kv: sort_key(kv[0]))
+        """The (basis, coeff) pairs in canonical order.  With no tensor
+        present `sort_key(b)` is `(1, b.sort_key())`, so the basis's own key
+        orders alike at one call per term; a tensor is a tuple, which has no
+        `sort_key`, and a sum holding one sorts by `sort_key`."""
+        items = self._terms.items()
+        try:
+            return sorted(items, key=lambda kv: kv[0].sort_key())
+        except AttributeError:
+            return sorted(items, key=lambda kv: sort_key(kv[0]))
 
     def support(self) -> list:
         return sorted(self._terms, key=sort_key)

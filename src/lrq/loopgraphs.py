@@ -85,6 +85,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations
 from math import comb
+from operator import lshift
 
 # Canonical order on printed strings puts "|" before "(".
 _RANK = str.maketrans("|()vo@", "012345")
@@ -296,11 +297,14 @@ def slot_masks(n: int, g: int, regular: bool) -> list[int]:
 
     The regular masks are built directly: adding i to the i-th of g slots
     taken from n - g + 1 is an increasing bijection onto the g-subsets of n
-    slots with no two adjacent, so they come in the same order."""
+    slots with no two adjacent, so they come in the same order.  Each mask
+    is one sum over a combination of the powers 2^b, the i-th shifted by i
+    in the regular case."""
     if regular:
-        return [sum(1 << (b + i) for i, b in enumerate(bits))
-                for bits in combinations(range(n - g + 1), g)]
-    return [sum(1 << b for b in bits) for bits in combinations(range(n), g)]
+        steps = range(g)
+        return [sum(map(lshift, powers, steps))
+                for powers in combinations([1 << b for b in range(n - g + 1)], g)]
+    return list(map(sum, combinations([1 << b for b in range(n)], g)))
 
 
 def _walk(n: int, g: int, c: int, regular: bool, exact: bool):

@@ -47,7 +47,7 @@ class Permutation:
         return iter(self.word)
 
     def __str__(self) -> str:
-        return "[" + ",".join(str(x) for x in self.word) + "]"
+        return "[" + ",".join(map(str, self.word)) + "]"
 
     def sort_key(self):
         return (len(self.word), self.word)
@@ -64,11 +64,12 @@ def star_perm(rho: Permutation, sigma: Permutation) -> LinComb:
     each has coefficient 1.
     """
     values = range(1, len(rho) + len(sigma) + 1)
+    every = frozenset(values)
 
     def term(chosen: tuple[int, ...]) -> Permutation:
-        rest = [x for x in values if x not in chosen]
-        return Permutation(tuple(chosen[r - 1] for r in rho.word)
-                           + tuple(rest[s - 1] for s in sigma.word))
+        rest = sorted(every.difference(chosen))
+        return Permutation(tuple([chosen[r - 1] for r in rho.word]
+                                 + [rest[s - 1] for s in sigma.word]))
 
     return LinComb.sum_of(map(term, combinations(values, len(rho))))
 
@@ -85,8 +86,8 @@ def split(sigma: Permutation, i: int) -> tuple[Permutation, Permutation]:
     if not 0 <= i <= n:
         raise IndexError(f"split index {i} out of range 0..{n}")
     word = sigma.word
-    return (Permutation(tuple(x for x in word if x <= i)),
-            Permutation(tuple(x - i for x in word if x > i)))
+    return (Permutation(tuple([x for x in word if x <= i])),
+            Permutation(tuple([x - i for x in word if x > i])))
 
 
 def coproduct_perm(sigma: Permutation) -> LinComb:

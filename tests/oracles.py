@@ -1,14 +1,18 @@
 """Helpers that only the tests use: the border homology of the trees, its
 contracting homotopy, the symmetric groups and the definition of their star
 product, tensor products of sums, the lone basis element of a parsed sum,
-and the generating function of the words."""
+the generating function of the words, the slot masks bit by bit, and the
+command line parsed in two levels."""
 
+import sys
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import factorial
 
+from lrq import loopgraphs
+from lrq.cli import _build_parser
 from lrq.complexes import border_tree, matrix_rank
-from lrq.exprs import parse
+from lrq.exprs import ParseError, parse
 from lrq.freemodule import LinComb
 from lrq.loopgraphs import LEAF, LoopGraph
 from lrq.permutations import Permutation
@@ -107,3 +111,37 @@ def genfun_table(max_degree: int) -> dict:
             table[(m - j, j)] = LinComb((Word(w), Fraction(1, factorial(m)))
                                         for w in words if w.count("L") == j)
     return table
+
+
+def slot_masks_by_bits(n: int, g: int, regular: bool) -> list[int]:
+    """`lrq.loopgraphs.slot_masks` by its definition: each mask summed bit
+    by bit, the i-th of g slots taken from n - g + 1 moved up by i in the
+    regular case."""
+    if regular:
+        return [sum(1 << (b + i) for i, b in enumerate(bits))
+                for bits in combinations(range(n - g + 1), g)]
+    return [sum(1 << b for b in bits) for bits in combinations(range(n), g)]
+
+
+def run_two_level(argv: list[str]) -> int:
+    """`lrq.cli.run` with the whole line parsed by the top-level parser,
+    which hands the rest of the line to the subcommand's parser."""
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as e:
+        return int(e.code or 0)
+    try:
+        return args.func(args)
+    except ParseError as e:
+        print(e, file=sys.stderr)
+        return 1
+    except (ValueError, IndexError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: input nested too deeply", file=sys.stderr)
+        return 2
+    except MemoryError:
+        loopgraphs._pairs.cache_clear()
+        print("error: out of memory", file=sys.stderr)
+        return 2

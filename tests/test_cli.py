@@ -1,5 +1,6 @@
 """CLI: golden outputs, exit codes, JSON forms, round trips."""
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -7,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from math import comb
 from pathlib import Path
 
@@ -17,14 +19,14 @@ from hypothesis import given, settings, strategies as st
 import lrq
 from lrq import airy, complexes, hopfops, loopgraphs, permutations, subalgebras, trees
 from lrq.airy import MAX_NEG_EULER
-from lrq.cli import MAX_ENUMERATE_ORDER, _build_parser, run
+from lrq.cli import MAX_ENUMERATE_ORDER, _build_parser, _write_sum, run
 from lrq.complexes import MAX_COHOMOLOGY_ORDER
 from lrq.exprs import parse
 from lrq.freemodule import LinComb
 from lrq.hopfops import MAX_AXIOM_ORDER
 from lrq.loopgraphs import enumerate_graphs
 from lrq.subalgebras import MAX_CORRELATOR_ORDER, MAX_GENFUN_DEGREE, MAX_PSI_LENGTH
-from oracles import genfun_table, single_basis
+from oracles import genfun_table, run_two_level, single_basis
 from test_airy import arrangements, stable_pairs
 
 
@@ -742,9 +744,8 @@ def command_lines(draw):
     return argv + draw(st.sampled_from([[], ["--json"], ["--json", "@"]]))
 
 
-@settings(max_examples=300, deadline=None)
-@given(command_lines())
-def test_fuzzed_command_lines_exit_cleanly(argv):
+def answer(runner, argv) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of runner(argv) under SMALL_BOUNDS."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.ExitStack() as stack:
         for module, name, value in SMALL_BOUNDS:
@@ -752,8 +753,90 @@ def test_fuzzed_command_lines_exit_cleanly(argv):
         stack.enter_context(mock.patch("lrq.cli.MAX_ENUMERATE_ORDER", 6))
         stack.enter_context(contextlib.redirect_stdout(out))
         stack.enter_context(contextlib.redirect_stderr(err))
-        code = run(argv)
+        code = runner(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(command_lines())
+def test_fuzzed_command_lines_exit_cleanly(argv):
+    code, out, err = answer(run, argv)
     assert code in (0, 1, 2)
-    assert "Traceback" not in err.getvalue()
+    assert "Traceback" not in err
     if code == 0 and "--json" in argv:
-        json.loads(out.getvalue())
+        json.loads(out)
+    # The one-parse dispatch answers as the two-level parse.
+    assert (code, out, err) == answer(run_two_level, argv)
+
+
+# Lines at the edges of the one-parse dispatch: no subcommand, an unknown
+# one, a missing operand, words left over, help and "--" in every place, an
+# option abbreviated, a short option with its value attached, an "=" value,
+# an option given twice and an operand that looks like an option.
+DISPATCH_EDGES = [
+    [], ["-h"], ["--help"], ["bogus"], ["bogus", "x"], ["product"],
+    ["product", "|", "|", "extra"], ["product", "|", "|", "-h"], ["product", "--", "|", "|"],
+    ["--", "product", "|", "|"], ["product", "|", "|", "--alg", "reg"],
+    ["counit", "|", "-hx"], ["face", "(|v|)", "--index=-1"],
+    ["genfun", "--max-degree", "3", "--max-degree", "2"], ["parse-check", "-(|v|)"],
+] + [[name, "--help"] for name in subcommands()]
+
+
+@pytest.mark.parametrize("argv", DISPATCH_EDGES, ids=" ".join)
+def test_one_parse_answers_as_the_two_level_parse(argv):
+    assert answer(run, argv) == answer(run_two_level, argv)
+
+
+SALAD = st.lists(st.one_of(
+    st.sampled_from(subcommands()),
+    st.sampled_from(["-h", "--json", "--", "--order", "--genus", "--max-degree", "--index",
+                     "--space", "--kind", "--algebra", "--axiom", "--max-order", "--legs"]),
+    ARGUMENT,
+), max_size=7)
+
+
+@settings(max_examples=300, deadline=None)
+@given(SALAD)
+def test_word_salads_answer_as_the_two_level_parse(argv):
+    assert answer(run, argv) == answer(run_two_level, argv)
+
+
+@pytest.mark.parametrize("argv, want", [
+    *((argv, 0) for argv in JSON_EXAMPLES.values()), (("genfun", "--help"), 0),
+    (("product", "|"), 2), (("product", "|", "|", "extra"), 2),
+], ids=str)
+def test_a_line_that_names_a_subcommand_skips_the_top_level_parse(capsys, argv, want):
+    refuse = AssertionError("the top-level parser read the line")
+    with mock.patch.object(_build_parser(), "parse_args", side_effect=refuse):
+        code, _, _ = invoke(capsys, *argv)
+    assert code == want
+
+
+def test_leftover_words_are_the_top_level_error(capsys):
+    code, out, err = invoke(capsys, "product", "|", "|", "extra", "--x")
+    assert (code, out) == (2, "")
+    assert err == (_build_parser().format_usage()
+                   + "lrq: error: unrecognized arguments: extra --x\n")
+
+
+JSON_GRAPHS = [g for n in range(3) for gg in range(n + 1) for g in enumerate_graphs(n, gg)]
+# Shared coefficient objects, as a genfun cell passes one Fraction for all
+# of its words, next to fresh equal ones.
+SHARED = [Fraction(1), Fraction(-1, 3), Fraction(5, 2), 1, -2]
+json_terms = st.lists(st.tuples(
+    st.one_of(st.sampled_from(JSON_GRAPHS),
+              st.tuples(st.sampled_from(JSON_GRAPHS), st.sampled_from(JSON_GRAPHS))),
+    st.one_of(st.sampled_from(SHARED),
+              st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 5))),
+), max_size=8)
+
+
+@given(json_terms)
+def test_json_terms_format_each_term_by_its_coefficient(terms):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _write_sum(argparse.Namespace(json=True), terms)
+    assert out.getvalue() == json.dumps(
+        [{"coeff": [c.numerator, c.denominator],
+          "basis": [str(f) for f in b] if isinstance(b, tuple) else str(b)}
+         for b, c in terms])

@@ -5,9 +5,11 @@ from fractions import Fraction
 
 from hypothesis import given, strategies as st
 
-from lrq.freemodule import LinComb, bilinear_extend, sum_text
+from lrq.freemodule import LinComb, bilinear_extend, sort_key, sum_text
 from lrq.hopfops import star_h, star_h_sum
 from lrq.loopgraphs import enumerate_graphs
+from lrq.permutations import Permutation
+from lrq.subalgebras import enumerate_words
 from oracles import tensor
 
 POOL = [
@@ -54,6 +56,19 @@ def test_terms_are_canonically_sorted(x):
     keys = [b.sort_key() for b, _ in x.terms()]
     assert keys == sorted(keys)
     assert len(set(keys)) == len(keys)
+
+
+permutations = st.permutations(range(1, 5)).flatmap(
+    lambda w: st.integers(0, 4).map(lambda n: Permutation(tuple(x for x in w if x <= n))))
+words = st.sampled_from([w for n in range(6) for j in range(3) for w in enumerate_words(n, j)])
+tensors = st.lists(graphs, min_size=2, max_size=3).map(tuple)
+
+
+@given(st.one_of(*(st.lists(st.tuples(basis, fractions), max_size=8).map(LinComb)
+                   for basis in (graphs, permutations, words, tensors,
+                                 st.one_of(graphs, tensors)))))
+def test_terms_sort_by_the_canonical_key(x):
+    assert x.terms() == sorted(x.items(), key=lambda kv: sort_key(kv[0]))
 
 
 @given(st.lists(graphs, unique=True))

@@ -2,7 +2,6 @@
 enumeration, signatures."""
 
 import random
-from itertools import combinations
 from math import comb
 
 import pytest
@@ -29,7 +28,7 @@ from lrq.loopgraphs import (
     with_slots,
 )
 from lrq.trees import enumerate_trees
-from oracles import single_basis
+from oracles import single_basis, slot_masks_by_bits
 
 
 def g(s: str) -> LoopGraph:
@@ -256,12 +255,15 @@ def test_walk_is_the_sorted_union_over_masks():
 
 
 def test_regular_masks_are_the_filtered_combinations():
-    # Oracle: every g-subset of n slots, dropping those with two adjacent.
+    # Oracles: every g-subset of n slots summed bit by bit, dropping those
+    # with two adjacent; and the regular masks summed bit by bit from their
+    # direct construction.
     for n in range(17):
         for gg in range(n + 2):
-            every = [sum(1 << i for i in bits) for bits in combinations(range(n), gg)]
+            every = slot_masks_by_bits(n, gg, False)
             assert slot_masks(n, gg, False) == every, (n, gg)
             assert slot_masks(n, gg, True) == [m for m in every if not m & m >> 1], (n, gg)
+            assert slot_masks(n, gg, True) == slot_masks_by_bits(n, gg, True), (n, gg)
 
 
 def test_keys_print_as_their_interned_graphs():

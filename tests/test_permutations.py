@@ -31,6 +31,12 @@ def test_permutation_validation():
         Permutation((0, 1))
 
 
+def test_permutation_prints_letter_by_letter():
+    for n in range(8):
+        for sigma in all_permutations(n):
+            assert str(sigma) == "[" + ",".join(str(x) for x in sigma.word) + "]"
+
+
 def test_shuffles_type_1_2():
     assert [p.word for p in shuffles(1, 2)] == [(1, 2, 3), (2, 1, 3), (3, 1, 2)]
 
