@@ -62,19 +62,45 @@ In all three cases d maps the degree-(g-1) cochains into the degree-g ones,
 so dim H = #masks(g) - rank d(g) - rank d(g-1) on K_n or K_n^reg, and
 `full`/`reg` multiply this by Catalan(n).  Ranks are computed by sparse
 exact elimination on rows {mask: sign}, so every dimension is exact.
+
+(d) On K_n, d(g) and d(n-1-g) have the same rank.  Write d(g) for the
+matrix with entry D_g[m', m] = (-1)^(i + popcount(m & (2^i - 1))) when
+m' = m | 2^i with bit i not in m, and 0 otherwise, and let c(m) be the
+complement of m in n bits, so c(m') = c(m) minus bit i, and c takes the
+degree-g masks onto the degree-(n-g) ones.  Bits below i are set in exactly
+one of m and c(m), so popcount(c(m') & (2^i - 1)) = i - popcount(m & (2^i - 1)),
+and the entry of d(n-1-g) from c(m') to c(m) is
+    D_{n-1-g}[c(m), c(m')] = (-1)^(popcount(m & (2^i - 1))) = (-1)^i D_g[m', m].
+With phi(m) = (-1)^(sum of the bit positions of m), phi(m') phi(m) = (-1)^i.
+So, read through c, d(n-1-g) is P D_g^T Q for the diagonal +-1 matrices P
+and Q of phi on the two degrees: it is the transpose of d(g) up to signs on
+rows and columns, and the ranks agree.  (There is no such duality on
+K_n^reg: the complement of a regular mask is not regular in general.)
+
+`rank_d` keeps each rank once: it reads K_n's d(g) under the key
+min(g, n-1-g), answers 0 with no lookup where d(g) is zero (g < 0, or
+g >= n, where it maps into the zero space), and otherwise looks the rank up
+in a memo keyed by (n, g, complex).  A sweep over (n, g, space) then
+eliminates each matrix once: items g and g+1 share d(g), `reg` and
+`toprec` share K_n^reg, and d(g) of K_n serves d(n-1-g) too.  `cohomology_dim`
+reaches the memo only after the MAX_COHOMOLOGY_ORDER check, so it holds at
+most one int per (n, g, complex) with 0 <= g < n <= MAX_COHOMOLOGY_ORDER.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import comb, gcd, lcm
 
 from . import trees
 from .freemodule import LinComb
 from .loopgraphs import LoopGraph, slot_masks, with_slots
 
-# Largest order `cohomology_dim` accepts.  Its slowest space there, full
-# (14, 7), takes 2 to 3 s on a 2-core x86-64 VM (Python 3.11.7);
-# full (15, 8) takes about 7 s, and each further order roughly doubles it.
+# Largest order `cohomology_dim` accepts.  Cold, on a 2-core x86-64 VM
+# (Python 3.11.7), its slowest call there, full (14, 6), takes about 1.4 s,
+# full (14, 7) about 0.7 s (both its ranks are d(6), by the duality (d)), and
+# the whole table to n = 14 about 2.3 s; full (15, 7) and (15, 8) take 5.3
+# to 5.6 s.
 MAX_COHOMOLOGY_ORDER = 14
 
 
@@ -181,11 +207,20 @@ def cohomology_dim(n: int, g: int, space: str) -> int:
             f"order {n} is beyond the cohomology bound n <= {MAX_COHOMOLOGY_ORDER}"
         )
     regular = space != "full"
-
-    def rank_d(masks: list[int]) -> int:
-        return matrix_rank([d_mask(m, n, regular) for m in masks])
-
-    here = slot_masks(n, g, regular)
-    below = slot_masks(n, g - 1, regular) if g else []
-    dim = len(here) - rank_d(here) - rank_d(below)
+    dim = len(slot_masks(n, g, regular)) - rank_d(n, g, regular) - rank_d(n, g - 1, regular)
     return dim if space == "toprec" else comb(2 * n, n) // (n + 1) * dim
+
+
+def rank_d(n: int, g: int, regular: bool) -> int:
+    """Rank of d(g), from the degree-g cochains of K_n (or K_n^reg) to the
+    degree-(g+1) ones, through the memo of the module docstring: K_n reads
+    g as min(g, n-1-g) by the duality (d), and a d(g) that is zero (g < 0
+    or g >= n) is answered without a lookup."""
+    if not regular:
+        g = min(g, n - 1 - g)
+    return _rank_d(n, g, regular) if 0 <= g < n else 0
+
+
+@lru_cache(maxsize=None)
+def _rank_d(n: int, g: int, regular: bool) -> int:
+    return matrix_rank([d_mask(m, n, regular) for m in slot_masks(n, g, regular)])

@@ -25,11 +25,12 @@ from typing import Callable, Iterable, Iterator
 def sort_key(basis):
     """Canonical total order on basis elements.
 
-    Tensor tuples sort after shorter tuples and compare factorwise; atoms
-    count as 1-tuples, so sums mixing plain and tensor terms still order.
+    Tensor tuples sort after shorter tuples and compare factorwise by the
+    factors' own keys; atoms count as 1-tuples, so sums mixing plain and
+    tensor terms still order.
     """
     if isinstance(basis, tuple):
-        return (len(basis), tuple(sort_key(b) for b in basis))
+        return (len(basis), tuple(b.sort_key() for b in basis))
     return (1, basis.sort_key())
 
 
@@ -122,9 +123,6 @@ class LinComb:
             return sorted(items, key=lambda kv: kv[0].sort_key())
         except AttributeError:
             return sorted(items, key=lambda kv: sort_key(kv[0]))
-
-    def support(self) -> list:
-        return sorted(self._terms, key=sort_key)
 
     def coeff(self, b) -> int | Fraction:
         return self._terms.get(b, 0)

@@ -1,8 +1,9 @@
 """Helpers that only the tests use: the border homology of the trees, its
 contracting homotopy, the symmetric groups and the definition of their star
 product, tensor products of sums, the lone basis element of a parsed sum,
-the generating function of the words, the slot masks bit by bit, and the
-command line parsed in two levels."""
+the support of a sum, the canonical order with a nested key per tensor
+factor, the generating function of the words, the slot masks bit by bit,
+and the command line parsed in two levels."""
 
 import sys
 from fractions import Fraction
@@ -13,7 +14,7 @@ from lrq import loopgraphs
 from lrq.cli import _build_parser
 from lrq.complexes import border_tree, matrix_rank
 from lrq.exprs import ParseError, parse
-from lrq.freemodule import LinComb
+from lrq.freemodule import LinComb, sort_key
 from lrq.loopgraphs import LEAF, LoopGraph
 from lrq.permutations import Permutation
 from lrq.subalgebras import Word
@@ -27,6 +28,19 @@ def single_basis(text: str, kind: str = "graph-sum"):
     if len(items) != 1 or items[0][1] != 1:
         raise ValueError(f"expected a single basis element, got {x}")
     return items[0][0]
+
+
+def support(x: LinComb) -> list:
+    """The basis elements of x in canonical order."""
+    return sorted((b for b, _ in x.items()), key=sort_key)
+
+
+def nested_sort_key(basis):
+    """`lrq.freemodule.sort_key` with each tensor factor keyed as an atom,
+    `(1, factor.sort_key())`: a tensor is `(len, tuple of factor keys)`."""
+    if isinstance(basis, tuple):
+        return (len(basis), tuple(nested_sort_key(b) for b in basis))
+    return (1, basis.sort_key())
 
 
 def extra_degeneracy(t: LoopGraph) -> LoopGraph:

@@ -35,7 +35,7 @@ from lrq.subalgebras import (
     psi_word,
     star_reg,
 )
-from oracles import border_homology_dim, extra_degeneracy, single_basis
+from oracles import border_homology_dim, extra_degeneracy, single_basis, support
 
 L = LinComb.basis(ONELOOP)
 T = LinComb.basis(TREE)
@@ -77,8 +77,8 @@ def test_c03_graph_counts_order_3():
     total = sum(len(enumerate_graphs(3, g, regular_only=True)) for g in (0, 1, 2))
     assert total == 25
     ltl = psi_word(Word("LTL"))
-    assert len(ltl.support()) == 5
-    assert all(t.genus == 2 and is_regular(t) for t in ltl.support())
+    assert len(support(ltl)) == 5
+    assert all(t.genus == 2 and is_regular(t) for t in support(ltl))
     done(3, "15 one-loop and 25 regular graphs at order 3, LTL has 5")
 
 

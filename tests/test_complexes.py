@@ -35,7 +35,13 @@ from lrq.loopgraphs import (
     slot_masks,
 )
 from lrq.subalgebras import Word, enumerate_words, project_regular, psi_word
-from oracles import border_homology_dim, extra_degeneracy, single_basis
+from oracles import (
+    border_homology_dim,
+    extra_degeneracy,
+    single_basis,
+    slot_masks_by_bits,
+    support,
+)
 from test_subalgebras import psi_fold
 
 T = LinComb.basis(TREE)
@@ -115,16 +121,16 @@ def test_d_h_bracket_identity():
 def test_d_h_cochain_wrappers():
     # d_h takes the (2, 0) cochain T*T to the (2, 1) cochain L*T - T*L.
     x = star_h(TREE, TREE)
-    assert {(t.order, t.genus) for t in x.support()} == {(2, 0)}
+    assert {(t.order, t.genus) for t in support(x)} == {(2, 0)}
     y = d_h_sum(x)
-    assert {(t.order, t.genus) for t in y.support()} == {(2, 1)}
+    assert {(t.order, t.genus) for t in support(y)} == {(2, 1)}
     assert y == star_h(ONELOOP, TREE) - star_h(TREE, ONELOOP)
 
 
 def test_d_h_raises_the_genus_by_one():
     for graph in all_graphs(5):
         image = d_h_graph(graph)
-        assert {(t.order, t.genus) for t in image.support()} <= {
+        assert {(t.order, t.genus) for t in support(image)} <= {
             (graph.order, graph.genus + 1)}
 
 
@@ -265,7 +271,7 @@ def test_cohomology_dims_full_small():
 def test_full_complex_is_acyclic():
     # Per tree the full complex is the Koszul complex of exterior
     # multiplication by a nonzero vector, so only the empty graph survives.
-    for n in range(6):
+    for n in range(MAX_COHOMOLOGY_ORDER + 1):
         for gg in range(n + 1):
             assert cohomology_dim(n, gg, "full") == (1 if (n, gg) == (0, 0) else 0)
 
@@ -273,7 +279,7 @@ def test_full_complex_is_acyclic():
 def test_regular_complex_matches_kozlov():
     # Per tree the regular complex is the independence complex of a path
     # (Kozlov, "Complexes of directed trees", JCTA 88, 1999).
-    for n in range(7):
+    for n in range(MAX_COHOMOLOGY_ORDER + 1):
         top = ceil(n / 3)
         for gg in range(n + 1):
             expected = comb(2 * n, n) // (n + 1) if n % 3 != 1 and gg == top else 0
@@ -394,10 +400,86 @@ def test_reg_is_catalan_copies_of_toprec():
 def test_toprec_matches_kozlov():
     # The word complex is the independence complex of a path of n vertices
     # (Kozlov, "Complexes of directed trees", JCTA 88, 1999).
-    for n in range(13):
+    for n in range(MAX_COHOMOLOGY_ORDER + 1):
         for gg in range(n + 2):
             expected = 1 if n % 3 != 1 and gg == ceil(n / 3) else 0
             assert cohomology_dim(n, gg, "toprec") == expected, (n, gg)
+
+
+def fresh_rank_d(n: int, gg: int, regular: bool) -> int:
+    """Rank of d(gg) on K_n or K_n^reg by a new elimination, no memo."""
+    return matrix_rank([d_mask(m, n, regular) for m in slot_masks_by_bits(n, gg, regular)])
+
+
+def complement(m: int, n: int) -> int:
+    return m ^ ((1 << n) - 1)
+
+
+def test_complement_turns_d_into_its_signed_transpose():
+    # D_{n-1-g}[c(m), c(m')] = (-1)^i D_g[m', m] for m' = m | 2^i.
+    for n in range(9):
+        for gg in range(n):
+            for m in slot_masks_by_bits(n, gg, False):
+                for image, sign in d_mask(m, n, False).items():
+                    i = (image ^ m).bit_length() - 1
+                    dual = d_mask(complement(image, n), n, False)
+                    assert dual[complement(m, n)] == (-1) ** i * sign, (n, m, image)
+            # And d(n-1-g) has no other entries.
+            entries = sum(len(d_mask(m, n, False)) for m in slot_masks_by_bits(n, gg, False))
+            dual_entries = sum(len(d_mask(m, n, False))
+                               for m in slot_masks_by_bits(n, n - 1 - gg, False))
+            assert entries == dual_entries == comb(n, gg) * (n - gg)
+
+
+def test_full_rank_is_symmetric_under_complement_duality():
+    # K_n (n >= 1) is acyclic, so rank d(g) = C(n-1, g).
+    for n in range(11):
+        for gg in range(n):
+            rank = fresh_rank_d(n, gg, False)
+            assert rank == fresh_rank_d(n, n - 1 - gg, False) == comb(n - 1, gg), (n, gg)
+            assert complexes.rank_d(n, gg, False) == rank, (n, gg)
+
+
+def canonical_rank_keys(max_order: int) -> set:
+    """The memo keys a sweep over every (n <= max_order, g <= n + 1, space)
+    needs: d(g) and d(g - 1), K_n's g read as min(g, n - 1 - g), and none
+    where d(g) is zero (g < 0 or g >= n)."""
+    keys = set()
+    for n in range(max_order + 1):
+        for gg in range(n + 2):
+            for degree in (gg, gg - 1):
+                for regular in (False, True):
+                    k = degree if regular else min(degree, n - 1 - degree)
+                    if 0 <= k < n:
+                        keys.add((n, k, regular))
+    return keys
+
+
+def test_rank_memo_misses_once_per_canonical_key():
+    complexes._rank_d.cache_clear()
+    try:
+        for n in range(9):
+            for gg in range(n + 2):
+                for space in ("full", "reg", "toprec"):
+                    cohomology_dim(n, gg, space)
+        keys = canonical_rank_keys(8)
+        info = complexes._rank_d.cache_info()
+        assert info.misses == info.currsize == len(keys)
+        # Every cached value is a hit now, and equals a fresh elimination.
+        for n, gg, regular in keys:
+            assert complexes._rank_d(n, gg, regular) == fresh_rank_d(n, gg, regular)
+        assert complexes._rank_d.cache_info().misses == len(keys)
+    finally:
+        complexes._rank_d.cache_clear()
+
+
+def test_rank_d_is_zero_where_d_is_zero():
+    complexes._rank_d.cache_clear()
+    for n in range(6):
+        for regular in (False, True):
+            for gg in (-2, -1, n, n + 1, n + 5):
+                assert complexes.rank_d(n, gg, regular) == 0
+    assert complexes._rank_d.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("space", ["full", "reg", "toprec"])

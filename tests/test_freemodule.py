@@ -10,7 +10,7 @@ from lrq.hopfops import star_h, star_h_sum
 from lrq.loopgraphs import enumerate_graphs
 from lrq.permutations import Permutation
 from lrq.subalgebras import enumerate_words
-from oracles import tensor
+from oracles import nested_sort_key, support, tensor
 
 POOL = [
     g for n in range(4) for gg in range(n + 1) for g in enumerate_graphs(n, gg)
@@ -69,6 +69,21 @@ tensors = st.lists(graphs, min_size=2, max_size=3).map(tuple)
                                  st.one_of(graphs, tensors)))))
 def test_terms_sort_by_the_canonical_key(x):
     assert x.terms() == sorted(x.items(), key=lambda kv: sort_key(kv[0]))
+
+
+def atoms_and_tensors(atoms):
+    """Atoms of one kind mixed with 2- and 3-tensors of them."""
+    return st.one_of(atoms, st.lists(atoms, min_size=2, max_size=3).map(tuple))
+
+
+@given(st.one_of(*(st.lists(st.tuples(atoms_and_tensors(atoms), fractions), max_size=10)
+                   .map(LinComb) for atoms in (graphs, permutations, words))))
+def test_flat_tensor_key_orders_as_the_nested_key(x):
+    # A tensor's key holds its factors' own keys; the nested key wraps each
+    # one as (1, key), and that constant never decides a comparison.
+    want = sorted(x.items(), key=lambda kv: nested_sort_key(kv[0]))
+    assert x.terms() == want
+    assert support(x) == [b for b, _ in want]
 
 
 @given(st.lists(graphs, unique=True))
