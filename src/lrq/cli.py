@@ -97,11 +97,6 @@ def _json_terms(terms):
         yield f'{head}{json.dumps([str(f) for f in b] if isinstance(b, tuple) else str(b))}}}'
 
 
-def _graph_terms(keys):
-    """(printed graph, 1) for each graph key, interning no graph."""
-    return zip(map(loopgraphs.key_str, keys), repeat(1))
-
-
 def _emit_sum(args, x: LinComb) -> int:
     _write_sum(args, x.terms())
     print()
@@ -247,7 +242,7 @@ def cmd_cohomology(args) -> int:
 
 def cmd_psi(args) -> int:
     w = _single(args.word, "word")
-    _write_sum(args, _graph_terms(subalgebras.word_keys(w)))
+    _write_sum(args, loopgraphs.graph_terms(subalgebras.word_keys(w)))
     print()
     return 0
 
@@ -256,7 +251,7 @@ def cmd_correlator(args) -> int:
     write = sys.stdout.write
     for k, (g, keys) in enumerate(subalgebras.correlator_keys(args.order)):
         write(f'{", " if k else "{"}"{g}": ' if args.json else f"h^{g}: ")
-        _write_sum(args, _graph_terms(keys))
+        _write_sum(args, loopgraphs.graph_terms(keys))
         write("" if args.json else "\n")
     write("}\n" if args.json else "")
     return 0

@@ -29,11 +29,13 @@ from functools import lru_cache
 from .freemodule import LinComb, add_bilinear, bilinear_extend
 from .loopgraphs import LEAF, LoopGraph, enumerate_graphs, with_slots
 
-# Largest total order `check_axiom` accepts: on a 2-core x86-64 VM (Python
-# 3.11.7, three cold runs each) the slowest axiom there, antipode, takes 0.6
-# to 0.8 s at 25 MiB; at total order 8 antipode takes 9 to 12 s at 83 MiB,
-# and each other axiom under 3 s at under 50 MiB.
-MAX_AXIOM_ORDER = 7
+# Largest total order `check_axiom` accepts, by the rule that the worst CLI
+# call finishes within 30 s and 1 GiB: on a 2-core x86-64 VM (Python 3.11.7,
+# cold runs, text and --json) the slowest axiom there, antipode, takes 6.1
+# to 6.7 s at 85 MiB, and 10.0 to 10.4 s with three runs sharing the two
+# cores; compat takes 2.0 to 2.3 s at 52 MiB, coassoc 1.9 s, assoc 0.9 s and
+# counit 0.7 s.  At total order 9 antipode takes 82 s at 536 MiB.
+MAX_AXIOM_ORDER = 8
 
 UNIT = LinComb.basis(LEAF)
 

@@ -54,9 +54,10 @@ graph string, as they all begin with "(".  Two consequences:
   is the tree walk with the mask put on each shape.
 
 `family_keys` and `shape_keys` yield keys, not nodes; `key_str` prints a
-key and `graph_of` interns one, so `lrq correlator`, `lrq psi` and
-`lrq enumerate graphs` write their graphs one at a time and intern none of
-them.  The lists of the smaller orders are kept (`_pairs`).
+key, `graph_terms` makes the terms of a printed sum of keys, and `graph_of`
+interns one, so `lrq correlator`, `lrq psi`, `lrq enumerate graphs` and
+`str(full_correlator(n))` write their graphs one at a time and intern none
+of them.  The lists of the smaller orders are kept (`_pairs`).
 
 Nodes are hash-consed: ``LoopGraph(left, right, looped)`` returns the one
 node with that shape and mask, building it only the first time.  So two
@@ -71,11 +72,14 @@ recursion bounded by `_KEPT_STRING_ORDER`, so a graph of any depth prints.
 Interned nodes live for the whole process: the table holds every node ever
 built, and so do the memo caches of `_graphs`, `_pairs` and `lrq.hopfops`.
 On CPython 3.11 a node takes 88 bytes and its table entry (a 3-tuple key
-and a dict slot) about 100 more.  After `str(full_correlator(8))` and `del`
-of the result, 21.8 MiB stay held for 79 277 nodes, strings and pair lists
-included; `lrq correlator --order 9` in the same process then holds 7 MiB
-more, all of it pair lists of orders at most 8 (two parallel tuples, 16
-bytes a graph) and the strings of their trees, and interns no graph.  The
+and a dict slot) about 100 more.  After reading the sum of every genus of
+`full_correlator(8)` (`exp[g]`) and `del` of the sums, 15.6 MiB stay held
+for 79 277 nodes, pair lists included, and 21.8 MiB if each sum was
+printed, as every graph then keeps its string.  Printing the expansion
+(`str`) holds 1.8 MiB, the pair lists and tree strings of orders at most 7,
+and interns no graph; `lrq correlator --order 9` in the same process then
+holds 7 MiB more, all of it pair lists of orders at most 8 (two parallel
+tuples, 16 bytes a graph) and the strings of their trees.  The
 same graphs recur across products, coproducts, enumerations and CLI
 requests, so each is built and printed once.
 """
@@ -83,7 +87,7 @@ requests, so each is built and printed once.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, repeat
 from math import comb
 from operator import lshift
 
@@ -106,8 +110,6 @@ _NODES: dict[tuple, "LoopGraph"] = {}
 # larger subtrees keep no string, so printing a tree n levels deep keeps
 # O(n) characters, not O(n^2).
 _KEPT_STRING_ORDER = 64
-
-_set = object.__setattr__
 
 # Bit i of a mask, written in slot order, as the mark of slot i.
 _MARK = str.maketrans("01", "vo")
@@ -154,13 +156,13 @@ class LoopGraph(metaclass=_Interned):
                  slots: int):
         order = 0 if ltree is None else ltree.order + rtree.order + 1
         genus = slots.bit_count()
-        _set(self, "_ltree", ltree)
-        _set(self, "_rtree", rtree)
-        _set(self, "order", order)
-        _set(self, "genus", genus)
-        _set(self, "slots", slots)
-        _set(self, "total_order", order + genus)
-        _set(self, "_str", "|" if ltree is None else None)
+        _set_ltree(self, ltree)
+        _set_rtree(self, rtree)
+        _set_order(self, order)
+        _set_genus(self, genus)
+        _set_slots(self, slots)
+        _set_total_order(self, order + genus)
+        _set_str(self, "|" if ltree is None else None)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"LoopGraph is immutable: cannot set {name!r}")
@@ -196,7 +198,7 @@ class LoopGraph(metaclass=_Interned):
                 text = _print_tree(self)
             else:
                 text = key_str((self._ltree, self._rtree, self.slots))
-            _set(self, "_str", text)
+            _set_str(self, text)
         return text
 
     def __repr__(self) -> str:
@@ -204,6 +206,12 @@ class LoopGraph(metaclass=_Interned):
 
     def sort_key(self) -> str:
         return rank_string(str(self))
+
+
+# The setters of the slots, bound once: a node sets its slots through them,
+# past the __setattr__ that refuses every assignment.
+(_set_ltree, _set_rtree, _set_order, _set_genus, _set_slots, _set_total_order,
+ _set_str) = (LoopGraph.__dict__[name].__set__ for name in LoopGraph.__slots__)
 
 
 def key_str(key: tuple) -> str:
@@ -219,6 +227,12 @@ def key_str(key: tuple) -> str:
     if slots:
         text = text.replace("v", "%s") % _marks(ltree.order + rtree.order + 1, slots)
     return text
+
+
+def graph_terms(keys):
+    """(printed graph, 1) for each graph key, interning no graph: the terms
+    that `freemodule.sum_text` and the CLI's --json writer print."""
+    return zip(map(key_str, keys), repeat(1))
 
 
 @lru_cache(maxsize=None)

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .freemodule import LinComb
+from .freemodule import LinComb, sum_text
 from .hopfops import (
     bounded_tuples,
     delta_h,
@@ -49,7 +49,7 @@ from .hopfops import (
     star_h_sum,
     tensor_star,
 )
-from .loopgraphs import family_keys, graph_of, is_regular, shape_keys, slot_masks
+from .loopgraphs import family_keys, graph_of, graph_terms, is_regular, shape_keys, slot_masks
 
 # Largest word length `psi_word` and order `full_correlator` accept, by the
 # rule that the worst CLI call finishes within 30 s and 1 GiB.  The CLI
@@ -159,32 +159,37 @@ def enumerate_words(n: int, g: int) -> list[Word]:
 
 @dataclass(frozen=True)
 class QuantumExpansion:
-    """A formal expansion in the loop-counting parameter: genus -> graph sum.
+    """The order-n expansion in the loop-counting parameter h: at key g, the
+    sum of all length-n words with g loops, which by `psi_word` is every
+    regular graph of order n and genus g, each with coefficient 1.
 
-    The parameter is purely a grading key; every graph sum stored under key g
-    is homogeneous of genus g.
+    The parameter is purely a grading key.  The expansion is a view over
+    `correlator_keys`: printing it writes each genus's keys as `lrq
+    correlator` does, interning no graph and sorting nothing, since the walk
+    is in canonical order (the lemma of `lrq.loopgraphs`), and the graph sum
+    at key g is built only when it is read.
     """
 
-    by_genus: dict[int, LinComb]
+    order: int
+
+    def __post_init__(self):
+        correlator_keys(self.order)  # refuses an order beyond the bound
 
     def genera(self) -> list[int]:
-        return sorted(self.by_genus)
+        return [g for g, _ in correlator_keys(self.order)]
 
     def __getitem__(self, g: int) -> LinComb:
-        return self.by_genus[g]
+        return LinComb.sum_of(map(graph_of, dict(correlator_keys(self.order))[g]))
 
     def __str__(self) -> str:
-        return "\n".join(f"h^{g}: {self.by_genus[g]}" for g in self.genera())
+        return "\n".join(f"h^{g}: " + "".join(sum_text(graph_terms(keys)))
+                         for g, keys in correlator_keys(self.order))
 
 
 def full_correlator(n: int) -> QuantumExpansion:
-    """The order-n expansion: at key g, the sum of all length-n words with g
-    loops, which by `psi_word` is every regular graph of order n and genus g,
-    each with coefficient 1, read from `correlator_keys`, which refuses
-    orders above MAX_CORRELATOR_ORDER."""
-    return QuantumExpansion({
-        g: LinComb.sum_of(map(graph_of, keys)) for g, keys in correlator_keys(n)
-    })
+    """The order-n expansion; orders above MAX_CORRELATOR_ORDER are refused
+    here, before anything is built."""
+    return QuantumExpansion(n)
 
 
 def correlator_keys(n: int) -> list:

@@ -444,6 +444,24 @@ def test_airy_output_digests(capsys, args):
     assert hashlib.sha256(out.encode()).hexdigest() == AIRY_DIGESTS[args]
 
 
+# SHA-256 of the stdout of `lrq correlator`, pinned from the writer of the
+# walk's keys before `full_correlator` printed through it.
+CORRELATOR_DIGESTS = {
+    "8": "c794d40cb0c1170a75de81a329ac0099b76e79699e766f1065a1a5cf9d24a38b",
+    "8 --json": "5a2e118e2b5be661045efcffad086de76230e6832e52e80cba8c665c40f60e1f",
+    "9": "19aad29049a0484b4ba7651f3bca52f8318c60cfd77584ab9d370e2289241521",
+    "9 --json": "d286595ee57285c1bfa74eeaeca2e8a654e9ced9e9415c8d80ea21a0a09a7025",
+}
+
+
+@pytest.mark.parametrize("args", CORRELATOR_DIGESTS)
+def test_correlator_output_digests(capsys, args):
+    order, *flags = args.split()
+    code, out, err = invoke(capsys, "correlator", "--order", order, *flags)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == CORRELATOR_DIGESTS[args]
+
+
 def test_graph_sums_are_streamed_in_canonical_order(capsys):
     # The oracle prints each sum through a LinComb, sorted by sort_key.
     for n in range(7):
@@ -452,7 +470,8 @@ def test_graph_sums_are_streamed_in_canonical_order(capsys):
             assert invoke(capsys, "psi", str(w)) == (0, f"{x}\n", "")
             assert invoke(capsys, "psi", str(w), "--json") == (0, json.dumps(sum_json(x)) + "\n", "")
         expansion = subalgebras.full_correlator(n)
-        assert invoke(capsys, "correlator", "--order", str(n)) == (0, f"{expansion}\n", "")
+        text = "\n".join(f"h^{gg}: {expansion[gg]}" for gg in expansion.genera())
+        assert invoke(capsys, "correlator", "--order", str(n)) == (0, f"{text}\n", "")
         for regular in ((), ("--regular",)):
             for gg in range(n + 2):
                 graphs = LinComb((loopgraphs.with_slots(t, m), 1)

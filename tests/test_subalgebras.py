@@ -10,7 +10,7 @@ import pytest
 
 from lrq.exprs import parse
 from lrq.freemodule import LinComb, bilinear_extend
-from lrq import subalgebras
+from lrq import loopgraphs, subalgebras
 from lrq.hopfops import (
     UNIT,
     delta_h,
@@ -30,7 +30,6 @@ from lrq.subalgebras import (
     MAX_CORRELATOR_ORDER,
     MAX_GENFUN_DEGREE,
     MAX_PSI_LENGTH,
-    QuantumExpansion,
     Word,
     delta_h_quotient_counterexample,
     enumerate_words,
@@ -353,5 +352,27 @@ def test_coproduct_fails_on_regular_quotient():
 
 
 def test_quantum_expansion_str():
-    exp = QuantumExpansion({0: T, 1: L})
-    assert str(exp) == "h^0: (|v|)\nh^1: (|o|)"
+    assert str(full_correlator(1)) == "h^0: (|v|)\nh^1: (|o|)"
+
+
+def sorted_print(exp) -> str:
+    """The expansion printed through the LinComb of each genus, which sorts
+    its graphs by sort_key (oracle)."""
+    return "\n".join(f"h^{g}: {exp[g]}" for g in exp.genera())
+
+
+def test_full_correlator_prints_as_its_sorted_graph_sums():
+    for n in range(8):
+        assert str(full_correlator(n)) == sorted_print(full_correlator(n)), n
+
+
+def test_full_correlator_prints_without_interning_a_graph(monkeypatch):
+    def interned(key):
+        raise AssertionError(f"interned {key} to print it")
+
+    want = sorted_print(full_correlator(7))
+    monkeypatch.setattr(subalgebras, "graph_of", interned)
+    before = set(loopgraphs._NODES)
+    assert str(full_correlator(7)) == want
+    # Only the tree shapes of the smaller orders are kept, as by the CLI.
+    assert all(loopgraphs._NODES[k].genus == 0 for k in set(loopgraphs._NODES) - before)
