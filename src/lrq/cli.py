@@ -38,9 +38,12 @@ from .freemodule import LinComb, sum_text
 
 # Bound on the `--order` of `enumerate trees` and `enumerate graphs`, by the
 # rule that the worst call finishes within 30 s and 1 GiB.  The worst call at order n
-# lists the graphs of genus n // 2, one at a time: at 9 that takes 1.7 to 4.3 s
-# at 45 MiB, and at 10 (4.2 million graphs) 14 to 31 s at 238 to 287 MiB, text
-# or --json, too close to the limit (Python 3.11.7 on a 2-core Intel Xeon).
+# lists the graphs of genus n // 2, one block at a time: at 9 (612 612 graphs)
+# that takes 0.8 to 1.2 s at 65 MiB, text or --json, and at 10 (4.2 million,
+# written through `loopgraphs.family_text`) 5.2 s at 377 to 398 MiB (Python
+# 3.11.7 on a 2-core Intel Xeon, single cold runs).  Order 10 was 14 to 31 s
+# when written one graph at a time; the bound waits for runs in a slow phase
+# of the host.
 # `enumerate words` lists one cell of `genfun` and takes its bound,
 # `subalgebras.MAX_GENFUN_DEGREE`: at 27 letters its worst genus, 7 or 8
 # (125 970 words), takes under 1 s at 44 MiB, text or --json.
@@ -97,6 +100,10 @@ def _json_terms(terms):
         yield f'{head}{json.dumps([str(f) for f in b] if isinstance(b, tuple) else str(b))}}}'
 
 
+# What `_json_terms` writes before a graph with coefficient 1.
+_JSON_GRAPH = '{"coeff": [1, 1], "basis": "'
+
+
 def _emit_sum(args, x: LinComb) -> int:
     _write_sum(args, x.terms())
     print()
@@ -136,22 +143,24 @@ def cmd_enumerate(args) -> int:
     bound = subalgebras.MAX_GENFUN_DEGREE if args.family == "words" else MAX_ENUMERATE_ORDER
     if args.order > bound:
         raise ValueError(f"order {args.order} is beyond the enumerate bound n <= {bound}")
-    if args.family == "trees":
+    # One item a line, or with --json the JSON list of the strings; no item
+    # has a character that JSON escapes.
+    form = head, tail, between = ('"', '"', ", ") if args.json else ("", "\n", "")
+    if args.family == "words":
+        words = map(str, subalgebras.enumerate_words(args.order, args.genus))
+        chunks = (f"{between if k else ''}{head}{w}{tail}" for k, w in enumerate(words))
+    elif args.family == "trees":
         if args.genus < 0:
             raise ValueError("order and genus must be nonnegative")
+        if args.order < 0:
+            raise ValueError("order must be nonnegative")
         # A tree is a graph of genus 0: no other genus has one.
-        found = trees.enumerate_trees(args.order)
-        items = map(str, found if args.genus == 0 else [])
-    elif args.family == "graphs":
-        keys = loopgraphs.family_keys(args.order, args.genus, args.regular)
-        items = map(loopgraphs.key_str, keys)
+        chunks = loopgraphs.family_text(args.order, 0, False, *form) if args.genus == 0 else ()
     else:
-        items = map(str, subalgebras.enumerate_words(args.order, args.genus))
-    if args.json:
-        _write_json_list(map(json.dumps, items))
-        print()
-    else:
-        sys.stdout.writelines(f"{s}\n" for s in items)
+        chunks = loopgraphs.family_text(args.order, args.genus, args.regular, *form)
+    sys.stdout.write("[" if args.json else "")
+    sys.stdout.writelines(chunks)
+    sys.stdout.write("]\n" if args.json else "")
     return 0
 
 
@@ -249,10 +258,14 @@ def cmd_psi(args) -> int:
 
 def cmd_correlator(args) -> int:
     write = sys.stdout.write
-    for k, (g, keys) in enumerate(subalgebras.correlator_keys(args.order)):
-        write(f'{", " if k else "{"}"{g}": ' if args.json else f"h^{g}: ")
-        _write_sum(args, loopgraphs.graph_terms(keys))
-        write("" if args.json else "\n")
+    n = args.order
+    # Each genus is the sum of its graphs, or with --json the list of its
+    # terms, all with coefficient 1.
+    form = (_JSON_GRAPH, '"}', ", ") if args.json else ("", "", " + ")
+    for k, g in enumerate(subalgebras.correlator_genera(n)):
+        write(f'{", " if k else "{"}"{g}": [' if args.json else f"h^{g}: ")
+        sys.stdout.writelines(loopgraphs.family_text(n, g, True, *form))
+        write("]" if args.json else "\n")
     write("}\n" if args.json else "")
     return 0
 
@@ -408,10 +421,13 @@ def run(argv: list[str]) -> int:
         print("error: input nested too deeply", file=sys.stderr)
         return 2
     except MemoryError:
-        # The walk's memo of pair lists holds much of what was built; freed,
-        # it leaves the interpreter room to print this and exit.  The node
-        # table stays, since node identity depends on it.
+        # The walk's memos (its order lists and its node and text tables)
+        # hold much of what was built; freed, they leave the interpreter
+        # room to print this and exit.  The table of interned nodes stays,
+        # since node identity depends on it.
         loopgraphs._pairs.cache_clear()
+        loopgraphs._texts.cache_clear()
+        loopgraphs._lists.cache_clear()
         print("error: out of memory", file=sys.stderr)
         return 2
 

@@ -35,7 +35,7 @@ marks, then inside R and R', and (L m R) compares as the triple (L, m, R).
 Proof of the first claim: in a string (L m R) the first "(" is closed by
 the last character, so every nonempty proper prefix has more "(" than ")",
 while a graph string has as many of each; and the leaf "|" begins no other
-graph string, as they all begin with "(".  Two consequences:
+graph string, as they all begin with "(".  Three consequences:
 
 - A family in order.  The graphs of order n and genus g, of every mask or
   only the regular ones, are (L m R) with L running in canonical order over
@@ -52,12 +52,29 @@ graph string, as they all begin with "(".  Two consequences:
   first position where the shape strings differ at most one has a "v", and
   both "v" and "o" rank above ")", "(" and "|".  So `shape_keys(n, mask)`
   is the tree walk with the mask put on each shape.
+- A family in blocks.  As (L m R) compares as the triple, the graphs of a
+  family that share one left graph L and one root mark m are consecutive,
+  and their R run, in order, over one family of order n-1-|L| (in the
+  regular family under "o", the members of that family whose slot 0 is
+  unlooped).  So `_walk` yields a family as blocks (L, m, run of R), and a
+  printer writes a block as one join, ``pre + (")" + sep + pre).join(R
+  strings) + ")"`` with ``pre = "(" + L + m``.  The list of L holds every
+  graph of each order and genus it bounds, in canonical order, so cut to
+  one order and genus it is that family in order, and each L is read as
+  the next member of its own family.
 
-`family_keys` and `shape_keys` yield keys, not nodes; `key_str` prints a
-key, `graph_terms` makes the terms of a printed sum of keys, and `graph_of`
-interns one, so `lrq correlator`, `lrq psi`, `lrq enumerate graphs` and
-`str(full_correlator(n))` write their graphs one at a time and intern none
-of them.  The lists of the smaller orders are kept (`_pairs`).
+The walk keeps three memos, all keyed (order, genus, unlooped vertices,
+regular, exact).  `_lists` holds the orders and slot masks of the lists and
+families, and builds no graph.  The family tables hold one entry per graph
+of a family: `_pairs` the interned tree shapes, which `family_keys` and
+`shape_keys` put into keys, and `_texts` the printed graphs, which
+`family_text` writes.  A graph's string is built once, from its L's string,
+its mark and its R's string, and every block that holds it shares that one
+string.  So `lrq
+correlator`, `lrq enumerate` and `str(full_correlator(n))` print their
+graphs from the text tables, interning no graph and reading no node table,
+while `lrq psi` writes the keys of `shape_keys` one at a time with
+`key_str`.
 
 Nodes are hash-consed: ``LoopGraph(left, right, looped)`` returns the one
 node with that shape and mask, building it only the first time.  So two
@@ -70,18 +87,19 @@ sorted, and kept; a tree's string is built from its subtrees' strings, with
 recursion bounded by `_KEPT_STRING_ORDER`, so a graph of any depth prints.
 
 Interned nodes live for the whole process: the table holds every node ever
-built, and so do the memo caches of `_graphs`, `_pairs` and `lrq.hopfops`.
+built, and so do the memo caches of `_graphs`, the walk and `lrq.hopfops`.
 On CPython 3.11 a node takes 88 bytes and its table entry (a 3-tuple key
 and a dict slot) about 100 more.  After reading the sum of every genus of
-`full_correlator(8)` (`exp[g]`) and `del` of the sums, 15.6 MiB stay held
-for 79 277 nodes, pair lists included, and 21.8 MiB if each sum was
-printed, as every graph then keeps its string.  Printing the expansion
-(`str`) holds 1.8 MiB, the pair lists and tree strings of orders at most 7,
-and interns no graph; `lrq correlator --order 9` in the same process then
-holds 7 MiB more, all of it pair lists of orders at most 8 (two parallel
-tuples, 16 bytes a graph) and the strings of their trees.  The
-same graphs recur across products, coproducts, enumerations and CLI
-requests, so each is built and printed once.
+`full_correlator(8)` (`exp[g]`) and `del` of the sums, 15.7 MiB stay held
+for 79 274 nodes, tables included, and 22.2 MiB if each sum was printed, as
+every graph then keeps its string.  Printing the expansion (`str`) holds
+3.0 MiB, the order and text tables of orders at most 7, and builds no node;
+`lrq correlator --order 9` in the same process then holds 13.8 MiB more.
+The text tables then hold 8.2 MiB, one string for each of the 97 000 or so
+regular graphs of orders at most 8, and the order lists 8.3 MiB (two
+parallel tuples, 16 bytes an entry).  The same graphs recur across
+products, coproducts, enumerations and CLI requests, so each is built and
+printed once.
 """
 
 from __future__ import annotations
@@ -321,52 +339,134 @@ def slot_masks(n: int, g: int, regular: bool) -> list[int]:
     return list(map(sum, combinations([1 << b for b in range(n)], g)))
 
 
-def _walk(n: int, g: int, c: int, regular: bool, exact: bool):
-    """The keys of the graphs of order n and genus g, so with c = n - g
-    unlooped vertices (exact), or of order at most n, genus at most g and at
-    most c unlooped vertices (not exact), of every mask or only the regular
-    ones, in canonical order: the leaf first, then (L m R) ordered as the
-    triple (L, m, R)."""
+def _walk(n: int, g: int, c: int, regular: bool, exact: bool, table):
+    """The graphs of order n and genus g, so with c = n - g unlooped
+    vertices (exact), or of order at most n, genus at most g and at most c
+    unlooped vertices (not exact), of every mask or only the regular ones,
+    in canonical order, as blocks: None for the leaf, which comes first,
+    then (L, slots, p, mark, Rs, rslots) for the graphs (L m R) with one
+    left graph L of order p and one root mark m, whose slots are `slots |
+    r << (p + 1)` for the slots r of each right graph.  The run Rs is never
+    empty.  L and Rs are entries of `table`: the node table `_pairs`, the
+    text table `_texts`, or `_orders`.
+
+    The left graphs L run over the list of `_lists` one order lower.  That
+    list, cut to one order and genus, is the family of that order and genus
+    in order (`_lists`), so each L is the next entry of its family's table.
+    """
     if c < 0:
         return
     if not exact or n == g == 0:
-        yield None, None, 0
+        yield None
     if n == 0:
         return
-    for ltree, lslots in zip(*_pairs(n - 1, g, c, regular, False)):
-        p = ltree.order
+    # The entries of each (order, genus) of L, and its runs of right
+    # graphs under an unlooped and a looped root, found once per walk.
+    runs = {}
+    for p, lslots in zip(*_lists(n - 1, g, c, regular, False)):
         gl = lslots.bit_count()
-        rest, crest = g - gl, c - p + gl
-        # An unlooped root needs an unlooped vertex left, a looped one a
-        # loop left and, in the regular family, no looped slot next to it:
-        # neither slot p - 1 nor slot p + 1.
-        if crest:
-            for rtree, rslots in zip(*_pairs(n - 1 - p, rest, crest - 1, regular, exact)):
-                yield ltree, rtree, lslots | rslots << (p + 1)
-        if rest and not (regular and lslots << 1 >> p & 1):
-            for rtree, rslots in zip(*_pairs(n - 1 - p, rest - 1, crest, regular, exact)):
-                if not (regular and rslots & 1):
-                    yield ltree, rtree, lslots | (rslots << 1 | 1) << p
+        run = runs.get((p, gl))
+        if run is None:
+            run = runs[p, gl] = _runs(n, g, c, regular, exact, table, p, gl)
+        lefts, unlooped, looped = run
+        left = next(lefts)
+        if unlooped:
+            yield left, lslots, p, "v", *unlooped
+        # In the regular family a looped root needs slot p - 1 unlooped.
+        if looped and not (regular and lslots << 1 >> p & 1):
+            yield left, lslots | 1 << p, p, "o", *looped
+
+
+def _runs(n: int, g: int, c: int, regular: bool, exact: bool, table, p: int, gl: int):
+    """For the walk of `_walk(n, g, c, regular, exact, table)`, over its
+    left graphs L of order p and genus gl: an iterator over the entries of
+    those L in order, and the runs (Rs, rslots) of right graphs under an
+    unlooped and a looped root, each None when empty.  An unlooped root
+    needs an unlooped vertex left, a looped one a loop left and, in the
+    regular family, no looped slot next to it: slot p + 1 is slot 0 of R."""
+    rest, crest = g - gl, c - p + gl
+    unlooped = looped = None
+    if crest:
+        key = n - 1 - p, rest, crest - 1, regular, exact
+        rights = table(*key)
+        if rights:
+            unlooped = rights, _lists(*key)[1]
+    if rest:
+        key = n - 1 - p, rest - 1, crest, regular, exact
+        rights, rslots = table(*key), _lists(*key)[1]
+        if regular:
+            free = [(r, s) for r, s in zip(rights, rslots) if not s & 1]
+            rights, rslots = [r for r, _ in free], [s for _, s in free]
+        if rights:
+            looped = rights, rslots
+    return iter(table(p, gl, p - gl, regular, True)), unlooped, looped
 
 
 @lru_cache(maxsize=None)
-def _pairs(n: int, g: int, c: int, regular: bool, exact: bool) -> tuple[tuple, tuple]:
-    """The graphs of `_walk` as two parallel tuples, tree shapes and slot
-    masks, kept for the smaller orders that the walk of a larger one reads
-    again and again.  A family of one order and genus is, in order, the
-    graphs of the list of order and genus at most its own that have exactly
-    that order and genus."""
+def _lists(n: int, g: int, c: int, regular: bool, exact: bool) -> tuple[tuple, tuple]:
+    """The graphs of `_walk` as two parallel tuples, orders and slot masks,
+    kept for the smaller orders that the walk of a larger one reads again
+    and again; no graph is built.  A family of one order and genus is, in
+    order, the graphs of the list of order and genus at most its own that
+    have exactly that order and genus."""
     cap = (n + 1) // 2 if regular else n
     if exact:
-        pairs = zip(*_pairs(n, g, c, regular, False))
-        pairs = [(t, s) for t, s in pairs if t.order == n and s.bit_count() == g]
-    elif g > cap or c > n or n > g + c:
+        pairs = zip(*_lists(n, g, c, regular, False))
+        pairs = [(m, s) for m, s in pairs if m == n and s.bit_count() == g]
+        return tuple(m for m, _ in pairs), tuple(s for _, s in pairs)
+    if g > cap or c > n or n > g + c:
         # No graph of order at most n has a larger genus, and none of genus
         # at most g with at most c unlooped vertices has an order above g + c.
-        return _pairs(min(n, g + c), min(g, cap), min(c, n), regular, False)
-    else:
-        pairs = [(graph_of((lt, rt, 0)), s) for lt, rt, s in _walk(n, g, c, regular, False)]
-    return tuple(t for t, _ in pairs), tuple(s for _, s in pairs)
+        return _lists(min(n, g + c), min(g, cap), min(c, n), regular, False)
+    orders, slots = [], []
+    for block in _walk(n, g, c, regular, False, _orders):
+        if block is None:
+            orders.append(0)
+            slots.append(0)
+            continue
+        _, lslots, p, _, rights, rslots = block
+        orders += [p + 1 + m for m in rights]
+        slots += [lslots | s << (p + 1) for s in rslots]
+    return tuple(orders), tuple(slots)
+
+
+def _orders(n: int, g: int, c: int, regular: bool, exact: bool) -> tuple:
+    """The orders of the graphs of `_lists`, as a table of `_walk`."""
+    return _lists(n, g, c, regular, exact)[0]
+
+
+def _family_table(leaf, join):
+    """A memo of the families of `_walk`, one entry per graph in canonical
+    order: `leaf` for the leaf, and `join(L, mark, Rs)` the entries of a
+    block.  Only families (exact) are kept; the lists of every order up to
+    a bound are `_lists`."""
+
+    @lru_cache(maxsize=None)
+    def table(n: int, g: int, c: int, regular: bool, exact: bool) -> tuple:
+        entries = []
+        for block in _walk(n, g, c, regular, exact, table):
+            if block is None:
+                entries.append(leaf)
+            else:
+                left, _, _, mark, rights, _ = block
+                entries += join(left, mark, rights)
+        return tuple(entries)
+
+    return table
+
+
+# The node tables: the tree shapes of each family's graphs, interned.
+_pairs = _family_table(LEAF, lambda left, mark, rights: [graph_of((left, r, 0)) for r in rights])
+
+
+def _join_texts(left: str, mark: str, rights) -> list[str]:
+    pre = f"({left}{mark}"
+    return [f"{pre}{r})" for r in rights]
+
+
+# The text tables: each family's printed graphs, each built once from its
+# left graph's string, its root mark and its right graph's string.
+_texts = _family_table("|", _join_texts)
 
 
 def family_keys(n: int, g: int, regular: bool = False):
@@ -376,7 +476,44 @@ def family_keys(n: int, g: int, regular: bool = False):
     only when it needs to."""
     if n < 0 or g < 0:
         raise ValueError("order and genus must be nonnegative")
-    return _walk(n, g, n - g, regular, True)
+    return _block_keys(_walk(n, g, n - g, regular, True, _pairs))
+
+
+def _block_keys(blocks):
+    for block in blocks:
+        if block is None:
+            yield None, None, 0
+            continue
+        ltree, lslots, p, _, rtrees, rslots = block
+        shift = p + 1
+        for rtree, rs in zip(rtrees, rslots):
+            yield ltree, rtree, lslots | rs << shift
+
+
+def family_text(n: int, g: int, regular: bool = False, head: str = "",
+                tail: str = "", between: str = " + "):
+    """Every graph of order n and genus g, over every mask or only the
+    regular ones, printed in canonical order as head + graph + tail, with
+    `between` between two graphs: one chunk of text per block of `_walk`,
+    written with one join over its right graphs, and no chunk for an empty
+    family.  No graph is interned and no node table is read."""
+    if n < 0 or g < 0:
+        raise ValueError("order and genus must be nonnegative")
+    return _block_texts(_walk(n, g, n - g, regular, True, _texts),
+                        head, tail, between)
+
+
+def _block_texts(blocks, head, tail, between):
+    close = f"){tail}"
+    sep = ""
+    for block in blocks:
+        if block is None:
+            yield f"{head}|{tail}"
+        else:
+            left, _, _, mark, rights, _ = block
+            pre = f"{head}({left}{mark}"
+            yield sep + pre + f"{close}{between}{pre}".join(rights) + close
+        sep = between
 
 
 def shape_keys(n: int, mask: int):
@@ -384,7 +521,7 @@ def shape_keys(n: int, mask: int):
     canonical order: with one mask, graphs sort as their shapes."""
     if n < 0 or mask >> n:
         raise ValueError(f"slot mask {mask} does not fit order {n}")
-    return ((lt, rt, mask) for lt, rt, _ in _walk(n, 0, n, False, True))
+    return ((lt, rt, mask) for lt, rt, _ in family_keys(n, 0))
 
 
 @lru_cache(maxsize=None)

@@ -18,8 +18,8 @@ as the n-bit slot mask with bit i set when letter i is L, so the valid words
 are the regular masks, and a word expands to every tree of order n carrying
 its mask (`psi_word` proves this).  The graph sums are therefore enumerated
 by mask, never by multiplying, and they are read in canonical order from the
-walks of `lrq.loopgraphs` (`word_keys`, `correlator_keys`), which the CLI
-prints one graph at a time.
+walks of `lrq.loopgraphs`: the CLI prints a word's graphs one at a time
+(`word_keys`) and a correlator's in blocks (`family_text`).
 
 A full correlator is every regular graph of its order and genus once; it
 is not an expansion of the Airy correlator W^g_k of `lrq.airy`.  Expand the
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .freemodule import LinComb, sum_text
+from .freemodule import LinComb
 from .hopfops import (
     bounded_tuples,
     delta_h,
@@ -49,15 +49,17 @@ from .hopfops import (
     star_h_sum,
     tensor_star,
 )
-from .loopgraphs import family_keys, graph_of, graph_terms, is_regular, shape_keys, slot_masks
+from .loopgraphs import family_keys, family_text, graph_of, is_regular, shape_keys, slot_masks
 
 # Largest word length `psi_word` and order `full_correlator` accept, by the
 # rule that the worst CLI call finishes within 30 s and 1 GiB.  The CLI
-# writes both sums one graph at a time; on a 2-core x86-64 VM (Python
-# 3.11.7, single cold runs, text and --json) `lrq psi` of 13 letters takes
-# 3.6 to 9 s at 132 MiB, and of 14 letters 17 to 31 s at 434 MiB, too close
-# to the limit.  `lrq correlator --order 9` takes 1.3 to 4.2 s at 33 MiB,
-# and order 10 takes 12 to 19 s at 98 to 115 MiB.
+# writes a word's sum one graph at a time and a correlator's one block at a
+# time; on a 2-core x86-64 VM (Python 3.11.7, single cold runs, text and
+# --json) `lrq psi` of 13 letters takes 3.0 to 3.6 s at 117 MiB, and of 14
+# letters took 17 to 31 s at 434 MiB, too close to the limit.  `lrq
+# correlator --order 9` takes 0.5 to 0.9 s at 38 to 41 MiB, and order 10
+# 2.7 to 3.6 s at 142 to 155 MiB; order 11 (through
+# `loopgraphs.family_text`) takes 18 s at 798 MiB, too close to the limit.
 MAX_PSI_LENGTH = 13
 MAX_CORRELATOR_ORDER = 10
 
@@ -164,26 +166,27 @@ class QuantumExpansion:
     regular graph of order n and genus g, each with coefficient 1.
 
     The parameter is purely a grading key.  The expansion is a view over
-    `correlator_keys`: printing it writes each genus's keys as `lrq
+    the walk: printing it writes each genus from the text tables as `lrq
     correlator` does, interning no graph and sorting nothing, since the walk
     is in canonical order (the lemma of `lrq.loopgraphs`), and the graph sum
-    at key g is built only when it is read.
+    at key g is built from `correlator_keys` only when it is read.
     """
 
     order: int
 
     def __post_init__(self):
-        correlator_keys(self.order)  # refuses an order beyond the bound
+        correlator_genera(self.order)  # refuses an order beyond the bound
 
     def genera(self) -> list[int]:
-        return [g for g, _ in correlator_keys(self.order)]
+        return list(correlator_genera(self.order))
 
     def __getitem__(self, g: int) -> LinComb:
         return LinComb.sum_of(map(graph_of, dict(correlator_keys(self.order))[g]))
 
     def __str__(self) -> str:
-        return "\n".join(f"h^{g}: " + "".join(sum_text(graph_terms(keys)))
-                         for g, keys in correlator_keys(self.order))
+        n = self.order
+        return "\n".join(f"h^{g}: " + "".join(family_text(n, g, True))
+                         for g in correlator_genera(n))
 
 
 def full_correlator(n: int) -> QuantumExpansion:
@@ -192,17 +195,24 @@ def full_correlator(n: int) -> QuantumExpansion:
     return QuantumExpansion(n)
 
 
-def correlator_keys(n: int) -> list:
-    """(g, keys of the regular graphs of order n and genus g in canonical
-    order) for each genus of the order-n expansion.  Orders above
-    MAX_CORRELATOR_ORDER are refused here, before anything is built."""
+def correlator_genera(n: int) -> range:
+    """The genera of the order-n expansion, 0 to ceil(n/2): a regular graph
+    of order n has at most that many loops, and each genus up to it has
+    one.  Orders above MAX_CORRELATOR_ORDER are refused here, before
+    anything is built."""
     if n < 0:
         raise ValueError("order must be nonnegative")
     if n > MAX_CORRELATOR_ORDER:
         raise ValueError(
             f"order {n} is beyond the correlator bound n <= {MAX_CORRELATOR_ORDER}"
         )
-    return [(g, family_keys(n, g, True)) for g in range(-(-n // 2) + 1)]
+    return range(-(-n // 2) + 1)
+
+
+def correlator_keys(n: int) -> list:
+    """(g, keys of the regular graphs of order n and genus g in canonical
+    order) for each genus of the order-n expansion."""
+    return [(g, family_keys(n, g, True)) for g in correlator_genera(n)]
 
 
 def delta_h_quotient_counterexample(max_total_order: int):

@@ -3,7 +3,8 @@ contracting homotopy, the symmetric groups and the definition of their star
 product, tensor products of sums, the lone basis element of a parsed sum,
 the support of a sum, the canonical order with a nested key per tensor
 factor, the generating function of the words, the slot masks bit by bit,
-and the command line parsed in two levels."""
+the graph families written one term at a time, and the command line parsed
+in two levels."""
 
 import sys
 from fractions import Fraction
@@ -11,11 +12,11 @@ from itertools import combinations, permutations, product
 from math import factorial
 
 from lrq import loopgraphs
-from lrq.cli import _build_parser
+from lrq.cli import _build_parser, _json_terms
 from lrq.complexes import border_tree, matrix_rank
 from lrq.exprs import ParseError, parse
-from lrq.freemodule import LinComb, sort_key
-from lrq.loopgraphs import LEAF, LoopGraph
+from lrq.freemodule import LinComb, sort_key, sum_text
+from lrq.loopgraphs import LEAF, LoopGraph, family_keys, graph_terms, key_str
 from lrq.permutations import Permutation
 from lrq.subalgebras import Word
 from lrq.trees import enumerate_trees
@@ -137,6 +138,17 @@ def slot_masks_by_bits(n: int, g: int, regular: bool) -> list[int]:
     return [sum(1 << b for b in bits) for bits in combinations(range(n), g)]
 
 
+def family_by_terms(n: int, g: int, regular: bool) -> tuple[str, str, str]:
+    """The graphs of order n and genus g written one term at a time from the
+    walk's keys: as the text of their sum, as the --json list of its terms,
+    and one graph a line."""
+    keys = list(family_keys(n, g, regular))
+    text = "".join(sum_text(graph_terms(keys)))
+    terms = "[" + ", ".join(_json_terms(graph_terms(keys))) + "]"
+    lines = "".join(f"{s}\n" for s in map(key_str, keys))
+    return text, terms, lines
+
+
 def run_two_level(argv: list[str]) -> int:
     """`lrq.cli.run` with the whole line parsed by the top-level parser,
     which hands the rest of the line to the subcommand's parser."""
@@ -157,5 +169,7 @@ def run_two_level(argv: list[str]) -> int:
         return 2
     except MemoryError:
         loopgraphs._pairs.cache_clear()
+        loopgraphs._texts.cache_clear()
+        loopgraphs._lists.cache_clear()
         print("error: out of memory", file=sys.stderr)
         return 2

@@ -454,6 +454,23 @@ CORRELATOR_DIGESTS = {
 }
 
 
+# SHA-256 of the stdout of `lrq enumerate graphs --order 9 --genus 4`, the
+# worst genus at the enumerate bound, pinned from the writer of one graph at
+# a time before the graphs were printed in blocks.
+ENUMERATE_DIGESTS = {
+    "": "1f7b5dbc382056495d5810ac942b9e0f9c8dabf6b0c186bc966e1c4f7e702058",
+    "--json": "06aca51967af462edfcfc5d5fe7923090bf1150e959a9657fd117282f8c5509d",
+}
+
+
+@pytest.mark.parametrize("flags", ENUMERATE_DIGESTS)
+def test_enumerate_output_digests(capsys, flags):
+    argv = ("enumerate", "graphs", "--order", "9", "--genus", "4", *flags.split())
+    code, out, err = invoke(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == ENUMERATE_DIGESTS[flags]
+
+
 @pytest.mark.parametrize("args", CORRELATOR_DIGESTS)
 def test_correlator_output_digests(capsys, args):
     order, *flags = args.split()
@@ -481,6 +498,18 @@ def test_graph_sums_are_streamed_in_canonical_order(capsys):
                 argv = ("enumerate", "graphs", "--order", str(n), "--genus", str(gg), *regular)
                 assert invoke(capsys, *argv) == (0, "".join(f"{t}\n" for t in want), "")
                 assert invoke(capsys, *argv, "--json") == (0, json.dumps(want) + "\n", "")
+
+
+def test_trees_are_the_graphs_of_genus_zero(capsys):
+    # Oracle: the tree nodes of `enumerate_trees`, printed one at a time; a
+    # tree has genus 0, so every other genus lists nothing.
+    for n in range(10):
+        want = [str(t) for t in trees.enumerate_trees(n)]
+        for gg in range(3):
+            found = want if gg == 0 else []
+            argv = ("enumerate", "trees", "--order", str(n), "--genus", str(gg))
+            assert invoke(capsys, *argv) == (0, "".join(f"{t}\n" for t in found), "")
+            assert invoke(capsys, *argv, "--json") == (0, json.dumps(found) + "\n", "")
 
 
 def test_genfun_is_streamed_in_canonical_order(capsys):
@@ -626,6 +655,27 @@ def test_out_of_memory_is_a_domain_error(capsys, monkeypatch):
     assert out and full.startswith(out)
     # The walk's memo of pair lists is freed, so the interpreter has room to exit.
     assert loopgraphs._pairs.cache_info().currsize == 0
+
+
+def test_out_of_memory_in_a_block_frees_the_tables(capsys, monkeypatch):
+    _, full, _ = invoke(capsys, "correlator", "--order", "5")
+    invoke(capsys, "psi", "TLTT")
+    walk = loopgraphs._walk
+
+    def exhausted(*args):
+        blocks = walk(*args)
+        yield next(blocks)
+        raise MemoryError
+
+    monkeypatch.setattr(loopgraphs, "_walk", exhausted)
+    tables = loopgraphs._pairs, loopgraphs._texts, loopgraphs._lists
+    assert all(table.cache_info().currsize for table in tables)
+    code, out, err = invoke(capsys, "correlator", "--order", "5")
+    assert (code, err) == (2, "error: out of memory\n")
+    # The first block was written before the error.
+    assert out.startswith("h^0: (") and full.startswith(out)
+    # The node, text and order tables are all freed.
+    assert not any(table.cache_info().currsize for table in tables)
 
 
 def test_too_deep_for_the_algebra_is_a_domain_error(capsys):

@@ -18,6 +18,7 @@ from lrq.loopgraphs import (
     count_graphs,
     enumerate_graphs,
     family_keys,
+    family_text,
     graph_of,
     is_regular,
     key_str,
@@ -28,7 +29,8 @@ from lrq.loopgraphs import (
     with_slots,
 )
 from lrq.trees import enumerate_trees
-from oracles import single_basis, slot_masks_by_bits
+from lrq.cli import _JSON_GRAPH
+from oracles import family_by_terms, single_basis, slot_masks_by_bits
 
 
 def g(s: str) -> LoopGraph:
@@ -252,6 +254,19 @@ def test_walk_is_the_sorted_union_over_masks():
                 union = [s for m in slot_masks(n, gg, regular) for s in marked[m]]
                 got = [key_str(k) for k in family_keys(n, gg, regular)]
                 assert got == sorted(union, key=rank_string), (n, gg, regular)
+
+
+def test_blocks_print_as_the_terms_one_at_a_time():
+    # Oracle: each graph's key printed by `key_str`, one term at a time.  A
+    # sum with no term prints as "0"; the blocks of an empty family are none.
+    for n in range(9):
+        for gg in range(n + 2):
+            for regular in (False, True):
+                text, terms, lines = family_by_terms(n, gg, regular)
+                assert ("".join(family_text(n, gg, regular)) or "0") == text, (n, gg)
+                got = "".join(family_text(n, gg, regular, _JSON_GRAPH, '"}', ", "))
+                assert f"[{got}]" == terms, (n, gg, regular)
+                assert "".join(family_text(n, gg, regular, "", "\n", "")) == lines
 
 
 def test_regular_masks_are_the_filtered_combinations():

@@ -8,6 +8,7 @@ from math import comb, factorial
 
 import pytest
 
+from lrq.cli import run
 from lrq.exprs import parse
 from lrq.freemodule import LinComb, bilinear_extend
 from lrq import loopgraphs, subalgebras
@@ -366,13 +367,19 @@ def test_full_correlator_prints_as_its_sorted_graph_sums():
         assert str(full_correlator(n)) == sorted_print(full_correlator(n)), n
 
 
-def test_full_correlator_prints_without_interning_a_graph(monkeypatch):
+def test_full_correlator_prints_without_interning_a_graph(monkeypatch, capsys):
     def interned(key):
         raise AssertionError(f"interned {key} to print it")
 
     want = sorted_print(full_correlator(7))
+    lines = "".join(f"{t}\n" for t in enumerate_graphs(7, 3))
     monkeypatch.setattr(subalgebras, "graph_of", interned)
+    monkeypatch.setattr(loopgraphs, "graph_of", interned)
+    loopgraphs._pairs.cache_clear()
     before = set(loopgraphs._NODES)
     assert str(full_correlator(7)) == want
-    # Only the tree shapes of the smaller orders are kept, as by the CLI.
-    assert all(loopgraphs._NODES[k].genus == 0 for k in set(loopgraphs._NODES) - before)
+    assert run(["enumerate", "graphs", "--order", "7", "--genus", "3"]) == 0
+    assert capsys.readouterr().out == lines
+    # Printing reads no node table and builds no node, as by the CLI.
+    assert loopgraphs._pairs.cache_info().currsize == 0
+    assert set(loopgraphs._NODES) == before
