@@ -423,9 +423,9 @@ def run(argv: list[str]) -> int:
     except MemoryError:
         # The walk's memos (its order lists and its node and text tables)
         # hold much of what was built; freed, they leave the interpreter
-        # room to print this and exit.  The table of interned nodes stays,
+        # room to print this and exit.  The interning table `_NODES` stays,
         # since node identity depends on it.
-        loopgraphs._pairs.cache_clear()
+        loopgraphs._nodes.cache_clear()
         loopgraphs._texts.cache_clear()
         loopgraphs._lists.cache_clear()
         print("error: out of memory", file=sys.stderr)

@@ -66,15 +66,17 @@ graph string, as they all begin with "(".  Three consequences:
 The walk keeps three memos, all keyed (order, genus, unlooped vertices,
 regular, exact).  `_lists` holds the orders and slot masks of the lists and
 families, and builds no graph.  The family tables hold one entry per graph
-of a family: `_pairs` the interned tree shapes, which `family_keys` and
-`shape_keys` put into keys, and `_texts` the printed graphs, which
-`family_text` writes.  A graph's string is built once, from its L's string,
-its mark and its R's string, and every block that holds it shares that one
-string.  So `lrq
+of a family: `_nodes` the interned graphs, and `_texts` the printed graphs,
+which `family_text` writes.  A node table's graph (L m R) is built once,
+through `graph_of`, from the tree shapes of its L and R and its slots, so
+`enumerate_graphs` returns a copy of its family's table and a repeated
+enumeration builds nothing; the trees of each order are the genus-0 table.
+A graph's string is built once, from its L's string, its mark and its R's
+string, and every block that holds it shares that one string.  So `lrq
 correlator`, `lrq enumerate` and `str(full_correlator(n))` print their
 graphs from the text tables, interning no graph and reading no node table,
-while `lrq psi` writes the keys of `shape_keys` one at a time with
-`key_str`.
+while `lrq psi` writes the keys of `shape_keys`, read from the blocks of
+one order's trees, one at a time with `key_str`.
 
 Nodes are hash-consed: ``LoopGraph(left, right, looped)`` returns the one
 node with that shape and mask, building it only the first time.  So two
@@ -89,10 +91,12 @@ recursion bounded by `_KEPT_STRING_ORDER`, so a graph of any depth prints.
 Interned nodes live for the whole process: the table holds every node ever
 built, and so do the memo caches of `_graphs`, the walk and `lrq.hopfops`.
 On CPython 3.11 a node takes 88 bytes and its table entry (a 3-tuple key
-and a dict slot) about 100 more.  After reading the sum of every genus of
-`full_correlator(8)` (`exp[g]`) and `del` of the sums, 15.7 MiB stay held
-for 79 274 nodes, tables included, and 22.2 MiB if each sum was printed, as
-every graph then keeps its string.  Printing the expansion (`str`) holds
+and a dict slot) about 100 more, and a node table 8 bytes an entry.  After
+reading the sum of every genus of `full_correlator(8)` (`exp[g]`) and
+`del` of the sums, 21.3 MiB stay held for 96 697 nodes, tables included,
+and 27.8 MiB if each sum was printed, as every graph then keeps its string:
+the node tables keep the regular graphs of the lower orders that the
+families of order 8 are built from.  Printing the expansion (`str`) holds
 3.0 MiB, the order and text tables of orders at most 7, and builds no node;
 `lrq correlator --order 9` in the same process then holds 13.8 MiB more.
 The text tables then hold 8.2 MiB, one string for each of the 97 000 or so
@@ -135,9 +139,9 @@ _MARK = str.maketrans("01", "vo")
 
 def graph_of(key: tuple) -> "LoopGraph":
     """The interned node of a key (left tree, right tree, slots), the left
-    and right trees None for the leaf, such as the keys that `family_keys`
-    and `shape_keys` yield; `LoopGraph.__init__` runs only for a key not
-    seen before."""
+    and right trees None for the leaf, such as the keys that `shape_keys`
+    yields and the node tables build; `LoopGraph.__init__` runs only for a
+    key not seen before."""
     node = _NODES.get(key)
     if node is None:
         node = _NODES[key] = type.__call__(LoopGraph, *key)
@@ -233,9 +237,10 @@ class LoopGraph(metaclass=_Interned):
 
 
 def key_str(key: tuple) -> str:
-    """The printed graph of a key (left tree, right tree, slots), without
-    interning it: the shape's string, made from the two subtrees' strings,
-    with the i-th "v" replaced by "o" for each looped slot i."""
+    """The printed graph of a key (left tree, right tree, slots), such as
+    a key of `shape_keys`, without interning it: the shape's string, made
+    from the two subtrees' strings, with the i-th "v" replaced by "o" for
+    each looped slot i."""
     ltree, rtree, slots = key
     if ltree is None:
         return "|"
@@ -347,7 +352,7 @@ def _walk(n: int, g: int, c: int, regular: bool, exact: bool, table):
     then (L, slots, p, mark, Rs, rslots) for the graphs (L m R) with one
     left graph L of order p and one root mark m, whose slots are `slots |
     r << (p + 1)` for the slots r of each right graph.  The run Rs is never
-    empty.  L and Rs are entries of `table`: the node table `_pairs`, the
+    empty.  L and Rs are entries of `table`: the node table `_nodes`, the
     text table `_texts`, or `_orders`.
 
     The left graphs L run over the list of `_lists` one order lower.  That
@@ -435,59 +440,47 @@ def _orders(n: int, g: int, c: int, regular: bool, exact: bool) -> tuple:
     return _lists(n, g, c, regular, exact)[0]
 
 
-def _family_table(leaf, join):
+def _family_table(leaf, entries):
     """A memo of the families of `_walk`, one entry per graph in canonical
-    order: `leaf` for the leaf, and `join(L, mark, Rs)` the entries of a
-    block.  Only families (exact) are kept; the lists of every order up to
-    a bound are `_lists`."""
+    order: `(leaf,)` for the family of the leaf, and for any other the tuple
+    of `entries(blocks)` over its blocks.  Only families (exact) are kept;
+    the lists of every order up to a bound are `_lists`."""
 
     @lru_cache(maxsize=None)
     def table(n: int, g: int, c: int, regular: bool, exact: bool) -> tuple:
-        entries = []
-        for block in _walk(n, g, c, regular, exact, table):
-            if block is None:
-                entries.append(leaf)
-            else:
-                left, _, _, mark, rights, _ = block
-                entries += join(left, mark, rights)
-        return tuple(entries)
+        if n == g == 0:
+            return (leaf,)
+        return tuple(entries(_walk(n, g, c, regular, exact, table)))
 
     return table
 
 
-# The node tables: the tree shapes of each family's graphs, interned.
-_pairs = _family_table(LEAF, lambda left, mark, rights: [graph_of((left, r, 0)) for r in rights])
+def _node_entries(blocks):
+    """The interned graphs (L m R) of a family's blocks, each built through
+    `graph_of` from its key: the tree shapes of L and R, and the slots."""
+    for left, slots, p, _, rights, rslots in blocks:
+        ltree, shift = with_slots(left, 0), p + 1
+        for r, s in zip(rights, rslots):
+            # R is its own shape when it has no loop.
+            rtree = graph_of((r._ltree, r._rtree, 0)) if s else r
+            yield graph_of((ltree, rtree, slots | s << shift))
 
 
-def _join_texts(left: str, mark: str, rights) -> list[str]:
-    pre = f"({left}{mark}"
-    return [f"{pre}{r})" for r in rights]
+# The node tables: each family's graphs, interned.
+_nodes = _family_table(LEAF, _node_entries)
 
 
-# The text tables: each family's printed graphs, each built once from its
-# left graph's string, its root mark and its right graph's string.
-_texts = _family_table("|", _join_texts)
+def _text_entries(blocks):
+    """The printed graphs (L m R) of a family's blocks, each built once from
+    the strings of L and R and the mark."""
+    for left, _, _, mark, rights, _ in blocks:
+        pre = f"({left}{mark}"
+        for r in rights:
+            yield f"{pre}{r})"
 
 
-def family_keys(n: int, g: int, regular: bool = False):
-    """The keys (left tree, right tree, slots) of every graph of order n and
-    genus g, over every mask or only the regular ones, in canonical order.
-    A caller interns a graph with `graph_of`, or prints it with `key_str`,
-    only when it needs to."""
-    if n < 0 or g < 0:
-        raise ValueError("order and genus must be nonnegative")
-    return _block_keys(_walk(n, g, n - g, regular, True, _pairs))
-
-
-def _block_keys(blocks):
-    for block in blocks:
-        if block is None:
-            yield None, None, 0
-            continue
-        ltree, lslots, p, _, rtrees, rslots = block
-        shift = p + 1
-        for rtree, rs in zip(rtrees, rslots):
-            yield ltree, rtree, lslots | rs << shift
+# The text tables: each family's printed graphs.
+_texts = _family_table("|", _text_entries)
 
 
 def family_text(n: int, g: int, regular: bool = False, head: str = "",
@@ -518,10 +511,16 @@ def _block_texts(blocks, head, tail, between):
 
 def shape_keys(n: int, mask: int):
     """The keys of every tree shape of order n carrying the slot mask, in
-    canonical order: with one mask, graphs sort as their shapes."""
+    canonical order: with one mask, graphs sort as their shapes.  The keys
+    are read from the blocks of the trees of order n, whose subtrees are
+    entries of the genus-0 node tables of lower orders, so no tree of order
+    n is interned."""
     if n < 0 or mask >> n:
         raise ValueError(f"slot mask {mask} does not fit order {n}")
-    return ((lt, rt, mask) for lt, rt, _ in family_keys(n, 0))
+    if n == 0:
+        return iter([(None, None, 0)])
+    blocks = _walk(n, 0, n, False, True, _nodes)
+    return ((left, right, mask) for left, _, _, _, rights, _ in blocks for right in rights)
 
 
 @lru_cache(maxsize=None)
@@ -532,14 +531,17 @@ def _graphs(n: int, mask: int) -> tuple[LoopGraph, ...]:
 
 
 def enumerate_graphs(n: int, g: int, regular_only: bool = False) -> list[LoopGraph]:
-    """All loop graphs of order n and genus g in canonical order.
+    """All loop graphs of order n and genus g in canonical order: a copy of
+    the family's node table.
 
     These are the graphs of every tree shape with every n-bit mask of g
     looped slots: Catalan(n) * binomial(n, g) of them.  The regular family
     keeps the masks with no two adjacent bits, and an irregular graph is
     never built.
     """
-    return list(map(graph_of, family_keys(n, g, regular_only)))
+    if n < 0 or g < 0:
+        raise ValueError("order and genus must be nonnegative")
+    return list(_nodes(n, g, n - g, regular_only, True))
 
 
 def count_graphs(n: int, g: int) -> int:

@@ -49,7 +49,8 @@ from .hopfops import (
     star_h_sum,
     tensor_star,
 )
-from .loopgraphs import family_keys, family_text, graph_of, is_regular, shape_keys, slot_masks
+from .loopgraphs import (enumerate_graphs, family_text, graph_of, is_regular, shape_keys,
+                         slot_masks)
 
 # Largest word length `psi_word` and order `full_correlator` accept, by the
 # rule that the worst CLI call finishes within 30 s and 1 GiB.  The CLI
@@ -169,7 +170,9 @@ class QuantumExpansion:
     the walk: printing it writes each genus from the text tables as `lrq
     correlator` does, interning no graph and sorting nothing, since the walk
     is in canonical order (the lemma of `lrq.loopgraphs`), and the graph sum
-    at key g is built from `correlator_keys` only when it is read.
+    at key g is built only when it is read, from a copy of the family's node
+    table (`enumerate_graphs`).  A key outside `correlator_genera` raises
+    KeyError.
     """
 
     order: int
@@ -181,7 +184,9 @@ class QuantumExpansion:
         return list(correlator_genera(self.order))
 
     def __getitem__(self, g: int) -> LinComb:
-        return LinComb.sum_of(map(graph_of, dict(correlator_keys(self.order))[g]))
+        if g not in correlator_genera(self.order):
+            raise KeyError(g)
+        return LinComb.sum_of(enumerate_graphs(self.order, g, True))
 
     def __str__(self) -> str:
         n = self.order
@@ -207,12 +212,6 @@ def correlator_genera(n: int) -> range:
             f"order {n} is beyond the correlator bound n <= {MAX_CORRELATOR_ORDER}"
         )
     return range(-(-n // 2) + 1)
-
-
-def correlator_keys(n: int) -> list:
-    """(g, keys of the regular graphs of order n and genus g in canonical
-    order) for each genus of the order-n expansion."""
-    return [(g, family_keys(n, g, True)) for g in correlator_genera(n)]
 
 
 def delta_h_quotient_counterexample(max_total_order: int):

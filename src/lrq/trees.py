@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .loopgraphs import LEAF, LoopGraph, enumerate_graphs
+from .loopgraphs import LEAF, LoopGraph, _nodes
 
 
 def _require_tree(t: LoopGraph) -> None:
@@ -22,7 +22,8 @@ def _require_tree(t: LoopGraph) -> None:
 
 @lru_cache(maxsize=None)
 def _trees(n: int) -> tuple[LoopGraph, ...]:
-    return tuple(enumerate_graphs(n, 0))
+    """The trees of order n: the genus-0 node table."""
+    return _nodes(n, 0, n, False, True)
 
 
 def enumerate_trees(n: int) -> list[LoopGraph]:

@@ -16,7 +16,7 @@ from lrq.cli import _build_parser, _json_terms
 from lrq.complexes import border_tree, matrix_rank
 from lrq.exprs import ParseError, parse
 from lrq.freemodule import LinComb, sort_key, sum_text
-from lrq.loopgraphs import LEAF, LoopGraph, family_keys, graph_terms, key_str
+from lrq.loopgraphs import LEAF, LoopGraph, enumerate_graphs
 from lrq.permutations import Permutation
 from lrq.subalgebras import Word
 from lrq.trees import enumerate_trees
@@ -139,14 +139,15 @@ def slot_masks_by_bits(n: int, g: int, regular: bool) -> list[int]:
 
 
 def family_by_terms(n: int, g: int, regular: bool) -> tuple[str, str, str]:
-    """The graphs of order n and genus g written one term at a time from the
-    walk's keys: as the text of their sum, as the --json list of its terms,
-    and one graph a line."""
-    keys = list(family_keys(n, g, regular))
-    text = "".join(sum_text(graph_terms(keys)))
-    terms = "[" + ", ".join(_json_terms(graph_terms(keys))) + "]"
-    lines = "".join(f"{s}\n" for s in map(key_str, keys))
-    return text, terms, lines
+    """The graphs of order n and genus g written one term at a time, each
+    interned graph printed by `str`: as the text of their sum, as the --json
+    list of its terms, and one graph a line."""
+    strings = [str(t) for t in enumerate_graphs(n, g, regular)]
+    terms = [(s, 1) for s in strings]
+    text = "".join(sum_text(terms))
+    json_terms = "[" + ", ".join(_json_terms(terms)) + "]"
+    lines = "".join(f"{s}\n" for s in strings)
+    return text, json_terms, lines
 
 
 def run_two_level(argv: list[str]) -> int:
@@ -168,7 +169,7 @@ def run_two_level(argv: list[str]) -> int:
         print("error: input nested too deeply", file=sys.stderr)
         return 2
     except MemoryError:
-        loopgraphs._pairs.cache_clear()
+        loopgraphs._nodes.cache_clear()
         loopgraphs._texts.cache_clear()
         loopgraphs._lists.cache_clear()
         print("error: out of memory", file=sys.stderr)

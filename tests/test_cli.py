@@ -648,13 +648,13 @@ def test_out_of_memory_is_a_domain_error(capsys, monkeypatch):
         raise MemoryError
 
     monkeypatch.setattr(subalgebras, "word_keys", exhausted)
-    assert loopgraphs._pairs.cache_info().currsize
+    assert loopgraphs._nodes.cache_info().currsize
     code, out, err = invoke(capsys, "psi", "TLTT")
     assert (code, err) == (2, "error: out of memory\n")
     # What was streamed before the error stays written.
     assert out and full.startswith(out)
     # The walk's memo of pair lists is freed, so the interpreter has room to exit.
-    assert loopgraphs._pairs.cache_info().currsize == 0
+    assert loopgraphs._nodes.cache_info().currsize == 0
 
 
 def test_out_of_memory_in_a_block_frees_the_tables(capsys, monkeypatch):
@@ -668,7 +668,7 @@ def test_out_of_memory_in_a_block_frees_the_tables(capsys, monkeypatch):
         raise MemoryError
 
     monkeypatch.setattr(loopgraphs, "_walk", exhausted)
-    tables = loopgraphs._pairs, loopgraphs._texts, loopgraphs._lists
+    tables = loopgraphs._nodes, loopgraphs._texts, loopgraphs._lists
     assert all(table.cache_info().currsize for table in tables)
     code, out, err = invoke(capsys, "correlator", "--order", "5")
     assert (code, err) == (2, "error: out of memory\n")

@@ -2,10 +2,14 @@
 enumeration, signatures."""
 
 import random
+import runpy
+import sys
 from math import comb
+from pathlib import Path
 
 import pytest
 
+from lrq import loopgraphs
 from lrq.loopgraphs import (
     _KEPT_STRING_ORDER,
     _NODES,
@@ -17,7 +21,6 @@ from lrq.loopgraphs import (
     contract,
     count_graphs,
     enumerate_graphs,
-    family_keys,
     family_text,
     graph_of,
     is_regular,
@@ -29,7 +32,7 @@ from lrq.loopgraphs import (
     with_slots,
 )
 from lrq.trees import enumerate_trees
-from lrq.cli import _JSON_GRAPH
+from lrq.cli import _JSON_GRAPH, MAX_ENUMERATE_ORDER
 from oracles import family_by_terms, single_basis, slot_masks_by_bits
 
 
@@ -192,6 +195,50 @@ def test_enumerate_counts():
             assert count_graphs(n, gg) == (comb(2 * n, n) // (n + 1)) * comb(n, gg)
 
 
+def test_a_repeated_enumeration_copies_the_node_table(monkeypatch):
+    families = [(n, gg, regular) for n in range(7) for gg in range(n + 2)
+                for regular in (False, True)]
+    first = {family: enumerate_graphs(*family) for family in families}
+
+    def interned(key):
+        raise AssertionError(f"interned {key} again")
+
+    monkeypatch.setattr(loopgraphs, "graph_of", interned)
+    before = len(_NODES)
+    for family in families:
+        got = enumerate_graphs(*family)
+        assert got == first[family], family
+        # The list is the caller's own: changing it leaves the table as it was.
+        got.reverse()
+        got.append(LEAF)
+        assert enumerate_graphs(*family) == first[family], family
+    assert len(_NODES) == before
+
+
+def graph_census_main():
+    script = Path(__file__).resolve().parents[1] / "scripts" / "graph_census.py"
+    return runpy.run_path(str(script))["main"]
+
+
+def test_graph_census_refuses_an_order_beyond_the_bound(monkeypatch, capsys):
+    main = graph_census_main()
+
+    def enumerated(*args):
+        raise AssertionError(f"enumerated {args} before checking the bound")
+
+    monkeypatch.setitem(main.__globals__, "enumerate_graphs", enumerated)
+    monkeypatch.setitem(main.__globals__, "enumerate_words", enumerated)
+    for too_far in (MAX_ENUMERATE_ORDER + 1, 10**6):
+        monkeypatch.setattr(sys, "argv", ["graph_census.py", "--max-order", str(too_far)])
+        with pytest.raises(SystemExit) as exit_info:
+            main()
+        assert exit_info.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"error: --max-order {too_far} is beyond the enumerate "
+                       f"bound n <= {MAX_ENUMERATE_ORDER}\n")
+
+
 def graphs_by_genus(n: int, gg: int) -> list[LoopGraph]:
     """The graphs of order n and genus gg, by splitting the genus between
     the two subtrees under each root (oracle)."""
@@ -252,7 +299,7 @@ def test_walk_is_the_sorted_union_over_masks():
         for gg in range(n + 2):
             for regular in (False, True):
                 union = [s for m in slot_masks(n, gg, regular) for s in marked[m]]
-                got = [key_str(k) for k in family_keys(n, gg, regular)]
+                got = [str(t) for t in enumerate_graphs(n, gg, regular)]
                 assert got == sorted(union, key=rank_string), (n, gg, regular)
 
 
@@ -284,10 +331,10 @@ def test_regular_masks_are_the_filtered_combinations():
 def test_keys_print_as_their_interned_graphs():
     for n in range(6):
         for gg in range(n + 1):
-            for key in family_keys(n, gg):
-                graph = graph_of(key)
-                assert _NODES[key] is graph
-                assert (graph.order, graph.genus, graph.slots) == (n, gg, key[2])
+            for graph in enumerate_graphs(n, gg):
+                key = graph._ltree, graph._rtree, graph.slots
+                assert _NODES[key] is graph_of(key) is graph
+                assert (graph.order, graph.genus) == (n, gg)
                 assert key_str(key) == printed(graph)
 
 

@@ -220,11 +220,20 @@ def test_full_correlator_is_the_sum_of_the_word_folds():
             assert exp[g] == want, (n, g)
 
 
+def test_full_correlator_has_no_genus_outside_its_range():
+    for n in range(7):
+        exp = full_correlator(n)
+        for g in (-1, -(-n // 2) + 1):
+            with pytest.raises(KeyError):
+                exp[g]
+
+
 def test_full_correlator_refuses_an_order_beyond_the_bound(monkeypatch):
     def enumerated(*args):
         raise AssertionError(f"enumerated {args} before checking the bound")
 
-    monkeypatch.setattr(subalgebras, "family_keys", enumerated)
+    monkeypatch.setattr(subalgebras, "enumerate_graphs", enumerated)
+    monkeypatch.setattr(loopgraphs, "_walk", enumerated)
     bound = f"beyond the correlator bound n <= {MAX_CORRELATOR_ORDER}"
     for n in (MAX_CORRELATOR_ORDER + 1, 10**6):
         with pytest.raises(ValueError, match=bound):
@@ -375,11 +384,11 @@ def test_full_correlator_prints_without_interning_a_graph(monkeypatch, capsys):
     lines = "".join(f"{t}\n" for t in enumerate_graphs(7, 3))
     monkeypatch.setattr(subalgebras, "graph_of", interned)
     monkeypatch.setattr(loopgraphs, "graph_of", interned)
-    loopgraphs._pairs.cache_clear()
+    loopgraphs._nodes.cache_clear()
     before = set(loopgraphs._NODES)
     assert str(full_correlator(7)) == want
     assert run(["enumerate", "graphs", "--order", "7", "--genus", "3"]) == 0
     assert capsys.readouterr().out == lines
     # Printing reads no node table and builds no node, as by the CLI.
-    assert loopgraphs._pairs.cache_info().currsize == 0
+    assert loopgraphs._nodes.cache_info().currsize == 0
     assert set(loopgraphs._NODES) == before
