@@ -8,12 +8,14 @@ factors are plain tuples of basis elements and compare componentwise.
 
 Sums are accumulated in place.  `LinComb(terms)` converts each outside
 coefficient to an exact number before it adds it, so floats are never
-summed as floats.  Sums of many products (`map_basis`, `bilinear_extend`
-through `add_bilinear`, and the antipode, the tensor product and the Hopf
-laws in `lrq.hopfops`) add each product term straight into one dict that
-the caller owns.  Their coefficients come from LinCombs and so are exact
-already; the dict becomes a LinComb once, dropping its zeros
-(`LinComb.of_dict`).
+summed as floats.  Sums of many products (`map_basis`, `bilinear_extend`,
+and the antipode, the tensor product and the Hopf laws in `lrq.hopfops`)
+loop over the terms of each factor and add each product term straight into
+one dict, through its `get` bound once.  Those loops, and the coproduct's,
+read a sum's term dict `_terms` directly, not through `items()`, to save a
+call per sum in the innermost loops.  Their coefficients come from
+LinCombs and so are exact already; the dict becomes a LinComb once,
+dropping its zeros (`LinComb.of_dict`).
 """
 
 from __future__ import annotations
@@ -213,25 +215,20 @@ class LinComb:
         return f"LinComb<{self}>"
 
 
-def add_bilinear(acc: dict, f: Callable, xs: Iterable, ys: Iterable, c=1) -> None:
-    """Add c * f(x, y) into acc over the (basis, coefficient) pairs of xs
-    and ys, so that a caller can sum many such products in one dict.  f
-    returns a LinComb, and the coefficients, c included, must be exact
-    (int or Fraction)."""
-    get = acc.get
-    for bx, cx in xs:
-        for by, cy in ys:
-            k = c * cx * cy
-            for b, d in f(bx, by)._terms.items():
-                acc[b] = get(b, 0) + k * d
-
-
 def bilinear_extend(f: Callable) -> Callable[[LinComb, LinComb], LinComb]:
-    """Extend a basis-level product (B, B) -> LinComb to pairs of LinCombs."""
+    """Extend a basis-level product (B, B) -> LinComb to pairs of LinCombs,
+    adding cx * cy * f(bx, by) into one dict over the terms (bx, cx) of x
+    and (by, cy) of y.  The coefficients must be exact (int or Fraction)."""
 
     def extended(x: LinComb, y: LinComb) -> LinComb:
         acc: dict = {}
-        add_bilinear(acc, f, x.items(), y.items())
+        get = acc.get
+        ys = y._terms.items()
+        for bx, cx in x._terms.items():
+            for by, cy in ys:
+                k = cx * cy
+                for b, d in f(bx, by)._terms.items():
+                    acc[b] = get(b, 0) + k * d
         return LinComb.of_dict(acc)
 
     return extended

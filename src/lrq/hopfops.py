@@ -20,21 +20,28 @@ x < y = x.left v (x.right * y) under x's root and x > y = (x * y.left) v
 y.right under y's root, which satisfy Loday's three dendriform axioms on
 every triple of non-leaf graphs of total order at most 7.  The statement
 for all orders is open.
+
+The antipode recursion, the tensor product and each side of a Hopf law are
+summed straight into one dict, over the terms of their factors.  Every
+product term still comes from a call of `star_h`, every coproduct from
+`delta_h` and every antipode from `_antipode`, each looked up as a module
+global when it is called, so rebinding one of them (a seeded fault, a
+tracer) reaches every call, and no unit product is read off.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .freemodule import LinComb, add_bilinear, bilinear_extend
+from .freemodule import LinComb, bilinear_extend
 from .loopgraphs import LEAF, LoopGraph, enumerate_graphs, with_slots
 
 # Largest total order `check_axiom` accepts, by the rule that the worst CLI
 # call finishes within 30 s and 1 GiB: on a 2-core x86-64 VM (Python 3.11.7,
-# cold runs, text and --json) the slowest axiom there, antipode, takes 6.1
-# to 6.7 s at 85 MiB, and 10.0 to 10.4 s with three runs sharing the two
-# cores; compat takes 2.0 to 2.3 s at 52 MiB, coassoc 1.9 s, assoc 0.9 s and
-# counit 0.7 s.  At total order 9 antipode takes 82 s at 536 MiB.
+# cold runs, text and --json) the slowest axiom there, antipode, takes 3.8
+# to 3.9 s at 85 MiB, and 5.6 to 5.9 s with three runs sharing the two
+# cores; compat takes 1.3 s at 52 MiB, coassoc 0.9 s, assoc 0.4 s and
+# counit 0.3 s.  At total order 9 antipode takes 48 s at 534 MiB.
 MAX_AXIOM_ORDER = 8
 
 UNIT = LinComb.basis(LEAF)
@@ -84,11 +91,14 @@ def delta_h(t: LoopGraph) -> LinComb:
     if t.is_leaf:
         return LinComb.basis((LEAF, LEAF))
     out = [((t, LEAF), 1)]
-    for (a1, a2), ca in delta_h(t.left).items():
-        for (b1, b2), cb in delta_h(t.right).items():
-            joined = LoopGraph(a2, b2, t.looped)
+    lefts = delta_h(t.left)._terms.items()
+    rights = delta_h(t.right)._terms.items()
+    looped = t.looped
+    for (a1, a2), ca in lefts:
+        for (b1, b2), cb in rights:
+            joined = LoopGraph(a2, b2, looped)
             c = ca * cb
-            for s, cs in star_h(a1, b1).items():
+            for s, cs in star_h(a1, b1)._terms.items():
                 out.append(((s, joined), c * cs))
     return LinComb(out)
 
@@ -109,10 +119,14 @@ def _antipode(t: LoopGraph) -> LinComb:
     if t.is_leaf:
         return UNIT
     acc = {t: -1}
-    for (a, b), c in delta_h(t).items():
+    get = acc.get
+    for (a, b), c in delta_h(t)._terms.items():
         if a.is_leaf or b.is_leaf:
             continue
-        add_bilinear(acc, star_h, _antipode(a).items(), ((b, 1),), -c)
+        for s, d in _antipode(a)._terms.items():
+            k = -c * d
+            for p, e in star_h(s, b)._terms.items():
+                acc[p] = get(p, 0) + k * e
     return LinComb.of_dict(acc)
 
 
@@ -138,6 +152,9 @@ def bounded_tuples(basis: list[LoopGraph], k: int, m: int):
     for x in basis:
         if x.total_order > m:
             break
+        if k == 1:
+            yield (x,)
+            continue
         for rest in bounded_tuples(basis, k - 1, m - x.total_order):
             yield (x, *rest)
 
@@ -155,11 +172,13 @@ def tensor_star(x: LinComb, y: LinComb) -> LinComb:
     """Componentwise product of 2-tensors: (a(x)b)(c(x)d) = (a*c)(x)(b*d)."""
     acc: dict = {}
     get = acc.get
-    for (a, b), c in x.items():
-        for (d, e), f in y.items():
-            right = star_h(b, e).items()
-            for s1, c1 in star_h(a, d).items():
-                k = c * f * c1
+    ys = list(y._terms.items())
+    for (a, b), c in x._terms.items():
+        for (d, e), f in ys:
+            cf = c * f
+            right = star_h(b, e)._terms.items()
+            for s1, c1 in star_h(a, d)._terms.items():
+                k = cf * c1
                 for s2, c2 in right:
                     key = (s1, s2)
                     acc[key] = get(key, 0) + k * c2
@@ -171,21 +190,32 @@ def tensor_star(x: LinComb, y: LinComb) -> LinComb:
 
 def _assoc(x, y, z):
     # (xy)z = x(yz)
-    return (star_h_sum(star_h(x, y), LinComb.basis(z)),
-            star_h_sum(LinComb.basis(x), star_h(y, z)))
+    left: dict = {}
+    right: dict = {}
+    lget = left.get
+    rget = right.get
+    for s, c in star_h(x, y)._terms.items():
+        for p, e in star_h(s, z)._terms.items():
+            left[p] = lget(p, 0) + c * e
+    for s, c in star_h(y, z)._terms.items():
+        for p, e in star_h(x, s)._terms.items():
+            right[p] = rget(p, 0) + c * e
+    return LinComb.of_dict(left), LinComb.of_dict(right)
 
 
 def _coassoc(t):
     # (delta (x) id) delta = (id (x) delta) delta, as 3-tensors
     left: dict = {}
     right: dict = {}
-    for (a, b), c in delta_h(t).items():
-        for (x, y), e in delta_h(a).items():
+    lget = left.get
+    rget = right.get
+    for (a, b), c in delta_h(t)._terms.items():
+        for (x, y), e in delta_h(a)._terms.items():
             key = (x, y, b)
-            left[key] = left.get(key, 0) + c * e
-        for (x, y), e in delta_h(b).items():
+            left[key] = lget(key, 0) + c * e
+        for (x, y), e in delta_h(b)._terms.items():
             key = (a, x, y)
-            right[key] = right.get(key, 0) + c * e
+            right[key] = rget(key, 0) + c * e
     return LinComb.of_dict(left), LinComb.of_dict(right)
 
 
@@ -206,9 +236,17 @@ def _antipode_law(t):
     # S(t') t'' = eps(t) 1 = t' S(t'')
     left: dict = {}
     right: dict = {}
-    for (a, b), c in delta_h(t).items():
-        add_bilinear(left, star_h, _antipode(a).items(), ((b, 1),), c)
-        add_bilinear(right, star_h, ((a, 1),), _antipode(b).items(), c)
+    lget = left.get
+    rget = right.get
+    for (a, b), c in delta_h(t)._terms.items():
+        for s, d in _antipode(a)._terms.items():
+            k = c * d
+            for p, e in star_h(s, b)._terms.items():
+                left[p] = lget(p, 0) + k * e
+        for s, d in _antipode(b)._terms.items():
+            k = c * d
+            for p, e in star_h(a, s)._terms.items():
+                right[p] = rget(p, 0) + k * e
     return ((LinComb.of_dict(left), LinComb.of_dict(right)),
             (counit(LinComb.basis(t)) * UNIT,) * 2)
 

@@ -3,19 +3,19 @@ contracting homotopy, the symmetric groups and the definition of their star
 product, tensor products of sums, the lone basis element of a parsed sum,
 the support of a sum, the canonical order with a nested key per tensor
 factor, the generating function of the words, the slot masks bit by bit,
-the graph families written one term at a time, and the command line parsed
-in two levels."""
+the graph families written one term at a time, the command line parsed in
+two levels, and the antipode by Takeuchi's formula."""
 
 import sys
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import factorial
 
-from lrq import loopgraphs
+from lrq import hopfops, loopgraphs
 from lrq.cli import _build_parser, _json_terms
 from lrq.complexes import border_tree, matrix_rank
 from lrq.exprs import ParseError, parse
-from lrq.freemodule import LinComb, sort_key, sum_text
+from lrq.freemodule import LinComb, bilinear_extend, sort_key, sum_text
 from lrq.loopgraphs import LEAF, LoopGraph, enumerate_graphs
 from lrq.permutations import Permutation
 from lrq.subalgebras import Word
@@ -174,3 +174,35 @@ def run_two_level(argv: list[str]) -> int:
         loopgraphs._lists.cache_clear()
         print("error: out of memory", file=sys.stderr)
         return 2
+
+
+def antipode_by_takeuchi(t: LoopGraph) -> LinComb:
+    """The antipode of a basis graph by Takeuchi's formula (J. Math. Soc.
+    Japan 23, 1971), which holds in any connected graded bialgebra:
+
+        S(t) = sum over k >= 1 of (-1)^k t_1 * t_2 * ... * t_k,
+
+    the inner sum running over the terms t_1 (x) ... (x) t_k of the
+    (k-1)-fold iterated reduced coproduct of t, which drops every term with
+    a leaf factor.  Each level splits the last factor of the level before;
+    no antipode is used.  The product and coproduct are `hopfops.star_h`
+    and `hopfops.delta_h` as bound at the call."""
+    if t.is_leaf:
+        return LinComb.basis(LEAF)
+    star = bilinear_extend(hopfops.star_h)
+    delta = hopfops.delta_h
+    out = LinComb()
+    level = LinComb.basis((t,))
+    sign = -1
+    while level:
+        for word, c in level.items():
+            product = LinComb.basis(word[0])
+            for factor in word[1:]:
+                product = star(product, LinComb.basis(factor))
+            out = out + (sign * c) * product
+        level = LinComb((word[:-1] + (a, b), c * d)
+                        for word, c in level.items()
+                        for (a, b), d in delta(word[-1]).items()
+                        if not (a.is_leaf or b.is_leaf))
+        sign = -sign
+    return out

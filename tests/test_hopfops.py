@@ -24,7 +24,7 @@ from lrq.hopfops import (
     star_h_sum,
 )
 from lrq.loopgraphs import LEAF, ONELOOP, TREE, LoopGraph, enumerate_graphs
-from oracles import single_basis, tensor
+from oracles import antipode_by_takeuchi, single_basis, tensor
 
 
 def bilinear_terms(f, xs, ys, c=1) -> list:
@@ -389,6 +389,13 @@ def test_antipode_equals_the_term_by_term_sum():
         assert _antipode(t) == antipode_by_sums(t), t
 
 
+def test_antipode_equals_takeuchis_formula():
+    basis = graphs_up_to_total_order(6)
+    assert len(basis) == 589
+    for t in basis:
+        assert _antipode(t) == antipode_by_takeuchi(t), t
+
+
 def test_antipode_check_finds_a_wrong_antipode(monkeypatch):
     # An antipode that is wrong only on (|o|) breaks the antipode law there.
     def wrong(t):
@@ -428,8 +435,10 @@ def test_tensor_star_is_the_sum_of_tensored_products():
 
 def check_axiom_by_cases(axiom: str, m: int):
     """Oracle: the axiom check written out as one loop per axiom, each over
-    the whole basis with its own total-order bound."""
+    the whole basis with its own total-order bound.  The maps are those of
+    `hopfops` as bound at the call, so that a seeded fault reaches them."""
     star = hopfops.star_h
+    star_sum = hopfops.star_h_sum
     delta = hopfops.delta_h
     basis = graphs_up_to_total_order(m)
 
@@ -450,8 +459,8 @@ def check_axiom_by_cases(axiom: str, m: int):
                 for z in basis:
                     if x.total_order + y.total_order + z.total_order > m:
                         continue
-                    lhs = star_h_sum(xy, LinComb.basis(z))
-                    rhs = star_h_sum(LinComb.basis(x), star(y, z))
+                    lhs = star_sum(xy, LinComb.basis(z))
+                    rhs = star_sum(LinComb.basis(x), star(y, z))
                     if lhs != rhs:
                         return (x, y, z)
         return None
@@ -512,9 +521,18 @@ def memos_warm_and_cleared_after():
         memo.cache_clear()
 
 
-def _double_star_on_one_pair():
-    pair = (ONELOOP, g("((|v|)v|)"))
+def _double_star_on(pair):
     return "star_h", lambda t, u: 2 * star_h(t, u) if (t, u) == pair else star_h(t, u)
+
+
+def _double_star_on_one_pair():
+    return _double_star_on((ONELOOP, g("((|v|)v|)")))
+
+
+def _double_star_on_a_unit_pair():
+    # A kernel that reads a product with the unit off, without calling
+    # star_h, would miss this fault.
+    return _double_star_on((LEAF, g("((|v|)v|)")))
 
 
 def _extra_coproduct_term():
@@ -527,17 +545,24 @@ def _wrong_antipode_on_the_loop():
 
 
 @pytest.mark.parametrize("fault,found", [
-    (_double_star_on_one_pair, {"assoc": "|, (|o|), ((|v|)v|)",
+    (_double_star_on_one_pair, {"assoc": "(|o|), (|v|), (|v|)",
                                 "compat": "(|o|), ((|v|)v|)",
                                 "antipode": "(|v(|v(|o|)))"}),
     (_extra_coproduct_term, {"coassoc": "((|v|)v|)", "compat": "(|v|), (|v|)",
                              "antipode": "((|v|)v|)"}),
     (_wrong_antipode_on_the_loop, {"antipode": "(|o|)"}),
+    (_double_star_on_a_unit_pair, {"assoc": "|, |, ((|v|)v|)",
+                                   "compat": "|, ((|v|)v|)",
+                                   "antipode": "(|v(|v|))"}),
 ])
 def test_check_axiom_finds_what_the_oracle_finds_under_a_fault(
         monkeypatch, memos_warm_and_cleared_after, fault, found):
     name, faulty = fault()
     monkeypatch.setattr(hopfops, name, faulty)
+    if name == "star_h":
+        # The extended product closes over star_h, so it is rebuilt on the
+        # faulty one for every product of the oracle to see the fault.
+        monkeypatch.setattr(hopfops, "star_h_sum", bilinear_extend(faulty))
     for axiom in AXIOM_NAMES:
         bad = check_axiom(axiom, 4)
         assert bad == check_axiom_by_cases(axiom, 4), axiom
