@@ -37,13 +37,14 @@ from .exprs import ParseError, parse
 from .freemodule import LinComb, sum_text
 
 # Bound on the `--order` of `enumerate trees` and `enumerate graphs`, by the
-# rule that the worst call finishes within 30 s and 1 GiB.  The worst call at order n
-# lists the graphs of genus n // 2, one block at a time: at 9 (612 612 graphs)
-# that takes 0.8 to 1.2 s at 65 MiB, text or --json, and at 10 (4.2 million,
-# written through `loopgraphs.family_text`) 5.2 s at 377 to 398 MiB (Python
-# 3.11.7 on a 2-core Intel Xeon, single cold runs).  Order 10 was 14 to 31 s
-# when written one graph at a time; the bound waits for runs in a slow phase
-# of the host.
+# rule that the worst call finishes within 30 s and 1 GiB.  The worst calls at
+# order n list the graphs of genus n // 2 or the next, one block at a time: at
+# 9 (612 612 graphs each) genus 4 takes 0.4 s at 54 MiB and genus 5 0.5 s at
+# 60 MiB, text or --json, and at 10 genus 5 (4.2 million, written through
+# `loopgraphs.family_text`) 2.8 s at 341 MiB (Python 3.11.7 on a 2-core Intel
+# Xeon, single cold runs in a fast phase of the host; earlier runs in slower
+# phases took up to 2.4 times as long).  Order 10 was 14 to 31 s when written
+# one graph at a time; the bound waits for runs in a slow phase of the host.
 # `enumerate words` lists one cell of `genfun` and takes its bound,
 # `subalgebras.MAX_GENFUN_DEGREE`: at 27 letters its worst genus, 7 or 8
 # (125 970 words), takes under 1 s at 44 MiB, text or --json.
@@ -421,13 +422,13 @@ def run(argv: list[str]) -> int:
         print("error: input nested too deeply", file=sys.stderr)
         return 2
     except MemoryError:
-        # The walk's memos (its order lists and its node and text tables)
-        # hold much of what was built; freed, they leave the interpreter
-        # room to print this and exit.  The interning table `_NODES` stays,
-        # since node identity depends on it.
-        loopgraphs._nodes.cache_clear()
-        loopgraphs._texts.cache_clear()
-        loopgraphs._lists.cache_clear()
+        # The walk's memos (`loopgraphs.WALK_MEMOS`: its order lists, its
+        # family masks and its node and text tables) hold much of what was
+        # built; freed, they leave the interpreter room to print this and
+        # exit.  The interning table `_NODES` stays, since node identity
+        # depends on it.
+        for memo in loopgraphs.WALK_MEMOS:
+            memo.cache_clear()
         print("error: out of memory", file=sys.stderr)
         return 2
 

@@ -43,10 +43,11 @@ graph string, as they all begin with "(".  Three consequences:
   vertices, the root mark running "v" before "o" ("v" skipped when no
   unlooped vertex is left, "o" when no loop is, and in the regular family
   when slot p-1 of L or slot 0 of R is looped), and R over the graphs of
-  order n-1-|L| with the genus that is left.  The list of L is the same
-  recursion, bounded in order, genus and unlooped vertices, with the leaf
-  first (`_walk`); in the family of every mask each L in it is completed
-  by some R.
+  order n-1-|L| with the genus that is left.  The list of L, every graph
+  of order at most n-1 and genus at most g, is the same recursion over
+  lists, with the leaf first (`_lists`).  The walk (`_walk`) skips each L
+  with more than n-g unlooped vertices, and in the family of every mask
+  each other L is completed by some R.
 - One mask sorts as its shapes.  Two graphs with the same mask print as
   their shapes' strings with the same i-th mark at each i-th "v"; at the
   first position where the shape strings differ at most one has a "v", and
@@ -63,14 +64,17 @@ graph string, as they all begin with "(".  Three consequences:
   one order and genus it is that family in order, and each L is read as
   the next member of its own family.
 
-The walk keeps three memos, all keyed (order, genus, unlooped vertices,
-regular, exact).  `_lists` holds the orders and slot masks of the lists and
-families, and builds no graph.  The family tables hold one entry per graph
-of a family: `_nodes` the interned graphs, and `_texts` the printed graphs,
-which `family_text` writes.  A node table's graph (L m R) is built once,
-through `graph_of`, from the tree shapes of its L and R and its slots, so
-`enumerate_graphs` returns a copy of its family's table and a repeated
-enumeration builds nothing; the trees of each order are the genus-0 table.
+The walk keeps four memos, all keyed (order, genus, regular) and named
+together by `WALK_MEMOS`.  `_lists` holds the orders, as bytes, and the
+slot masks of every graph of order and genus at most its key's, and
+`_masks` the slot masks of each family, that list cut to one order and
+genus; neither builds a graph.
+The family tables hold one entry per graph of a family: `_nodes` the
+interned graphs, and `_texts` the printed graphs, which `family_text`
+writes.  A node table's graph (L m R) is built once, through `graph_of`,
+from the tree shapes of its L and R and its slots, so `enumerate_graphs`
+returns a copy of its family's table and a repeated enumeration builds
+nothing; the trees of each order are the genus-0 table.
 A graph's string is built once, from its L's string, its mark and its R's
 string, and every block that holds it shares that one string.  So `lrq
 correlator`, `lrq enumerate` and `str(full_correlator(n))` print their
@@ -93,23 +97,25 @@ built, and so do the memo caches of `_graphs`, the walk and `lrq.hopfops`.
 On CPython 3.11 a node takes 88 bytes and its table entry (a 3-tuple key
 and a dict slot) about 100 more, and a node table 8 bytes an entry.  After
 reading the sum of every genus of `full_correlator(8)` (`exp[g]`) and
-`del` of the sums, 21.3 MiB stay held for 96 697 nodes, tables included,
-and 27.8 MiB if each sum was printed, as every graph then keeps its string:
+`del` of the sums, 20.5 MiB stay held for 96 697 nodes, tables included,
+and 26.7 MiB if each sum was printed, as every graph then keeps its string:
 the node tables keep the regular graphs of the lower orders that the
 families of order 8 are built from.  Printing the expansion (`str`) holds
-3.0 MiB, the order and text tables of orders at most 7, and builds no node;
-`lrq correlator --order 9` in the same process then holds 13.8 MiB more.
-The text tables then hold 8.2 MiB, one string for each of the 97 000 or so
-regular graphs of orders at most 8, and the order lists 8.3 MiB (two
-parallel tuples, 16 bytes an entry).  The same graphs recur across
-products, coproducts, enumerations and CLI requests, so each is built and
-printed once.
+2.2 MiB, the order, mask and text tables of orders at most 7, and builds no
+node; `lrq correlator --order 9` in the same process then holds 9.8 MiB
+more.  The text tables then hold 8.2 MiB, one string for each of the
+97 000 or so regular graphs of orders at most 8, the order lists 2.8 MiB
+under 46 keys (a byte and a tuple slot an entry, and the masks' ints) and
+the family masks 0.7 MiB.  After `lrq correlator --order 10` 83.6 MiB stay
+held: 47.0 MiB of text, 32.3 MiB of order lists under 60 keys and 4.0 MiB
+of family masks.  The same graphs recur across products, coproducts,
+enumerations and CLI requests, so each is built and printed once.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-from itertools import combinations, repeat
+from functools import cache, lru_cache, partial
+from itertools import combinations, compress, repeat
 from math import comb
 from operator import lshift
 
@@ -344,35 +350,38 @@ def slot_masks(n: int, g: int, regular: bool) -> list[int]:
     return list(map(sum, combinations([1 << b for b in range(n)], g)))
 
 
-def _walk(n: int, g: int, c: int, regular: bool, exact: bool, table):
-    """The graphs of order n and genus g, so with c = n - g unlooped
-    vertices (exact), or of order at most n, genus at most g and at most c
-    unlooped vertices (not exact), of every mask or only the regular ones,
-    in canonical order, as blocks: None for the leaf, which comes first,
-    then (L, slots, p, mark, Rs, rslots) for the graphs (L m R) with one
-    left graph L of order p and one root mark m, whose slots are `slots |
-    r << (p + 1)` for the slots r of each right graph.  The run Rs is never
-    empty.  L and Rs are entries of `table`: the node table `_nodes`, the
-    text table `_texts`, or `_orders`.
+def _top_genus(n: int, regular: bool) -> int:
+    """The largest genus of order n: n, or (n + 1) // 2 in the regular
+    family, whose looped slots are never adjacent."""
+    return (n + 1) // 2 if regular else n
 
-    The left graphs L run over the list of `_lists` one order lower.  That
+
+def _walk(n: int, g: int, regular: bool, table):
+    """The graphs of order n and genus g, of every mask or only the regular
+    ones, in canonical order, as blocks (L, slots, p, mark, Rs, rslots) for
+    the graphs (L m R) with one left graph L of order p and one root mark m,
+    whose slots are `slots | r << (p + 1)` for the slots r of each right
+    graph; the leaf, of order 0, is no block.  The run Rs is never empty.
+    L and Rs are entries of `table`: the node table `_nodes` or the text
+    table `_texts`.
+
+    The left graphs L run over the list `_lists(n - 1, g, regular)`.  That
     list, cut to one order and genus, is the family of that order and genus
-    in order (`_lists`), so each L is the next entry of its family's table.
+    in order, so each L is the next entry of its family's table.  A family
+    of a genus above the largest of order n is empty and reads no list.
     """
-    if c < 0:
-        return
-    if not exact or n == g == 0:
-        yield None
-    if n == 0:
+    if n == 0 or g > _top_genus(n, regular):
         return
     # The entries of each (order, genus) of L, and its runs of right
-    # graphs under an unlooped and a looped root, found once per walk.
+    # graphs under an unlooped and a looped root, found once per walk.  A
+    # dict lookup per L, not a call: `lrq psi` walks every tree of the
+    # lower orders on each request.
     runs = {}
-    for p, lslots in zip(*_lists(n - 1, g, c, regular, False)):
+    for p, lslots in zip(*_lists(n - 1, g, regular)):
         gl = lslots.bit_count()
         run = runs.get((p, gl))
         if run is None:
-            run = runs[p, gl] = _runs(n, g, c, regular, exact, table, p, gl)
+            run = runs[p, gl] = _runs(n, g, regular, table, p, gl)
         lefts, unlooped, looped = run
         left = next(lefts)
         if unlooped:
@@ -382,75 +391,93 @@ def _walk(n: int, g: int, c: int, regular: bool, exact: bool, table):
             yield left, lslots | 1 << p, p, "o", *looped
 
 
-def _runs(n: int, g: int, c: int, regular: bool, exact: bool, table, p: int, gl: int):
-    """For the walk of `_walk(n, g, c, regular, exact, table)`, over its
-    left graphs L of order p and genus gl: an iterator over the entries of
-    those L in order, and the runs (Rs, rslots) of right graphs under an
-    unlooped and a looped root, each None when empty.  An unlooped root
-    needs an unlooped vertex left, a looped one a loop left and, in the
-    regular family, no looped slot next to it: slot p + 1 is slot 0 of R."""
-    rest, crest = g - gl, c - p + gl
+def _runs(n: int, g: int, regular: bool, table, p: int, gl: int):
+    """For the walk of `_walk(n, g, regular, table)`, over its left graphs L
+    of order p and genus gl: an iterator over the entries of those L in
+    order, and the runs (Rs, rslots) of right graphs under an unlooped and a
+    looped root, each None when empty.  When L has more unlooped vertices
+    than the family's n - g, no R completes it: both runs are None, the
+    entries too, and no table is read.  A looped root leaves R one loop
+    less and, in the regular family, needs no looped slot next to it: slot
+    p + 1 is slot 0 of R."""
+    if p - gl > n - g:
+        return repeat(None), None, None
+    q, rest = n - 1 - p, g - gl
     unlooped = looped = None
-    if crest:
-        key = n - 1 - p, rest, crest - 1, regular, exact
-        rights = table(*key)
-        if rights:
-            unlooped = rights, _lists(*key)[1]
-    if rest:
-        key = n - 1 - p, rest - 1, crest, regular, exact
-        rights, rslots = table(*key), _lists(*key)[1]
+    rights = table(q, rest, regular)
+    if rights:
+        unlooped = rights, _masks(q, rest, regular)
+    if rest and (rights := table(q, rest - 1, regular)):
+        rslots = _masks(q, rest - 1, regular)
         if regular:
-            free = [(r, s) for r, s in zip(rights, rslots) if not s & 1]
-            rights, rslots = [r for r, _ in free], [s for _, s in free]
+            free = [not s & 1 for s in rslots]
+            rights, rslots = list(compress(rights, free)), list(compress(rslots, free))
         if rights:
             looped = rights, rslots
-    return iter(table(p, gl, p - gl, regular, True)), unlooped, looped
+    return iter(table(p, gl, regular)), unlooped, looped
 
 
 @lru_cache(maxsize=None)
-def _lists(n: int, g: int, c: int, regular: bool, exact: bool) -> tuple[tuple, tuple]:
-    """The graphs of `_walk` as two parallel tuples, orders and slot masks,
-    kept for the smaller orders that the walk of a larger one reads again
-    and again; no graph is built.  A family of one order and genus is, in
-    order, the graphs of the list of order and genus at most its own that
-    have exactly that order and genus."""
-    cap = (n + 1) // 2 if regular else n
-    if exact:
-        pairs = zip(*_lists(n, g, c, regular, False))
-        pairs = [(m, s) for m, s in pairs if m == n and s.bit_count() == g]
-        return tuple(m for m, _ in pairs), tuple(s for _, s in pairs)
-    if g > cap or c > n or n > g + c:
-        # No graph of order at most n has a larger genus, and none of genus
-        # at most g with at most c unlooped vertices has an order above g + c.
-        return _lists(min(n, g + c), min(g, cap), min(c, n), regular, False)
-    orders, slots = [], []
-    for block in _walk(n, g, c, regular, False, _orders):
-        if block is None:
-            orders.append(0)
-            slots.append(0)
-            continue
-        _, lslots, p, _, rights, rslots = block
-        orders += [p + 1 + m for m in rights]
-        slots += [lslots | s << (p + 1) for s in rslots]
-    return tuple(orders), tuple(slots)
+def _lists(n: int, g: int, regular: bool) -> tuple[bytes, tuple]:
+    """The graphs of order at most n and genus at most g, of every mask or
+    only the regular ones, in canonical order, as two parallel sequences:
+    their orders, as bytes (a list of order 256 would never fit in memory),
+    and a tuple of their slot masks; no graph is built.  A genus above the
+    largest of order n reads the list of that largest genus, the same pair.
+
+    The list is the leaf, then for each L of order p and genus gl in
+    `_lists(n - 1, g, regular)`, in order, the graphs (L v R) with R in
+    `_lists(n - 1 - p, g - gl, regular)`, then the graphs (L o R) with R in
+    `_lists(n - 1 - p, g - gl - 1, regular)`; in the regular family a looped
+    root also needs slot p - 1 of L and slot 0 of R unlooped."""
+    if g > (top := _top_genus(n, regular)):
+        return _lists(n, top, regular)
+    orders, slots = bytearray(1), [0]
+    # The runs of right graphs of each (order, genus) of L, found once per
+    # list.
+    runs = cache(partial(_list_runs, n, g, regular))
+    for p, lslots in zip(*_lists(n - 1, g, regular)) if n else ():
+        run = runs(p, lslots.bit_count())
+        # In the regular family a looped root needs slot p - 1 unlooped.
+        for root, rorders, rslots in run[:1] if regular and lslots << 1 >> p & 1 else run:
+            orders += rorders
+            slots += [lslots | root | s << p + 1 for s in rslots]
+    return bytes(orders), tuple(slots)
 
 
-def _orders(n: int, g: int, c: int, regular: bool, exact: bool) -> tuple:
-    """The orders of the graphs of `_lists`, as a table of `_walk`."""
-    return _lists(n, g, c, regular, exact)[0]
+def _list_runs(n: int, g: int, regular: bool, p: int, gl: int) -> list:
+    """For `_lists(n, g, regular)`, over its left graphs L of order p and
+    genus gl: the graphs (L v R) and then, if gl < g, (L o R), R running
+    over the list of order at most n - 1 - p and the genus that is left, as
+    the root's slot, their orders and the slots of R."""
+    runs = []
+    for root in (0, 1) if gl < g else (0,):
+        rorders, rslots = _lists(n - 1 - p, g - gl - root, regular)
+        if root and regular:
+            free = [not s & 1 for s in rslots]
+            rorders, rslots = bytes(compress(rorders, free)), list(compress(rslots, free))
+        runs.append((root << p, bytes(m + p + 1 for m in rorders), rslots))
+    return runs
+
+
+@lru_cache(maxsize=None)
+def _masks(n: int, g: int, regular: bool) -> tuple:
+    """The slot masks of the family of order n and genus g, in canonical
+    order: the list `_lists(n, g, regular)` cut to that order and genus."""
+    return tuple(s for m, s in zip(*_lists(n, g, regular))
+                 if m == n and s.bit_count() == g)
 
 
 def _family_table(leaf, entries):
     """A memo of the families of `_walk`, one entry per graph in canonical
     order: `(leaf,)` for the family of the leaf, and for any other the tuple
-    of `entries(blocks)` over its blocks.  Only families (exact) are kept;
-    the lists of every order up to a bound are `_lists`."""
+    of `entries(blocks)` over its blocks."""
 
     @lru_cache(maxsize=None)
-    def table(n: int, g: int, c: int, regular: bool, exact: bool) -> tuple:
+    def table(n: int, g: int, regular: bool) -> tuple:
         if n == g == 0:
             return (leaf,)
-        return tuple(entries(_walk(n, g, c, regular, exact, table)))
+        return tuple(entries(_walk(n, g, regular, table)))
 
     return table
 
@@ -482,30 +509,32 @@ def _text_entries(blocks):
 # The text tables: each family's printed graphs.
 _texts = _family_table("|", _text_entries)
 
+# Every memo of the walk, keyed (order, genus, regular): what a caller
+# frees, all at once, when memory runs out.
+WALK_MEMOS = (_lists, _masks, _nodes, _texts)
+
 
 def family_text(n: int, g: int, regular: bool = False, head: str = "",
                 tail: str = "", between: str = " + "):
     """Every graph of order n and genus g, over every mask or only the
     regular ones, printed in canonical order as head + graph + tail, with
     `between` between two graphs: one chunk of text per block of `_walk`,
-    written with one join over its right graphs, and no chunk for an empty
-    family.  No graph is interned and no node table is read."""
+    written with one join over its right graphs, one chunk for the leaf and
+    none for an empty family.  No graph is interned and no node table is
+    read."""
     if n < 0 or g < 0:
         raise ValueError("order and genus must be nonnegative")
-    return _block_texts(_walk(n, g, n - g, regular, True, _texts),
-                        head, tail, between)
+    if n == g == 0:
+        return iter([f"{head}|{tail}"])
+    return _block_texts(_walk(n, g, regular, _texts), head, tail, between)
 
 
 def _block_texts(blocks, head, tail, between):
     close = f"){tail}"
     sep = ""
-    for block in blocks:
-        if block is None:
-            yield f"{head}|{tail}"
-        else:
-            left, _, _, mark, rights, _ = block
-            pre = f"{head}({left}{mark}"
-            yield sep + pre + f"{close}{between}{pre}".join(rights) + close
+    for left, _, _, mark, rights, _ in blocks:
+        pre = f"{head}({left}{mark}"
+        yield sep + pre + f"{close}{between}{pre}".join(rights) + close
         sep = between
 
 
@@ -519,7 +548,7 @@ def shape_keys(n: int, mask: int):
         raise ValueError(f"slot mask {mask} does not fit order {n}")
     if n == 0:
         return iter([(None, None, 0)])
-    blocks = _walk(n, 0, n, False, True, _nodes)
+    blocks = _walk(n, 0, False, _nodes)
     return ((left, right, mask) for left, _, _, _, rights, _ in blocks for right in rights)
 
 
@@ -541,7 +570,7 @@ def enumerate_graphs(n: int, g: int, regular_only: bool = False) -> list[LoopGra
     """
     if n < 0 or g < 0:
         raise ValueError("order and genus must be nonnegative")
-    return list(_nodes(n, g, n - g, regular_only, True))
+    return list(_nodes(n, g, regular_only))
 
 
 def count_graphs(n: int, g: int) -> int:

@@ -56,11 +56,12 @@ from .loopgraphs import (enumerate_graphs, family_text, graph_of, is_regular, sh
 # rule that the worst CLI call finishes within 30 s and 1 GiB.  The CLI
 # writes a word's sum one graph at a time and a correlator's one block at a
 # time; on a 2-core x86-64 VM (Python 3.11.7, single cold runs, text and
-# --json) `lrq psi` of 13 letters takes 3.0 to 3.6 s at 117 MiB, and of 14
-# letters took 17 to 31 s at 434 MiB, too close to the limit.  `lrq
-# correlator --order 9` takes 0.5 to 0.9 s at 38 to 41 MiB, and order 10
-# 2.7 to 3.6 s at 142 to 155 MiB; order 11 (through
-# `loopgraphs.family_text`) takes 18 s at 798 MiB, too close to the limit.
+# --json, in a fast phase of the host) `lrq psi` of 13 letters takes 1.9 to
+# 2.3 s at 109 MiB, and of 14 letters took 17 to 31 s at 434 MiB, too close
+# to the limit.  `lrq correlator --order 9` takes 0.3 s at 31 to 34 MiB, and
+# order 10 1.6 s at 114 to 126 MiB; order 11 (through
+# `loopgraphs.family_text`) took 18 s at 798 MiB, too close to the limit.
+# Slower phases of the host have taken up to twice as long.
 MAX_PSI_LENGTH = 13
 MAX_CORRELATOR_ORDER = 10
 

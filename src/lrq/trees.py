@@ -23,7 +23,7 @@ def _require_tree(t: LoopGraph) -> None:
 @lru_cache(maxsize=None)
 def _trees(n: int) -> tuple[LoopGraph, ...]:
     """The trees of order n: the genus-0 node table."""
-    return _nodes(n, 0, n, False, True)
+    return _nodes(n, 0, False)
 
 
 def enumerate_trees(n: int) -> list[LoopGraph]:

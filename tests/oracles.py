@@ -169,9 +169,8 @@ def run_two_level(argv: list[str]) -> int:
         print("error: input nested too deeply", file=sys.stderr)
         return 2
     except MemoryError:
-        loopgraphs._nodes.cache_clear()
-        loopgraphs._texts.cache_clear()
-        loopgraphs._lists.cache_clear()
+        for memo in loopgraphs.WALK_MEMOS:
+            memo.cache_clear()
         print("error: out of memory", file=sys.stderr)
         return 2
 

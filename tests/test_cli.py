@@ -653,8 +653,8 @@ def test_out_of_memory_is_a_domain_error(capsys, monkeypatch):
     assert (code, err) == (2, "error: out of memory\n")
     # What was streamed before the error stays written.
     assert out and full.startswith(out)
-    # The walk's memo of pair lists is freed, so the interpreter has room to exit.
-    assert loopgraphs._nodes.cache_info().currsize == 0
+    # The walk's memos are freed, so the interpreter has room to exit.
+    assert not any(memo.cache_info().currsize for memo in loopgraphs.WALK_MEMOS)
 
 
 def test_out_of_memory_in_a_block_frees_the_tables(capsys, monkeypatch):
@@ -668,13 +668,13 @@ def test_out_of_memory_in_a_block_frees_the_tables(capsys, monkeypatch):
         raise MemoryError
 
     monkeypatch.setattr(loopgraphs, "_walk", exhausted)
-    tables = loopgraphs._nodes, loopgraphs._texts, loopgraphs._lists
+    tables = loopgraphs.WALK_MEMOS
     assert all(table.cache_info().currsize for table in tables)
     code, out, err = invoke(capsys, "correlator", "--order", "5")
     assert (code, err) == (2, "error: out of memory\n")
     # The first block was written before the error.
     assert out.startswith("h^0: (") and full.startswith(out)
-    # The node, text and order tables are all freed.
+    # The order lists, family masks, node and text tables are all freed.
     assert not any(table.cache_info().currsize for table in tables)
 
 

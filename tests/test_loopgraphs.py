@@ -316,6 +316,33 @@ def test_blocks_print_as_the_terms_one_at_a_time():
                 assert "".join(family_text(n, gg, regular, "", "\n", "")) == lines
 
 
+def test_order_lists_are_the_sorted_union_over_orders_and_masks():
+    # Oracle: every printed tree of order k <= n with each k-bit mask of at
+    # most g bits (no two adjacent when regular), sorted as strings.
+    for n in range(8):
+        for gg in range(n + 2):
+            for regular in (False, True):
+                union = sorted(
+                    (rank_string(with_marks(s, m)), k, m)
+                    for k in range(n + 1) for s in shape_strings(k)
+                    for m in range(1 << k)
+                    if m.bit_count() <= gg and not (regular and m & m >> 1))
+                got = list(zip(*loopgraphs._lists(n, gg, regular)))
+                assert got == [(k, m) for _, k, m in union], (n, gg, regular)
+        # A genus above the largest of order n reads that genus's list.
+        for regular, top in ((False, n), (True, (n + 1) // 2)):
+            lists = loopgraphs._lists(n, top, regular)
+            assert loopgraphs._lists(n, top + 1, regular) is lists
+            assert loopgraphs._lists(n, n + 1, regular) is lists
+
+
+def test_an_empty_family_reads_no_order_list():
+    keys = loopgraphs._lists.cache_info().currsize
+    assert enumerate_graphs(9, 10) == []
+    assert list(family_text(9, 6, True)) == []
+    assert loopgraphs._lists.cache_info().currsize == keys
+
+
 def test_regular_masks_are_the_filtered_combinations():
     # Oracles: every g-subset of n slots summed bit by bit, dropping those
     # with two adjacent; and the regular masks summed bit by bit from their
