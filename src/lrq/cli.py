@@ -104,6 +104,13 @@ def _json_terms(terms):
 # What `_json_terms` writes before a graph with coefficient 1.
 _JSON_GRAPH = '{"coeff": [1, 1], "basis": "'
 
+# The (head, tail, between) with which `loopgraphs.family_text` writes a sum
+# of graphs with coefficient 1, indexed by --json: what `str` of the sum
+# gives, or the JSON list of its terms as `_json_terms` writes them.  No head,
+# tail or separator holds a "v" or a "%", so `cmd_psi` can write a word's
+# marks over the "v"s of the chunks.
+_GRAPH_SUM_FORMS = (("", "", " + "), (_JSON_GRAPH, '"}', ", "))
+
 
 def _emit_sum(args, x: LinComb) -> int:
     _write_sum(args, x.terms())
@@ -252,8 +259,20 @@ def cmd_cohomology(args) -> int:
 
 def cmd_psi(args) -> int:
     w = _single(args.word, "word")
-    _write_sum(args, loopgraphs.graph_terms(subalgebras.word_keys(w)))
-    print()
+    n, mask = w.length, subalgebras.word_mask(w)
+    write = sys.stdout.write
+    write("[" if args.json else "")
+    # The trees of order n with the word's marks written in: the graphs of
+    # one mask sort as their shapes (`lrq.loopgraphs`), and each tree of
+    # order n prints n "v"s, its slots in order.  A chunk is dropped as soon
+    # as it is rewritten, so no more than two copies of it are held.
+    for chunk in loopgraphs.family_text(n, 0, False, *_GRAPH_SUM_FORMS[args.json]):
+        if mask:
+            k = chunk.count("v") // n
+            chunk = chunk.replace("v", "%s")
+            chunk %= loopgraphs._marks(n, mask) * k
+        write(chunk)
+    write("]\n" if args.json else "\n")
     return 0
 
 
@@ -262,7 +281,7 @@ def cmd_correlator(args) -> int:
     n = args.order
     # Each genus is the sum of its graphs, or with --json the list of its
     # terms, all with coefficient 1.
-    form = (_JSON_GRAPH, '"}', ", ") if args.json else ("", "", " + ")
+    form = _GRAPH_SUM_FORMS[args.json]
     for k, g in enumerate(subalgebras.correlator_genera(n)):
         write(f'{", " if k else "{"}"{g}": [' if args.json else f"h^{g}: ")
         sys.stdout.writelines(loopgraphs.family_text(n, g, True, *form))

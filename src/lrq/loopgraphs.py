@@ -51,8 +51,11 @@ graph string, as they all begin with "(".  Three consequences:
 - One mask sorts as its shapes.  Two graphs with the same mask print as
   their shapes' strings with the same i-th mark at each i-th "v"; at the
   first position where the shape strings differ at most one has a "v", and
-  both "v" and "o" rank above ")", "(" and "|".  So `shape_keys(n, mask)`
-  is the tree walk with the mask put on each shape.
+  both "v" and "o" rank above ")", "(" and "|".  So the graphs of order n
+  with one mask are the trees of order n in order, the mask put on each:
+  `_graphs(n, mask)` builds them from the blocks of those trees, and `lrq
+  psi` prints them as the text of those blocks with the i-th mark written
+  over the i-th "v" of each tree.
 - A family in blocks.  As (L m R) compares as the triple, the graphs of a
   family that share one left graph L and one root mark m are consecutive,
   and their R run, in order, over one family of order n-1-|L| (in the
@@ -77,10 +80,10 @@ returns a copy of its family's table and a repeated enumeration builds
 nothing; the trees of each order are the genus-0 table.
 A graph's string is built once, from its L's string, its mark and its R's
 string, and every block that holds it shares that one string.  So `lrq
-correlator`, `lrq enumerate` and `str(full_correlator(n))` print their
-graphs from the text tables, interning no graph and reading no node table,
-while `lrq psi` writes the keys of `shape_keys`, read from the blocks of
-one order's trees, one at a time with `key_str`.
+correlator`, `lrq enumerate`, `lrq psi` and `str(full_correlator(n))` print
+their graphs from the text tables, interning no graph and reading no node
+table; `lrq psi` reads the trees of the word's length, genus 0, and writes
+the word's marks into the text of each block.
 
 Nodes are hash-consed: ``LoopGraph(left, right, looped)`` returns the one
 node with that shape and mask, building it only the first time.  So two
@@ -145,9 +148,9 @@ _MARK = str.maketrans("01", "vo")
 
 def graph_of(key: tuple) -> "LoopGraph":
     """The interned node of a key (left tree, right tree, slots), the left
-    and right trees None for the leaf, such as the keys that `shape_keys`
-    yields and the node tables build; `LoopGraph.__init__` runs only for a
-    key not seen before."""
+    and right trees None for the leaf, such as the keys that the node tables
+    and `_graphs` build; `LoopGraph.__init__` runs only for a key not seen
+    before."""
     node = _NODES.get(key)
     if node is None:
         node = _NODES[key] = type.__call__(LoopGraph, *key)
@@ -220,12 +223,20 @@ class LoopGraph(metaclass=_Interned):
         return self._ltree is not None and bool(self.slots >> self._ltree.order & 1)
 
     def __str__(self) -> str:
+        """The shape's string, made from the two subtrees' strings, with the
+        i-th "v" replaced by "o" for each looped slot i."""
         text = self._str
         if text is None:
-            if self.order > _KEPT_STRING_ORDER and not self.slots:
+            ltree, rtree, slots = self._ltree, self._rtree, self.slots
+            if self.order > _KEPT_STRING_ORDER and not slots:
                 text = _print_tree(self)
             else:
-                text = key_str((self._ltree, self._rtree, self.slots))
+                # The subtrees are trees: a subtree printed before is read
+                # without a call, and a call recurses at most
+                # _KEPT_STRING_ORDER levels.
+                text = f"({ltree._str or str(ltree)}v{rtree._str or str(rtree)})"
+                if slots:
+                    text = text.replace("v", "%s") % _marks(self.order, slots)
             _set_str(self, text)
         return text
 
@@ -240,28 +251,6 @@ class LoopGraph(metaclass=_Interned):
 # past the __setattr__ that refuses every assignment.
 (_set_ltree, _set_rtree, _set_order, _set_genus, _set_slots, _set_total_order,
  _set_str) = (LoopGraph.__dict__[name].__set__ for name in LoopGraph.__slots__)
-
-
-def key_str(key: tuple) -> str:
-    """The printed graph of a key (left tree, right tree, slots), such as
-    a key of `shape_keys`, without interning it: the shape's string, made
-    from the two subtrees' strings, with the i-th "v" replaced by "o" for
-    each looped slot i."""
-    ltree, rtree, slots = key
-    if ltree is None:
-        return "|"
-    # The subtrees are trees: a subtree printed before is read without a
-    # call, and a call recurses at most _KEPT_STRING_ORDER levels.
-    text = f"({ltree._str or str(ltree)}v{rtree._str or str(rtree)})"
-    if slots:
-        text = text.replace("v", "%s") % _marks(ltree.order + rtree.order + 1, slots)
-    return text
-
-
-def graph_terms(keys):
-    """(printed graph, 1) for each graph key, interning no graph: the terms
-    that `freemodule.sum_text` and the CLI's --json writer print."""
-    return zip(map(key_str, keys), repeat(1))
 
 
 @lru_cache(maxsize=None)
@@ -538,25 +527,19 @@ def _block_texts(blocks, head, tail, between):
         sep = between
 
 
-def shape_keys(n: int, mask: int):
-    """The keys of every tree shape of order n carrying the slot mask, in
-    canonical order: with one mask, graphs sort as their shapes.  The keys
-    are read from the blocks of the trees of order n, whose subtrees are
-    entries of the genus-0 node tables of lower orders, so no tree of order
-    n is interned."""
-    if n < 0 or mask >> n:
-        raise ValueError(f"slot mask {mask} does not fit order {n}")
-    if n == 0:
-        return iter([(None, None, 0)])
-    blocks = _walk(n, 0, False, _nodes)
-    return ((left, right, mask) for left, _, _, _, rights, _ in blocks for right in rights)
-
-
 @lru_cache(maxsize=None)
 def _graphs(n: int, mask: int) -> tuple[LoopGraph, ...]:
     """Every graph of order n whose looped slots are the bits of mask, one
-    per tree shape, in canonical order."""
-    return tuple(map(graph_of, shape_keys(n, mask)))
+    per tree shape, in canonical order: with one mask, graphs sort as their
+    shapes.  Each is built from its tree's key in the blocks of the trees of
+    order n, whose subtrees are entries of the genus-0 node tables of lower
+    orders, so the trees of order n get no node table."""
+    if n < 0 or mask >> n:
+        raise ValueError(f"slot mask {mask} does not fit order {n}")
+    if n == 0:
+        return (LEAF,)
+    return tuple(graph_of((left, right, mask))
+                 for left, _, _, _, rights, _ in _walk(n, 0, False, _nodes) for right in rights)
 
 
 def enumerate_graphs(n: int, g: int, regular_only: bool = False) -> list[LoopGraph]:

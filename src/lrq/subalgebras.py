@@ -18,8 +18,10 @@ as the n-bit slot mask with bit i set when letter i is L, so the valid words
 are the regular masks, and a word expands to every tree of order n carrying
 its mask (`psi_word` proves this).  The graph sums are therefore enumerated
 by mask, never by multiplying, and they are read in canonical order from the
-walks of `lrq.loopgraphs`: the CLI prints a word's graphs one at a time
-(`word_keys`) and a correlator's in blocks (`family_text`).
+walks of `lrq.loopgraphs`.  The CLI prints both in blocks from the walk's
+text tables (`family_text`): a correlator as the regular graphs of each
+genus, and a word as the trees of its length with the word's marks written
+in, since the graphs of one mask sort as their shapes.
 
 A full correlator is every regular graph of its order and genus once; it
 is not an expansion of the Airy correlator W^g_k of `lrq.airy`.  Expand the
@@ -49,20 +51,23 @@ from .hopfops import (
     star_h_sum,
     tensor_star,
 )
-from .loopgraphs import (enumerate_graphs, family_text, graph_of, is_regular, shape_keys,
-                         slot_masks)
+from .loopgraphs import _graphs, enumerate_graphs, family_text, is_regular, slot_masks
 
 # Largest word length `psi_word` and order `full_correlator` accept, by the
 # rule that the worst CLI call finishes within 30 s and 1 GiB.  The CLI
-# writes a word's sum one graph at a time and a correlator's one block at a
-# time; on a 2-core x86-64 VM (Python 3.11.7, single cold runs, text and
-# --json, in a fast phase of the host) `lrq psi` of 13 letters takes 1.9 to
-# 2.3 s at 109 MiB, and of 14 letters took 17 to 31 s at 434 MiB, too close
-# to the limit.  `lrq correlator --order 9` takes 0.3 s at 31 to 34 MiB, and
+# writes both a word's sum and a correlator one block of the walk's text
+# tables at a time.  On a 2-core x86-64 VM (Python 3.11.7, three cold runs
+# each, in a slow phase of the host), `lrq psi` of 14 letters (2 674 440
+# graphs) takes 6.1 to 7.7 s at 330 MiB, or 6.1 to 7.2 s at 371 MiB as
+# --json, when it has letters L, and 2.3 to 3.0 s at 241 to 282 MiB when it
+# is all T; 13 letters take 1.6 to 2.0 s at 111 MiB (1.7 to 1.8 s at
+# 128 MiB as --json).  `psi_word` interns every graph it returns, so at 14
+# letters it took 15 s at 952 MiB, and at 13 letters 3.3 s at 307 MiB.  In
+# a fast phase `lrq correlator --order 9` takes 0.3 s at 31 to 34 MiB, and
 # order 10 1.6 s at 114 to 126 MiB; order 11 (through
 # `loopgraphs.family_text`) took 18 s at 798 MiB, too close to the limit.
 # Slower phases of the host have taken up to twice as long.
-MAX_PSI_LENGTH = 13
+MAX_PSI_LENGTH = 14
 MAX_CORRELATOR_ORDER = 10
 
 # Largest degree `generating_function` accepts, by the same rule.  The CLI
@@ -128,22 +133,21 @@ def psi_word(w: Word) -> LinComb:
     leaf of a tree of order n+1, and putting its left subtree in its place,
     inverts this, so each tree of order n+1 arises from exactly one tree t
     and one position.  A word has no two adjacent L letters, so every term
-    is regular.  The graphs are read from `word_keys`, which refuses words
-    longer than MAX_PSI_LENGTH.
+    is regular.  The graphs are read from `loopgraphs._graphs`, once
+    `word_mask` has refused a word longer than MAX_PSI_LENGTH.
     """
-    return LinComb.sum_of(map(graph_of, word_keys(w)))
+    return LinComb.sum_of(_graphs(w.length, word_mask(w)))
 
 
-def word_keys(w: Word):
-    """The keys of the graphs of `psi_word(w)` in canonical order, which for
-    one mask is the order of the tree shapes.  Words longer than
-    MAX_PSI_LENGTH are refused here, before anything is built."""
+def word_mask(w: Word) -> int:
+    """The slot mask of w, bit i set when letter i is L.  Words longer than
+    MAX_PSI_LENGTH are refused here, before anything is built or written."""
     if w.length > MAX_PSI_LENGTH:
         raise ValueError(
             f"word of length {w.length} is beyond the psi bound "
             f"length <= {MAX_PSI_LENGTH}"
         )
-    return shape_keys(w.length, sum(1 << i for i, x in enumerate(w.letters) if x == "L"))
+    return sum(1 << i for i, x in enumerate(w.letters) if x == "L")
 
 
 _LETTERS = str.maketrans("01", "TL")

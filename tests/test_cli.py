@@ -19,10 +19,10 @@ from hypothesis import given, settings, strategies as st
 import lrq
 from lrq import airy, complexes, hopfops, loopgraphs, permutations, subalgebras, trees
 from lrq.airy import MAX_NEG_EULER
-from lrq.cli import MAX_ENUMERATE_ORDER, _build_parser, _write_sum, run
+from lrq.cli import MAX_ENUMERATE_ORDER, _build_parser, _json_terms, _write_sum, run
 from lrq.complexes import MAX_COHOMOLOGY_ORDER
 from lrq.exprs import parse
-from lrq.freemodule import LinComb
+from lrq.freemodule import LinComb, sum_text
 from lrq.hopfops import MAX_AXIOM_ORDER
 from lrq.loopgraphs import enumerate_graphs
 from lrq.subalgebras import MAX_CORRELATOR_ORDER, MAX_GENFUN_DEGREE, MAX_PSI_LENGTH
@@ -479,6 +479,46 @@ def test_correlator_output_digests(capsys, args):
     assert hashlib.sha256(out.encode()).hexdigest() == CORRELATOR_DIGESTS[args]
 
 
+# SHA-256 of the stdout of `lrq psi`, pinned from the writer of one graph at a
+# time before a word's sum was printed from the walk's text tables.
+PSI_DIGESTS = {
+    "LTTLTTTLTLTT": "05338b94cebd1b6eb3d302bd244e520c3d2c7e6acb5c97e34aae5cc69ab083b6",
+    "LTTLTTTLTLTT --json": "db20a4a61b0ac3125823ba20069664ab7d6bb0c17d42878bf948d3cb2dd1eab8",
+    "TTTTTTTTTTTT": "d681a041bb8c8320fce9b19814aa285c90ea5d96b5a443bbe5cd97d0d430dcb3",
+    "TTTTTTTTTTTT --json": "258011557ca42d28368d62c8741ffdf63854fbce458ccc1988b51dc35b9d4727",
+}
+
+
+@pytest.mark.parametrize("args", PSI_DIGESTS)
+def test_psi_output_digests(capsys, args):
+    code, out, err = invoke(capsys, "psi", *args.split())
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == PSI_DIGESTS[args]
+
+
+def test_psi_prints_the_terms_of_psi_word(capsys):
+    # Oracle: the sum that `psi_word` builds, written one term at a time.
+    for n in range(9):
+        for gg in range(n + 1):
+            for w in subalgebras.enumerate_words(n, gg):
+                terms = list(subalgebras.psi_word(w).terms())
+                text = "".join(sum_text(terms))
+                assert invoke(capsys, "psi", str(w)) == (0, f"{text}\n", ""), w
+                items = ", ".join(_json_terms(terms))
+                assert invoke(capsys, "psi", str(w), "--json") == (0, f"[{items}]\n", ""), w
+
+
+def test_psi_interns_no_node(capsys):
+    loopgraphs._nodes.cache_clear()
+    before = len(loopgraphs._NODES)
+    for flags in ((), ("--json",)):
+        code, out, err = invoke(capsys, "psi", "TLTTLTTTL", *flags)
+        # Each of the 4862 trees of order 9 with six of its slots unlooped.
+        assert (code, err, out.count("v")) == (0, "", 6 * 4862)
+    assert len(loopgraphs._NODES) == before
+    assert loopgraphs._nodes.cache_info().currsize == 0
+
+
 def test_graph_sums_are_streamed_in_canonical_order(capsys):
     # The oracle prints each sum through a LinComb, sorted by sort_key.
     for n in range(7):
@@ -640,15 +680,15 @@ def test_products_beyond_the_bound_are_refused_before_computing(
 
 def test_out_of_memory_is_a_domain_error(capsys, monkeypatch):
     _, full, _ = invoke(capsys, "psi", "TLTT")
-    word_keys = subalgebras.word_keys
+    family_text = loopgraphs.family_text
 
-    def exhausted(w):
-        keys = iter(word_keys(w))
-        yield next(keys)
+    def exhausted(*args):
+        chunks = family_text(*args)
+        yield next(chunks)
         raise MemoryError
 
-    monkeypatch.setattr(subalgebras, "word_keys", exhausted)
-    assert loopgraphs._nodes.cache_info().currsize
+    monkeypatch.setattr(loopgraphs, "family_text", exhausted)
+    assert loopgraphs._texts.cache_info().currsize
     code, out, err = invoke(capsys, "psi", "TLTT")
     assert (code, err) == (2, "error: out of memory\n")
     # What was streamed before the error stays written.
@@ -659,7 +699,8 @@ def test_out_of_memory_is_a_domain_error(capsys, monkeypatch):
 
 def test_out_of_memory_in_a_block_frees_the_tables(capsys, monkeypatch):
     _, full, _ = invoke(capsys, "correlator", "--order", "5")
-    invoke(capsys, "psi", "TLTT")
+    # The node tables, which no printer of the CLI reads, filled directly.
+    enumerate_graphs(4, 1)
     walk = loopgraphs._walk
 
     def exhausted(*args):

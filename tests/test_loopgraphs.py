@@ -24,10 +24,8 @@ from lrq.loopgraphs import (
     family_text,
     graph_of,
     is_regular,
-    key_str,
     loop_slots,
     rank_string,
-    shape_keys,
     slot_masks,
     with_slots,
 )
@@ -294,7 +292,7 @@ def test_walk_is_the_sorted_union_over_masks():
         marked = {m: [with_marks(s, m) for s in shapes] for m in range(1 << n)}
         for m, want in marked.items():
             # One mask sorts as its shapes.
-            assert [key_str(k) for k in shape_keys(n, m)] == want, (n, m)
+            assert [str(t) for t in _graphs(n, m)] == want, (n, m)
             assert want == sorted(want, key=rank_string)
         for gg in range(n + 2):
             for regular in (False, True):
@@ -304,7 +302,7 @@ def test_walk_is_the_sorted_union_over_masks():
 
 
 def test_blocks_print_as_the_terms_one_at_a_time():
-    # Oracle: each graph's key printed by `key_str`, one term at a time.  A
+    # Oracle: each interned graph printed by `str`, one term at a time.  A
     # sum with no term prints as "0"; the blocks of an empty family are none.
     for n in range(9):
         for gg in range(n + 2):
@@ -362,7 +360,7 @@ def test_keys_print_as_their_interned_graphs():
                 key = graph._ltree, graph._rtree, graph.slots
                 assert _NODES[key] is graph_of(key) is graph
                 assert (graph.order, graph.genus) == (n, gg)
-                assert key_str(key) == printed(graph)
+                assert str(graph) == printed(graph)
 
 
 def test_regular_filter_matches_filtering_graphs():

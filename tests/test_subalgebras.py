@@ -169,7 +169,7 @@ def test_enumerate_words_matches_combinations():
 
 def test_psi_word_refuses_a_word_beyond_the_bound(monkeypatch):
     built = []
-    monkeypatch.setattr(subalgebras, "shape_keys", lambda n, m: built.append((n, m)) or ())
+    monkeypatch.setattr(subalgebras, "_graphs", lambda n, m: built.append((n, m)) or ())
     bound = f"beyond the psi bound length <= {MAX_PSI_LENGTH}"
     for letters in ("T" * (MAX_PSI_LENGTH + 1), "LT" * MAX_PSI_LENGTH):
         with pytest.raises(ValueError, match=bound):
@@ -382,7 +382,6 @@ def test_full_correlator_prints_without_interning_a_graph(monkeypatch, capsys):
 
     want = sorted_print(full_correlator(7))
     lines = "".join(f"{t}\n" for t in enumerate_graphs(7, 3))
-    monkeypatch.setattr(subalgebras, "graph_of", interned)
     monkeypatch.setattr(loopgraphs, "graph_of", interned)
     loopgraphs._nodes.cache_clear()
     before = set(loopgraphs._NODES)
