@@ -15,7 +15,9 @@ one dict, through its `get` bound once.  Those loops, and the coproduct's,
 read a sum's term dict `_terms` directly, not through `items()`, to save a
 call per sum in the innermost loops.  Their coefficients come from
 LinCombs and so are exact already; the dict becomes a LinComb once,
-dropping its zeros (`LinComb.of_dict`).
+dropping its zeros (`LinComb.of_dict`).  A Hopf law's defect, a side
+minus what it must equal, stays a dict and is only searched for a nonzero
+coefficient.
 """
 
 from __future__ import annotations

@@ -21,12 +21,18 @@ y.right under y's root, which satisfy Loday's three dendriform axioms on
 every triple of non-leaf graphs of total order at most 7.  The statement
 for all orders is open.
 
-The antipode recursion, the tensor product and each side of a Hopf law are
-summed straight into one dict, over the terms of their factors.  Every
-product term still comes from a call of `star_h`, every coproduct from
-`delta_h` and every antipode from `_antipode`, each looked up as a module
-global when it is called, so rebinding one of them (a seeded fault, a
-tracer) reaches every call, and no unit product is read off.
+The antipode recursion and the tensor product are summed straight into one
+dict, over the terms of their factors.  So is each Hopf law, as its defect:
+associativity, coassociativity and compatibility add their left side and
+subtract their right side in one dict; the counit and antipode laws keep
+one dict per side, each started at minus the value that side must equal
+(-t, or -eps(t) 1), so that each side is compared with it and not only
+with the other side.  A law holds on a tuple exactly when every
+coefficient of its defect is zero.  Every product term still comes from a
+call of `star_h`, every coproduct from `delta_h` and every antipode from
+`_antipode`, each looked up as a module global when it is called, so
+rebinding one of them (a seeded fault, a tracer) reaches every call, and no
+unit product is read off.
 """
 
 from __future__ import annotations
@@ -40,8 +46,10 @@ from .loopgraphs import LEAF, LoopGraph, enumerate_graphs, with_slots
 # call finishes within 30 s and 1 GiB: on a 2-core x86-64 VM (Python 3.11.7,
 # cold runs, text and --json) the slowest axiom there, antipode, takes 3.8
 # to 3.9 s at 85 MiB, and 5.6 to 5.9 s with three runs sharing the two
-# cores; compat takes 1.3 s at 52 MiB, coassoc 0.9 s, assoc 0.4 s and
-# counit 0.3 s.  At total order 9 antipode takes 48 s at 534 MiB.
+# cores.  In a slow phase of the host, when antipode took 7.7 to 11.4 s,
+# compat took 2.4 to 3.5 s at 51 MiB, coassoc 1.6 to 1.9 s at 43 MiB,
+# counit 1.0 to 1.2 s and assoc 0.6 to 1.0 s.  At total order 9 antipode
+# takes 48 s at 534 MiB, and 115 to 135 s in that slow phase.
 MAX_AXIOM_ORDER = 8
 
 UNIT = LinComb.basis(LEAF)
@@ -159,83 +167,99 @@ def bounded_tuples(basis: list[LoopGraph], k: int, m: int):
             yield (x, *rest)
 
 
-def first_counterexample(sides, tuples):
-    """The first tuple whose two sides, `sides(*xs)`, differ, or None."""
+def first_counterexample(defect, tuples):
+    """The first tuple on which a law fails, or None.
+
+    `defect(*xs)` gives the law's defect on xs: dicts of exact
+    coefficients, each a side of the law minus what it must equal.  The law
+    holds on xs exactly when every coefficient of every such dict is zero;
+    a dict may keep keys whose terms cancelled to 0."""
     for xs in tuples:
-        lhs, rhs = sides(*xs)
-        if lhs != rhs:
-            return xs
+        for acc in defect(*xs):
+            if any(acc.values()):
+                return xs
     return None
 
 
-def tensor_star(x: LinComb, y: LinComb) -> LinComb:
-    """Componentwise product of 2-tensors: (a(x)b)(c(x)d) = (a*c)(x)(b*d)."""
-    acc: dict = {}
+def _add_tensor_star(acc: dict, x: LinComb, y: LinComb, sign: int) -> dict:
+    """Add sign times the componentwise product of the 2-tensors x and y
+    into acc, and return acc."""
     get = acc.get
     ys = list(y._terms.items())
     for (a, b), c in x._terms.items():
         for (d, e), f in ys:
-            cf = c * f
+            cf = sign * c * f
             right = star_h(b, e)._terms.items()
             for s1, c1 in star_h(a, d)._terms.items():
                 k = cf * c1
                 for s2, c2 in right:
                     key = (s1, s2)
                     acc[key] = get(key, 0) + k * c2
-    return LinComb.of_dict(acc)
+    return acc
 
 
-# Each Hopf law as its arity and its two sides on one tuple of basis graphs.
+def tensor_star(x: LinComb, y: LinComb) -> LinComb:
+    """Componentwise product of 2-tensors: (a(x)b)(c(x)d) = (a*c)(x)(b*d)."""
+    return LinComb.of_dict(_add_tensor_star({}, x, y, 1))
+
+
+# Each Hopf law as its arity and its defect on one tuple of basis graphs.
 
 
 def _assoc(x, y, z):
-    # (xy)z = x(yz)
-    left: dict = {}
-    right: dict = {}
-    lget = left.get
-    rget = right.get
+    # (xy)z - x(yz)
+    acc: dict = {}
+    get = acc.get
     for s, c in star_h(x, y)._terms.items():
         for p, e in star_h(s, z)._terms.items():
-            left[p] = lget(p, 0) + c * e
+            acc[p] = get(p, 0) + c * e
     for s, c in star_h(y, z)._terms.items():
         for p, e in star_h(x, s)._terms.items():
-            right[p] = rget(p, 0) + c * e
-    return LinComb.of_dict(left), LinComb.of_dict(right)
+            acc[p] = get(p, 0) - c * e
+    return (acc,)
 
 
 def _coassoc(t):
-    # (delta (x) id) delta = (id (x) delta) delta, as 3-tensors
-    left: dict = {}
-    right: dict = {}
-    lget = left.get
-    rget = right.get
+    # (delta (x) id) delta - (id (x) delta) delta, as 3-tensors
+    acc: dict = {}
+    get = acc.get
     for (a, b), c in delta_h(t)._terms.items():
         for (x, y), e in delta_h(a)._terms.items():
             key = (x, y, b)
-            left[key] = lget(key, 0) + c * e
+            acc[key] = get(key, 0) + c * e
         for (x, y), e in delta_h(b)._terms.items():
             key = (a, x, y)
-            right[key] = rget(key, 0) + c * e
-    return LinComb.of_dict(left), LinComb.of_dict(right)
+            acc[key] = get(key, 0) - c * e
+    return (acc,)
 
 
 def _compat(x, y):
-    # delta(xy) = delta(x) delta(y)
-    return delta_h_sum(star_h(x, y)), tensor_star(delta_h(x), delta_h(y))
+    # delta(xy) - delta(x) delta(y)
+    acc: dict = {}
+    get = acc.get
+    for s, c in star_h(x, y)._terms.items():
+        for key, e in delta_h(s)._terms.items():
+            acc[key] = get(key, 0) + c * e
+    return (_add_tensor_star(acc, delta_h(x), delta_h(y), -1),)
 
 
 def _counit(t):
-    # (eps (x) id) delta = id = (id (x) eps) delta; eps reads the leaf
-    d = delta_h(t).items()
-    left = LinComb((b, c) for (a, b), c in d if a is LEAF)
-    right = LinComb((a, c) for (a, b), c in d if b is LEAF)
-    return (left, right), (LinComb.basis(t),) * 2
+    # (eps (x) id) delta - id and (id (x) eps) delta - id; eps reads the leaf
+    left = {t: -1}
+    right = {t: -1}
+    for (a, b), c in delta_h(t)._terms.items():
+        if a is LEAF:
+            left[b] = left.get(b, 0) + c
+        if b is LEAF:
+            right[a] = right.get(a, 0) + c
+    return left, right
 
 
 def _antipode_law(t):
-    # S(t') t'' = eps(t) 1 = t' S(t'')
-    left: dict = {}
-    right: dict = {}
+    # S(t') t'' - eps(t) 1 and t' S(t'') - eps(t) 1
+    eps = counit(LinComb.basis(t))
+    left = {LEAF: -eps}
+    right = {LEAF: -eps}
     lget = left.get
     rget = right.get
     for (a, b), c in delta_h(t)._terms.items():
@@ -247,8 +271,7 @@ def _antipode_law(t):
             k = c * d
             for p, e in star_h(a, s)._terms.items():
                 right[p] = rget(p, 0) + k * e
-    return ((LinComb.of_dict(left), LinComb.of_dict(right)),
-            (counit(LinComb.basis(t)) * UNIT,) * 2)
+    return left, right
 
 
 AXIOMS = {"assoc": (3, _assoc), "coassoc": (1, _coassoc), "compat": (2, _compat),
@@ -270,5 +293,5 @@ def check_axiom(axiom: str, max_total_order: int):
         )
     if axiom not in AXIOMS:
         raise ValueError(f"unknown axiom {axiom!r}")
-    arity, sides = AXIOMS[axiom]
-    return first_counterexample(sides, bounded_tuples(graphs_up_to_total_order(m), arity, m))
+    arity, defect = AXIOMS[axiom]
+    return first_counterexample(defect, bounded_tuples(graphs_up_to_total_order(m), arity, m))

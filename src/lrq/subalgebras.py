@@ -237,13 +237,13 @@ def delta_h_quotient_counterexample(max_total_order: int):
             if is_regular(a) and is_regular(b)
         )
 
-    def sides(x, y):
-        return (proj_tensor(delta_h_sum(project_regular(star_h(x, y)))),
-                proj_tensor(tensor_star(delta_h(x), delta_h(y))))
+    def defect(x, y):
+        return ((proj_tensor(delta_h_sum(project_regular(star_h(x, y))))
+                 - proj_tensor(tensor_star(delta_h(x), delta_h(y))))._terms,)
 
     m = max_total_order
     basis = [t for t in graphs_up_to_total_order(m) if is_regular(t)]
-    return first_counterexample(sides, bounded_tuples(basis, 2, m))
+    return first_counterexample(defect, bounded_tuples(basis, 2, m))
 
 
 def generating_function(max_degree: int):

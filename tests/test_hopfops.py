@@ -19,11 +19,12 @@ from lrq.hopfops import (
     counit,
     delta_h,
     delta_h_sum,
+    first_counterexample,
     graphs_up_to_total_order,
     star_h,
     star_h_sum,
 )
-from lrq.loopgraphs import LEAF, ONELOOP, TREE, LoopGraph, enumerate_graphs
+from lrq.loopgraphs import LEAF, ONELOOP, TREE, LoopGraph, enumerate_graphs, with_slots
 from oracles import antipode_by_takeuchi, single_basis, tensor
 
 
@@ -294,6 +295,49 @@ def test_delta_bidegree_splits():
             assert a.genus + b.genus == t.genus
 
 
+@lru_cache(maxsize=None)
+def slot_split(s) -> dict:
+    """Where delta_h sends the slots of the tree s: for each shape pair
+    (a, b) of delta_h(s), the list of (side, slot) that each slot i of s
+    lands on, read from delta_h(with_slots(s, 1 << i)), one slot at a
+    time."""
+    split = {pair: [] for pair, _ in delta_h(s).items()}
+    for i in range(s.order):
+        terms = delta_h(with_slots(s, 1 << i)).items()
+        assert len(terms) == len(split)
+        for (a, b), _ in terms:
+            side, mask = (0, a.slots) if a.slots else (1, b.slots)
+            assert mask.bit_count() == 1 and a.slots | b.slots == mask
+            split[with_slots(a, 0), with_slots(b, 0)].append((side, mask.bit_length() - 1))
+    return split
+
+
+def delta_by_slot_split(t) -> LinComb:
+    """Oracle: delta_h(t) from the coproduct of t's tree shape, each term
+    carrying t's mask restricted to the slots that `slot_split` sends to
+    each of its factors."""
+    s = with_slots(t, 0)
+    out = []
+    for (a, b), c in delta_h(s).items():
+        masks = [0, 0]
+        for i, (side, j) in enumerate(slot_split(s)[a, b]):
+            masks[side] |= (t.slots >> i & 1) << j
+        out.append(((with_slots(a, masks[0]), with_slots(b, masks[1])), c))
+    return LinComb(out)
+
+
+def test_delta_h_splits_the_slots_in_order():
+    # Each factor of a coproduct term gets a subset of s's slots, all of
+    # its own slots and in their order in s; ROADMAP item 12 builds on it.
+    for n in range(6):
+        for s in enumerate_graphs(n, 0):
+            for (a, b), places in slot_split(s).items():
+                for side, factor in enumerate((a, b)):
+                    assert [j for k, j in places if k == side] == list(range(factor.order)), (s, a, b)
+    for t in graphs_up_to_total_order(6):
+        assert delta_h(t) == delta_by_slot_split(t), t
+
+
 def test_counit_examples():
     assert counit(UNIT) == 1
     assert counit(LinComb.basis(ONELOOP)) == 0
@@ -433,6 +477,26 @@ def test_tensor_star_is_the_sum_of_tensored_products():
                     assert hopfops.tensor_star(dx, dy) == tensor_star_by_sums(dx, dy), (x, y)
 
 
+def test_a_defect_whose_terms_cancel_passes():
+    # A law's dict keeps every key that either side wrote, each summed to 0.
+    t = g("((|v|)v(|o|))")
+    (acc,) = hopfops._coassoc(t)
+    assert acc and not any(acc.values())
+    assert first_counterexample(hopfops._coassoc, [(t,)]) is None
+
+    def cancelled(x):
+        return ({x: 0, (x, x): Fraction(0)}, {LEAF: 1 - 1})
+
+    assert first_counterexample(cancelled, [(TREE,), (ONELOOP,)]) is None
+
+
+def test_a_defect_nonzero_only_in_its_second_dict_is_reported():
+    def defect(x):
+        return {x: 0}, {x: Fraction(1, 2) if x is ONELOOP else 0}
+
+    assert first_counterexample(defect, [(TREE,), (ONELOOP,), (LEAF,)]) == (ONELOOP,)
+
+
 def check_axiom_by_cases(axiom: str, m: int):
     """Oracle: the axiom check written out as one loop per axiom, each over
     the whole basis with its own total-order bound.  The maps are those of
@@ -502,7 +566,7 @@ def check_axiom_by_cases(axiom: str, m: int):
 AXIOM_NAMES = ("assoc", "coassoc", "compat", "counit", "antipode")
 
 
-@pytest.mark.parametrize("m", range(6))
+@pytest.mark.parametrize("m", range(7))
 @pytest.mark.parametrize("axiom", AXIOM_NAMES)
 def test_check_axiom_equals_the_case_by_case_oracle(axiom, m):
     assert check_axiom(axiom, m) == check_axiom_by_cases(axiom, m)
@@ -544,6 +608,20 @@ def _wrong_antipode_on_the_loop():
     return "_antipode", lambda t: LinComb.basis(t) if t is ONELOOP else _antipode(t)
 
 
+def _leaf_terms_dropped():
+    # Both counit sides of t0 lose t0 alike, so they agree with each other
+    # but not with t0: each side must be compared with its expected value.
+    t0 = g("((|v|)v|)")
+
+    def faulty(t):
+        if t is not t0:
+            return delta_h(t)
+        return LinComb(((a, b), c) for (a, b), c in delta_h(t).items()
+                       if not (a.is_leaf or b.is_leaf))
+
+    return "delta_h", faulty
+
+
 @pytest.mark.parametrize("fault,found", [
     (_double_star_on_one_pair, {"assoc": "(|o|), (|v|), (|v|)",
                                 "compat": "(|o|), ((|v|)v|)",
@@ -554,6 +632,8 @@ def _wrong_antipode_on_the_loop():
     (_double_star_on_a_unit_pair, {"assoc": "|, |, ((|v|)v|)",
                                    "compat": "|, ((|v|)v|)",
                                    "antipode": "(|v(|v|))"}),
+    (_leaf_terms_dropped, {"coassoc": "((|v|)v|)", "compat": "(|v|), (|v|)",
+                           "counit": "((|v|)v|)", "antipode": "((|v|)v|)"}),
 ])
 def test_check_axiom_finds_what_the_oracle_finds_under_a_fault(
         monkeypatch, memos_warm_and_cleared_after, fault, found):
