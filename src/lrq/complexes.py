@@ -58,10 +58,11 @@ disjoint supports), and by (a) project_regular(d_h_sum(iota(m))) = iota(d(m)).
 So the span of the words is a subcomplex, and iota is an isomorphism of
 K_n^reg onto it.
 
-In all three cases d maps the degree-(g-1) cochains into the degree-g ones,
-so dim H = #masks(g) - rank d(g) - rank d(g-1) on K_n or K_n^reg, and
-`full`/`reg` multiply this by Catalan(n).  Ranks are computed by sparse
-exact elimination on rows {mask: sign}, so every dimension is exact.
+On K_n, d maps the degree-(g-1) cochains into the degree-g ones, so
+dim H = C(n, g) - rank d(g) - rank d(g-1), and `full` multiplies this by
+Catalan(n).  Ranks are computed by sparse exact elimination on rows
+{mask: sign}, so every dimension is exact.  K_n^reg needs no rank: (e)
+gives its cohomology in closed form, and `reg` multiplies it by Catalan(n).
 
 (d) On K_n, d(g) and d(n-1-g) have the same rank.  Write d(g) for the
 matrix with entry D_g[m', m] = (-1)^(i + popcount(m & (2^i - 1))) when
@@ -77,14 +78,38 @@ and Q of phi on the two degrees: it is the transpose of d(g) up to signs on
 rows and columns, and the ranks agree.  (There is no such duality on
 K_n^reg: the complement of a regular mask is not regular in general.)
 
-`rank_d` keeps each rank once: it reads K_n's d(g) under the key
+(e) H^g(K_n^reg) has dimension 1 when n mod 3 != 1 and g = ceil(n/3)
+(so also at n = g = 0), and 0 otherwise.  Let Ind(P_n) be the independence
+complex of the path on the vertices 0, ..., n-1 (edges i ~ i+1): its faces
+are the sets with no two neighbours, which are exactly the regular masks,
+a face of g vertices being a (g-1)-simplex.  Its augmented simplicial
+cochain complex, with the empty face in degree -1, has the coboundary
+delta(m) = sum over the i not in m with m | 2^i regular of
+(-1)^(popcount(m & (2^i - 1))) (m | 2^i).  The differential of K_n^reg has
+the extra sign (-1)^i in each term, and with phi(m) as in (d),
+phi(m) phi(m | 2^i) = (-1)^i; so m -> phi(m) m takes delta to d, and
+H^g(K_n^reg) is the reduced cohomology H~^(g-1)(Ind(P_n)).  Kozlov
+("Complexes of directed trees", JCTA 88, 1999) showed that Ind(P_n) is
+homotopy equivalent to the sphere S^(ceil(n/3) - 1) when n mod 3 != 1 and
+is contractible otherwise (Ind(P_0) is empty, the sphere S^(-1)); a sphere
+S^(k-1) has reduced cohomology of dimension 1 in degree k-1 alone, and a
+contractible complex has none.
+
+So the nonzero bidegrees are (3k, k) and (3k+2, k+1), and the word product
+(concatenation, zero when an L meets an L) fills them: with a = LT at
+(2, 1) and b = TLT at (3, 1), b^k and a b^k are cocycles that are not
+exact, so they span H(3k, k) and H(3k+2, k+1), while a^2 and ab - ba are
+exact.  The tests pin this for every n <= 14 against an elimination of
+K_n^reg, not against the closed form.
+
+`rank_d` keeps each rank of K_n once: it reads d(g) under the key
 min(g, n-1-g), answers 0 with no lookup where d(g) is zero (g < 0, or
 g >= n, where it maps into the zero space), and otherwise looks the rank up
-in a memo keyed by (n, g, complex).  A sweep over (n, g, space) then
-eliminates each matrix once: items g and g+1 share d(g), `reg` and
-`toprec` share K_n^reg, and d(g) of K_n serves d(n-1-g) too.  `cohomology_dim`
-reaches the memo only after the MAX_COHOMOLOGY_ORDER check, so it holds at
-most one int per (n, g, complex) with 0 <= g < n <= MAX_COHOMOLOGY_ORDER.
+in a memo keyed by (n, g).  A sweep over (n, g) then eliminates each matrix
+once: items g and g+1 share d(g), and d(g) serves d(n-1-g) too.
+`cohomology_dim` reaches the memo only after the MAX_COHOMOLOGY_ORDER
+check, and only for `full`, so it holds at most one int per (n, g) with
+0 <= g < n <= MAX_COHOMOLOGY_ORDER.
 """
 
 from __future__ import annotations
@@ -96,11 +121,12 @@ from . import trees
 from .freemodule import LinComb
 from .loopgraphs import LoopGraph, slot_masks, with_slots
 
-# Largest order `cohomology_dim` accepts.  Cold, on a 2-core x86-64 VM
-# (Python 3.11.7), its slowest call there, full (14, 6), takes about 1.4 s,
-# full (14, 7) about 0.7 s (both its ranks are d(6), by the duality (d)), and
-# the whole table to n = 14 about 2.3 s; full (15, 7) and (15, 8) take 5.3
-# to 5.6 s.
+# Largest order `cohomology_dim` accepts.  Only the full ranks cost anything:
+# reg and toprec are closed forms.  Cold, on a 2-core x86-64 VM (Python
+# 3.11.7), its slowest call there, full (14, 6), takes about 1.4 s, full
+# (14, 7) about 0.7 s (both its ranks are d(6), by the duality (d)), and the
+# whole table to n = 14, nearly all of it full, about 2.3 s; full (15, 7) and
+# (15, 8) take 5.3 to 5.6 s.
 MAX_COHOMOLOGY_ORDER = 14
 
 
@@ -126,7 +152,7 @@ def d_h_graph(t: LoopGraph) -> LinComb:
     """Differential of one graph: the differential of K_n on its mask, with
     the shape kept; the term of slot i has sign (-1)^(i + loops before i)."""
     return LinComb((with_slots(t, m), c)
-                   for m, c in d_mask(t.slots, t.order, False).items())
+                   for m, c in d_mask(t.slots, t.order).items())
 
 
 def d_h_sum(x: LinComb) -> LinComb:
@@ -173,16 +199,11 @@ def matrix_rank(rows: list) -> int:
     return len(pivots)
 
 
-def d_mask(m: int, n: int, regular: bool) -> dict[int, int]:
-    """The differential of K_n (or K_n^reg) on one mask, as {mask: sign}."""
-    row = {}
-    for i in range(n):
-        if m >> i & 1:
-            continue
-        image = m | 1 << i
-        if not (regular and image & (image >> 1)):
-            row[image] = (-1) ** (i + (m & ((1 << i) - 1)).bit_count())
-    return row
+def d_mask(m: int, n: int) -> dict[int, int]:
+    """The differential of K_n on one mask, as {mask: sign}: one term for
+    each unset bit i, with sign (-1)^(i + set bits below i)."""
+    return {m | 1 << i: (-1) ** (i + (m & ((1 << i) - 1)).bit_count())
+            for i in range(n) if not m >> i & 1}
 
 
 def cohomology_dim(n: int, g: int, space: str) -> int:
@@ -193,10 +214,12 @@ def cohomology_dim(n: int, g: int, space: str) -> int:
     space = "toprec": the span of the length-n words with g loops inside the
     regular graphs.
 
-    Computed on the slot-mask complex K_n (full) or K_n^reg (reg, toprec),
-    as the module docstring derives: dim H = #masks(g) - rank d(g) -
-    rank d(g-1), times Catalan(n) for full and reg.  Orders above
-    MAX_COHOMOLOGY_ORDER are refused before anything is computed.
+    Computed on the slot-mask complexes, as the module docstring derives:
+    full is Catalan(n) times dim H = C(n, g) - rank d(g) - rank d(g-1) on
+    K_n; toprec is the closed form (e) for K_n^reg, 1 when n mod 3 != 1 and
+    g = ceil(n/3) and 0 otherwise, and reg is Catalan(n) times toprec.
+    Orders above MAX_COHOMOLOGY_ORDER are refused before anything is
+    computed.
     """
     if space not in ("full", "reg", "toprec"):
         raise ValueError(f"unknown space {space!r}")
@@ -206,21 +229,22 @@ def cohomology_dim(n: int, g: int, space: str) -> int:
         raise ValueError(
             f"order {n} is beyond the cohomology bound n <= {MAX_COHOMOLOGY_ORDER}"
         )
-    regular = space != "full"
-    dim = len(slot_masks(n, g, regular)) - rank_d(n, g, regular) - rank_d(n, g - 1, regular)
+    if space == "full":
+        dim = comb(n, g) - rank_d(n, g) - rank_d(n, g - 1)
+    else:
+        dim = int(n % 3 != 1 and g == -(-n // 3))
     return dim if space == "toprec" else comb(2 * n, n) // (n + 1) * dim
 
 
-def rank_d(n: int, g: int, regular: bool) -> int:
-    """Rank of d(g), from the degree-g cochains of K_n (or K_n^reg) to the
-    degree-(g+1) ones, through the memo of the module docstring: K_n reads
-    g as min(g, n-1-g) by the duality (d), and a d(g) that is zero (g < 0
-    or g >= n) is answered without a lookup."""
-    if not regular:
-        g = min(g, n - 1 - g)
-    return _rank_d(n, g, regular) if 0 <= g < n else 0
+def rank_d(n: int, g: int) -> int:
+    """Rank of d(g), from the degree-g cochains of K_n to the degree-(g+1)
+    ones, through the memo of the module docstring: g is read as
+    min(g, n-1-g) by the duality (d), and a d(g) that is zero (g < 0 or
+    g >= n) is answered without a lookup."""
+    g = min(g, n - 1 - g)
+    return _rank_d(n, g) if 0 <= g < n else 0
 
 
 @lru_cache(maxsize=None)
-def _rank_d(n: int, g: int, regular: bool) -> int:
-    return matrix_rank([d_mask(m, n, regular) for m in slot_masks(n, g, regular)])
+def _rank_d(n: int, g: int) -> int:
+    return matrix_rank([d_mask(m, n) for m in slot_masks(n, g, False)])

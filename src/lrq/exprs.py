@@ -8,7 +8,9 @@ basis    := atom ("@" atom)*                        ("@" builds tensor terms)
 Atoms depend on the kind: graphs follow
 ``graph := "|" | "(" graph ("v"|"o") graph ")"``, permutations are written
 "[3,1,2]" (empty: "[]"), and words are bare strings over {T, L} with "1" for
-the empty word.  Whitespace is ignored everywhere.
+the empty word.  An int or uint is a run of decimal digits
+(``str.isdecimal``, exactly the digits ``int`` reads; not "²").
+Whitespace is ignored everywhere.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ class _Parser:
     def _digits(self) -> int:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self.pos += 1
         if self.pos == start:
             self.error("expected digits")
@@ -75,7 +77,7 @@ class _Parser:
         if ch in ("+", "-"):
             sign = -1 if ch == "-" else 1
             self.pos += 1
-        if not self.peek().isdigit():
+        if not self.peek().isdecimal():
             self.pos = save
             return None
         num = self._digits()

@@ -3,6 +3,7 @@ contracting homotopy, the symmetric groups and the definition of their star
 product, tensor products of sums, the lone basis element of a parsed sum,
 the support of a sum, the canonical order with a nested key per tensor
 factor, the generating function of the words, the slot masks bit by bit,
+the regular slot-mask complex K_n^reg and its cohomology by elimination,
 the graph families written one term at a time, the command line parsed in
 two levels, and the antipode by Takeuchi's formula."""
 
@@ -13,7 +14,7 @@ from math import factorial
 
 from lrq import hopfops, loopgraphs
 from lrq.cli import _build_parser, _json_terms
-from lrq.complexes import border_tree, matrix_rank
+from lrq.complexes import border_tree, d_mask, matrix_rank
 from lrq.exprs import ParseError, parse
 from lrq.freemodule import LinComb, bilinear_extend, sort_key, sum_text
 from lrq.loopgraphs import LEAF, LoopGraph, enumerate_graphs
@@ -136,6 +137,33 @@ def slot_masks_by_bits(n: int, g: int, regular: bool) -> list[int]:
         return [sum(1 << (b + i) for i, b in enumerate(bits))
                 for bits in combinations(range(n - g + 1), g)]
     return [sum(1 << b for b in bits) for bits in combinations(range(n), g)]
+
+
+def d_mask_regular(m: int, n: int) -> dict[int, int]:
+    """The differential of K_n^reg on one mask: `d_mask`'s row with the
+    images that have two adjacent bits dropped."""
+    return {image: sign for image, sign in d_mask(m, n).items() if not image & image >> 1}
+
+
+def rank_d_regular(n: int, g: int) -> int:
+    """Rank of d(g) on K_n^reg by a fresh elimination, with no memo; 0 where
+    there are no degree-g cochains."""
+    if g < 0:
+        return 0
+    return matrix_rank([d_mask_regular(m, n) for m in slot_masks_by_bits(n, g, True)])
+
+
+def regular_cohomology_dim(n: int, g: int) -> int:
+    """dim H^g(K_n^reg): the number of regular masks of degree g minus the
+    ranks of d(g) and d(g - 1), each eliminated afresh."""
+    return len(slot_masks_by_bits(n, g, True)) - rank_d_regular(n, g) - rank_d_regular(n, g - 1)
+
+
+def is_exact_regular(cochain: dict[int, int], n: int, g: int) -> bool:
+    """Whether a degree-g cochain {mask: coefficient} of K_n^reg is d of a
+    degree-(g - 1) one: adding it to the rows of d(g - 1) keeps their rank."""
+    below = [d_mask_regular(m, n) for m in slot_masks_by_bits(n, g - 1, True)] if g else []
+    return matrix_rank(below + [cochain]) == matrix_rank(below)
 
 
 def family_by_terms(n: int, g: int, regular: bool) -> tuple[str, str, str]:

@@ -37,7 +37,10 @@ from lrq.loopgraphs import (
 from lrq.subalgebras import Word, enumerate_words, project_regular, psi_word
 from oracles import (
     border_homology_dim,
+    d_mask_regular,
     extra_degeneracy,
+    is_exact_regular,
+    regular_cohomology_dim,
     single_basis,
     slot_masks_by_bits,
     support,
@@ -278,11 +281,14 @@ def test_full_complex_is_acyclic():
 
 def test_regular_complex_matches_kozlov():
     # Per tree the regular complex is the independence complex of a path
-    # (Kozlov, "Complexes of directed trees", JCTA 88, 1999).
+    # (Kozlov, "Complexes of directed trees", JCTA 88, 1999); the closed form
+    # is checked against an elimination of K_n^reg.
     for n in range(MAX_COHOMOLOGY_ORDER + 1):
+        catalan = comb(2 * n, n) // (n + 1)
         top = ceil(n / 3)
-        for gg in range(n + 1):
-            expected = comb(2 * n, n) // (n + 1) if n % 3 != 1 and gg == top else 0
+        for gg in range(n + 2):
+            expected = catalan if n % 3 != 1 and gg == top else 0
+            assert catalan * regular_cohomology_dim(n, gg) == expected, (n, gg)
             assert cohomology_dim(n, gg, "reg") == expected, (n, gg)
 
 
@@ -370,12 +376,12 @@ def test_psi_word_is_every_tree_with_the_word_mask():
 
 def test_slot_mask_differential_squares_to_zero():
     for n in range(11):
-        for regular in (False, True):
+        for regular, d in ((False, d_mask), (True, d_mask_regular)):
             for gg in range(n + 1):
                 for m in slot_masks(n, gg, regular):
                     twice = LinComb()
-                    for image, sign in d_mask(m, n, regular).items():
-                        twice += sign * LinComb(d_mask(image, n, regular))
+                    for image, sign in d(m, n).items():
+                        twice += sign * LinComb(d(image, n))
                     assert twice.is_zero(), (n, regular, m)
 
 
@@ -386,7 +392,7 @@ def test_slot_masks_count_and_differential_degree():
             # Sets of gg pairwise non-adjacent points on a path of n points.
             assert len(slot_masks(n, gg, True)) == comb(n - gg + 1, gg)
             for m in slot_masks(n, gg, True):
-                assert all(img.bit_count() == gg + 1 for img in d_mask(m, n, True))
+                assert all(img.bit_count() == gg + 1 for img in d_mask_regular(m, n))
 
 
 def test_reg_is_catalan_copies_of_toprec():
@@ -399,16 +405,63 @@ def test_reg_is_catalan_copies_of_toprec():
 
 def test_toprec_matches_kozlov():
     # The word complex is the independence complex of a path of n vertices
-    # (Kozlov, "Complexes of directed trees", JCTA 88, 1999).
+    # (Kozlov, "Complexes of directed trees", JCTA 88, 1999); the closed form
+    # is checked against an elimination of K_n^reg.
     for n in range(MAX_COHOMOLOGY_ORDER + 1):
         for gg in range(n + 2):
             expected = 1 if n % 3 != 1 and gg == ceil(n / 3) else 0
+            assert regular_cohomology_dim(n, gg) == expected, (n, gg)
             assert cohomology_dim(n, gg, "toprec") == expected, (n, gg)
 
 
-def fresh_rank_d(n: int, gg: int, regular: bool) -> int:
-    """Rank of d(gg) on K_n or K_n^reg by a new elimination, no memo."""
-    return matrix_rank([d_mask(m, n, regular) for m in slot_masks_by_bits(n, gg, regular)])
+def word_cochain(*words: tuple[str, int]) -> tuple[int, int, dict[int, int]]:
+    """A sum of words of one length n and one number g of L letters, as the
+    cochain (n, g, {mask: coefficient}) of K_n^reg: bit i of a word's mask
+    is set when its letter i is L."""
+    (n, g), = {(len(w), w.count("L")) for w, _ in words}
+    masks = {}
+    for w, c in words:
+        assert "LL" not in w, w
+        mask = sum(1 << i for i, x in enumerate(w) if x == "L")
+        masks[mask] = masks.get(mask, 0) + c
+    return n, g, masks
+
+
+def d_regular(cochain: dict[int, int], n: int) -> dict[int, int]:
+    """d of a cochain {mask: coefficient} of K_n^reg, with no zero entries."""
+    out = {}
+    for m, c in cochain.items():
+        for image, sign in d_mask_regular(m, n).items():
+            out[image] = out.get(image, 0) + c * sign
+    return {image: c for image, c in out.items() if c}
+
+
+# The words a = LT at (2, 1) and b = TLT at (3, 1); words multiply by
+# concatenation, and none of the products below has an L next to an L.
+A, B = "LT", "TLT"
+
+
+def test_toprec_ring_relations_are_exact_cocycles():
+    for words in ([(A + A, 1)], [(A + B, 1), (B + A, -1)]):
+        n, gg, cochain = word_cochain(*words)
+        assert d_regular(cochain, n) == {}, words
+        assert is_exact_regular(cochain, n, gg), words
+
+
+def test_toprec_ring_generators_are_not_exact():
+    # b^k spans H at (3k, k) and a b^k at (3k + 2, k + 1): the nonzero
+    # bidegrees of the closed form, through n <= 14.
+    for k in range(5):
+        for word in (B * k, A + B * k):
+            n, gg, cochain = word_cochain((word, 1))
+            assert n <= MAX_COHOMOLOGY_ORDER
+            assert d_regular(cochain, n) == {}, word
+            assert not is_exact_regular(cochain, n, gg), word
+
+
+def fresh_rank_d(n: int, gg: int) -> int:
+    """Rank of d(gg) on K_n by a new elimination, no memo."""
+    return matrix_rank([d_mask(m, n) for m in slot_masks_by_bits(n, gg, False)])
 
 
 def complement(m: int, n: int) -> int:
@@ -420,13 +473,13 @@ def test_complement_turns_d_into_its_signed_transpose():
     for n in range(9):
         for gg in range(n):
             for m in slot_masks_by_bits(n, gg, False):
-                for image, sign in d_mask(m, n, False).items():
+                for image, sign in d_mask(m, n).items():
                     i = (image ^ m).bit_length() - 1
-                    dual = d_mask(complement(image, n), n, False)
+                    dual = d_mask(complement(image, n), n)
                     assert dual[complement(m, n)] == (-1) ** i * sign, (n, m, image)
             # And d(n-1-g) has no other entries.
-            entries = sum(len(d_mask(m, n, False)) for m in slot_masks_by_bits(n, gg, False))
-            dual_entries = sum(len(d_mask(m, n, False))
+            entries = sum(len(d_mask(m, n)) for m in slot_masks_by_bits(n, gg, False))
+            dual_entries = sum(len(d_mask(m, n))
                                for m in slot_masks_by_bits(n, n - 1 - gg, False))
             assert entries == dual_entries == comb(n, gg) * (n - gg)
 
@@ -435,23 +488,22 @@ def test_full_rank_is_symmetric_under_complement_duality():
     # K_n (n >= 1) is acyclic, so rank d(g) = C(n-1, g).
     for n in range(11):
         for gg in range(n):
-            rank = fresh_rank_d(n, gg, False)
-            assert rank == fresh_rank_d(n, n - 1 - gg, False) == comb(n - 1, gg), (n, gg)
-            assert complexes.rank_d(n, gg, False) == rank, (n, gg)
+            rank = fresh_rank_d(n, gg)
+            assert rank == fresh_rank_d(n, n - 1 - gg) == comb(n - 1, gg), (n, gg)
+            assert complexes.rank_d(n, gg) == rank, (n, gg)
 
 
 def canonical_rank_keys(max_order: int) -> set:
     """The memo keys a sweep over every (n <= max_order, g <= n + 1, space)
-    needs: d(g) and d(g - 1), K_n's g read as min(g, n - 1 - g), and none
-    where d(g) is zero (g < 0 or g >= n)."""
+    needs: d(g) and d(g - 1) of K_n for `full` alone, g read as
+    min(g, n - 1 - g), and none where d(g) is zero (g < 0 or g >= n)."""
     keys = set()
     for n in range(max_order + 1):
         for gg in range(n + 2):
             for degree in (gg, gg - 1):
-                for regular in (False, True):
-                    k = degree if regular else min(degree, n - 1 - degree)
-                    if 0 <= k < n:
-                        keys.add((n, k, regular))
+                k = min(degree, n - 1 - degree)
+                if 0 <= k < n:
+                    keys.add((n, k))
     return keys
 
 
@@ -466,8 +518,8 @@ def test_rank_memo_misses_once_per_canonical_key():
         info = complexes._rank_d.cache_info()
         assert info.misses == info.currsize == len(keys)
         # Every cached value is a hit now, and equals a fresh elimination.
-        for n, gg, regular in keys:
-            assert complexes._rank_d(n, gg, regular) == fresh_rank_d(n, gg, regular)
+        for n, gg in keys:
+            assert complexes._rank_d(n, gg) == fresh_rank_d(n, gg)
         assert complexes._rank_d.cache_info().misses == len(keys)
     finally:
         complexes._rank_d.cache_clear()
@@ -476,9 +528,17 @@ def test_rank_memo_misses_once_per_canonical_key():
 def test_rank_d_is_zero_where_d_is_zero():
     complexes._rank_d.cache_clear()
     for n in range(6):
-        for regular in (False, True):
-            for gg in (-2, -1, n, n + 1, n + 5):
-                assert complexes.rank_d(n, gg, regular) == 0
+        for gg in (-2, -1, n, n + 1, n + 5):
+            assert complexes.rank_d(n, gg) == 0
+    assert complexes._rank_d.cache_info().currsize == 0
+
+
+def test_reg_and_toprec_eliminate_nothing():
+    complexes._rank_d.cache_clear()
+    for n in range(MAX_COHOMOLOGY_ORDER + 1):
+        for gg in range(n + 2):
+            for space in ("reg", "toprec"):
+                cohomology_dim(n, gg, space)
     assert complexes._rank_d.cache_info().currsize == 0
 
 

@@ -93,6 +93,9 @@ PARSE_ERRORS = [
     ("- - |", "graph-sum", 2, "expected '|' or '('"),
     ("| + 2/0*|", "graph-sum", 7, "zero denominator"),
     ("| + 0 + 7", "graph-sum", 8, "expected '|' or '('"),
+    # A superscript digit is a digit to str.isdigit but not to int.
+    ("²*|", "graph-sum", 0, "expected '|' or '('"),
+    ("[1,²]", "permutation", 3, "expected digits"),
 ]
 
 
@@ -107,6 +110,13 @@ def test_parse_error_messages(text, kind, offset, message):
 def test_parse_check_reports_the_syntax_error(capsys):
     assert run(["parse-check", "1/0*|"]) == 1
     assert capsys.readouterr() == ("", "syntax error at offset 3: zero denominator\n")
+
+
+def test_a_non_decimal_digit_is_a_syntax_error(capsys):
+    assert run(["product", "(|v|)", "²*(|v|)"]) == 1
+    assert capsys.readouterr() == ("", "syntax error at offset 0: expected '|' or '('\n")
+    # A decimal digit of another script is one that int reads.
+    assert parse("١*(|v|)", "graph-sum") == parse("(|v|)", "graph-sum")
 
 
 def test_unknown_kind_rejected():
