@@ -6,6 +6,16 @@ bound, and running out of memory).
 Output is deterministic (canonical ordering everywhere); --json switches
 every command to its JSON form.
 
+`run` is the only writer to stdout.  Each subcommand returns its output as
+an iterable of str chunks, a lazy one where it streams and a one-item list
+where it prints a single line, and `run` writes them with one `writelines`.
+Every check a subcommand makes comes before its first chunk, so a refused
+line writes nothing to stdout.  Integers print at
+any length: `run` lifts Python's cap on the digits of an int-string
+conversion while the command runs.  `main` restores the default SIGPIPE
+action, so a reader that closes the pipe early ends `lrq` as it ends any Unix
+filter (shell status 141, nothing on stderr).
+
 Each command line is parsed once.  When its first word names a subcommand,
 `run` hands the rest of the line to that subcommand's parser alone
 (`parse_known_args`), and any words it leaves over go to the top-level
@@ -26,10 +36,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import signal
 import sys
 from collections import Counter
 from functools import lru_cache
-from itertools import repeat
+from itertools import chain, repeat
 from math import comb
 
 from . import airy, complexes, hopfops, loopgraphs, permutations, subalgebras, trees
@@ -70,23 +81,15 @@ MAX_ENUMERATE_ORDER = 9
 MAX_PRODUCT_TERMS = 1_000_000
 
 
-def _write_json_list(items) -> None:
-    """Write JSON texts to stdout as one JSON list, one item at a time: what
-    `json.dumps` gives for the list of the values they encode."""
-    sys.stdout.write("[")
-    sys.stdout.writelines(f'{", " if k else ""}{item}' for k, item in enumerate(items))
-    sys.stdout.write("]")
-
-
-def _write_sum(args, terms) -> None:
-    """Write the sum of (basis, coeff) pairs, in the order given, one term at
-    a time: as text, what `str` of the sum gives, or with --json as the JSON
-    list of {"coeff": [p, q], "basis": b} objects, where b is a string or,
-    for a tensor, a list of strings."""
+def _sum_chunks(args, terms, end="\n"):
+    """The sum of (basis, coeff) pairs, in the order given, one term at a
+    time, then end: as text, what `str` of the sum gives, or with --json the
+    JSON list of {"coeff": [p, q], "basis": b} objects, where b is a string
+    or, for a tensor, a list of strings."""
     if not args.json:
-        sys.stdout.writelines(sum_text(terms))
-        return
-    _write_json_list(_json_terms(terms))
+        return chain(sum_text(terms), [end])
+    items = (f'{", " if k else ""}{item}' for k, item in enumerate(_json_terms(terms)))
+    return chain(["["], items, ["]" + end])
 
 
 def _json_terms(terms):
@@ -112,10 +115,9 @@ _JSON_GRAPH = '{"coeff": [1, 1], "basis": "'
 _GRAPH_SUM_FORMS = (("", "", " + "), (_JSON_GRAPH, '"}', ", "))
 
 
-def _emit_sum(args, x: LinComb) -> int:
-    _write_sum(args, x.terms())
-    print()
-    return 0
+def _line(args, value) -> list[str]:
+    """The one line that prints value, with --json its JSON text."""
+    return [f"{json.dumps(value) if args.json else value}\n"]
 
 
 def _parse_graph_sum(text: str) -> LinComb:
@@ -146,7 +148,7 @@ def _parse_tree_sum(text: str) -> LinComb:
     return x
 
 
-def cmd_enumerate(args) -> int:
+def cmd_enumerate(args):
     # Words are what one genfun cell prints, so they share its bound.
     bound = subalgebras.MAX_GENFUN_DEGREE if args.family == "words" else MAX_ENUMERATE_ORDER
     if args.order > bound:
@@ -166,10 +168,7 @@ def cmd_enumerate(args) -> int:
         chunks = loopgraphs.family_text(args.order, 0, False, *form) if args.genus == 0 else ()
     else:
         chunks = loopgraphs.family_text(args.order, args.genus, args.regular, *form)
-    sys.stdout.write("[" if args.json else "")
-    sys.stdout.writelines(chunks)
-    sys.stdout.write("]\n" if args.json else "")
-    return 0
+    return chain(["["], chunks, ["]\n"]) if args.json else chunks
 
 
 def _refuse_large_product(left, right) -> None:
@@ -182,145 +181,122 @@ def _refuse_large_product(left, right) -> None:
         raise ValueError(f"product is beyond the product bound of {MAX_PRODUCT_TERMS} terms")
 
 
-def cmd_product(args) -> int:
+def cmd_product(args):
     # On trees the loop-graph product is the classical one.
     parse_sum = _parse_tree_sum if args.algebra == "classical" else _parse_graph_sum
     x = parse_sum(args.left)
     y = parse_sum(args.right)
     _refuse_large_product([t.order for t, _ in x.items()], [t.order for t, _ in y.items()])
     multiply = subalgebras.star_reg if args.algebra == "reg" else hopfops.star_h_sum
-    return _emit_sum(args, multiply(x, y))
+    return _sum_chunks(args, multiply(x, y).terms())
 
 
-def cmd_coproduct(args) -> int:
-    return _emit_sum(args, hopfops.delta_h_sum(_parse_graph_sum(args.expr)))
+def cmd_coproduct(args):
+    return _sum_chunks(args, hopfops.delta_h_sum(_parse_graph_sum(args.expr)).terms())
 
 
-def cmd_antipode(args) -> int:
-    return _emit_sum(args, hopfops.antipode(_parse_graph_sum(args.expr)))
+def cmd_antipode(args):
+    return _sum_chunks(args, hopfops.antipode(_parse_graph_sum(args.expr)).terms())
 
 
-def cmd_counit(args) -> int:
+def cmd_counit(args):
     c = hopfops.counit(_parse_graph_sum(args.expr))
-    if args.json:
-        print(json.dumps([c.numerator, c.denominator]))
-    else:
-        print(c)
-    return 0
+    return _line(args, [c.numerator, c.denominator] if args.json else c)
 
 
-def cmd_perm_product(args) -> int:
+def cmd_perm_product(args):
     left = _single(args.left, "permutation")
     right = _single(args.right, "permutation")
     _refuse_large_product([len(left)], [len(right)])
-    return _emit_sum(args, permutations.star_perm(left, right))
+    return _sum_chunks(args, permutations.star_perm(left, right).terms())
 
 
-def cmd_perm_coproduct(args) -> int:
+def cmd_perm_coproduct(args):
     sigma = _single(args.perm, "permutation")
-    return _emit_sum(args, permutations.coproduct_perm(sigma))
+    return _sum_chunks(args, permutations.coproduct_perm(sigma).terms())
 
 
-def _emit_tree(args, t) -> int:
-    """Print a tree, with --json as a JSON string."""
-    print(json.dumps(str(t)) if args.json else t)
-    return 0
+def cmd_tree_of_perm(args):
+    return _line(args, str(trees.perm_to_tree(_single(args.perm, "permutation"))))
 
 
-def cmd_tree_of_perm(args) -> int:
-    return _emit_tree(args, trees.perm_to_tree(_single(args.perm, "permutation")))
+def cmd_face(args):
+    return _line(args, str(trees.face(args.index, _single(args.tree, "graph-sum"))))
 
 
-def cmd_face(args) -> int:
-    return _emit_tree(args, trees.face(args.index, _single(args.tree, "graph-sum")))
+def cmd_degeneracy(args):
+    return _line(args, str(trees.degeneracy(args.index, _single(args.tree, "graph-sum"))))
 
 
-def cmd_degeneracy(args) -> int:
-    return _emit_tree(args, trees.degeneracy(args.index, _single(args.tree, "graph-sum")))
+def cmd_border(args):
+    return _sum_chunks(args, complexes.border(_parse_tree_sum(args.expr)).terms())
 
 
-def cmd_border(args) -> int:
-    return _emit_sum(args, complexes.border(_parse_tree_sum(args.expr)))
-
-
-def cmd_dh(args) -> int:
+def cmd_dh(args):
     x = _parse_graph_sum(args.expr)
     result = complexes.d_h_sum(x)
     if args.space == "reg":
         result = subalgebras.project_regular(result)
-    return _emit_sum(args, result)
+    return _sum_chunks(args, result.terms())
 
 
-def cmd_cohomology(args) -> int:
-    dim = complexes.cohomology_dim(args.order, args.genus, args.space)
-    print(json.dumps(dim) if args.json else dim)
-    return 0
+def cmd_cohomology(args):
+    return _line(args, complexes.cohomology_dim(args.order, args.genus, args.space))
 
 
-def cmd_psi(args) -> int:
+def cmd_psi(args):
     w = _single(args.word, "word")
     n, mask = w.length, subalgebras.word_mask(w)
-    write = sys.stdout.write
-    write("[" if args.json else "")
     # The trees of order n with the word's marks written in: the graphs of
     # one mask sort as their shapes (`lrq.loopgraphs`), and each tree of
     # order n prints n "v"s, its slots in order.  A chunk is dropped as soon
     # as it is rewritten, so no more than two copies of it are held.
-    for chunk in loopgraphs.family_text(n, 0, False, *_GRAPH_SUM_FORMS[args.json]):
+    chunks = loopgraphs.family_text(n, 0, False, *_GRAPH_SUM_FORMS[args.json])
+    marks = loopgraphs._marks(n, mask)
+    yield "[" if args.json else ""
+    for chunk in chunks:
         if mask:
             k = chunk.count("v") // n
             chunk = chunk.replace("v", "%s")
-            chunk %= loopgraphs._marks(n, mask) * k
-        write(chunk)
-    write("]\n" if args.json else "\n")
-    return 0
+            chunk %= marks * k
+        yield chunk
+    yield "]\n" if args.json else "\n"
 
 
-def cmd_correlator(args) -> int:
-    write = sys.stdout.write
+def cmd_correlator(args):
     n = args.order
     # Each genus is the sum of its graphs, or with --json the list of its
     # terms, all with coefficient 1.
     form = _GRAPH_SUM_FORMS[args.json]
     for k, g in enumerate(subalgebras.correlator_genera(n)):
-        write(f'{", " if k else "{"}"{g}": [' if args.json else f"h^{g}: ")
-        sys.stdout.writelines(loopgraphs.family_text(n, g, True, *form))
-        write("]" if args.json else "\n")
-    write("}\n" if args.json else "")
-    return 0
+        yield f'{", " if k else "{"}"{g}": [' if args.json else f"h^{g}: "
+        yield from loopgraphs.family_text(n, g, True, *form)
+        yield "]" if args.json else "\n"
+    yield "}\n" if args.json else ""
 
 
-def cmd_genfun(args) -> int:
-    write = sys.stdout.write
+def cmd_genfun(args):
     for k, (i, j, c, words) in enumerate(subalgebras.generating_function(args.max_degree)):
-        write(f'{", " if k else "["}{{"a1": {i}, "a2": {j}, "value": ' if args.json
-              else f"a1^{i}*a2^{j}: ")
-        _write_sum(args, zip(words, repeat(c)))
-        write("}" if args.json else "\n")
-    write("]\n" if args.json else "")
-    return 0
+        yield (f'{", " if k else "["}{{"a1": {i}, "a2": {j}, "value": ' if args.json
+               else f"a1^{i}*a2^{j}: ")
+        yield from _sum_chunks(args, zip(words, repeat(c)), "}" if args.json else "\n")
+    yield "]\n" if args.json else ""
 
 
-def cmd_airy(args) -> int:
+def cmd_airy(args):
     corr = airy.airy_correlator(args.genus, args.legs)
-    sys.stdout.writelines(corr.json_chunks() if args.json else corr.text_chunks())
-    print()
-    return 0
+    return chain(corr.json_chunks() if args.json else corr.text_chunks(), ["\n"])
 
 
-def cmd_axioms(args) -> int:
+def cmd_axioms(args):
     bad = hopfops.check_axiom(args.axiom, args.max_order)
-    if args.json:
-        print(json.dumps("pass" if bad is None else [str(t) for t in bad]))
-    elif bad is None:
-        print("pass")
-    else:
-        print("counterexample: " + ", ".join(str(t) for t in bad))
-    return 0
+    if args.json or bad is None:
+        return _line(args, "pass" if bad is None else [str(t) for t in bad])
+    return ["counterexample: " + ", ".join(str(t) for t in bad) + "\n"]
 
 
-def cmd_parse_check(args) -> int:
-    return _emit_sum(args, parse(args.expr, args.kind))
+def cmd_parse_check(args):
+    return _sum_chunks(args, parse(args.expr, args.kind).terms())
 
 
 @lru_cache(maxsize=None)
@@ -429,8 +405,14 @@ def run(argv: list[str]) -> int:
                 top.error("unrecognized arguments: " + " ".join(extra))
     except SystemExit as e:
         return int(e.code or 0)
+    # Integers print at any length (module docstring); a Python without
+    # the cap reads as one whose cap is already lifted (0).
+    digits = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if digits:
+        sys.set_int_max_str_digits(0)
     try:
-        return args.func(args)
+        sys.stdout.writelines(args.func(args))
+        return 0
     except ParseError as e:
         print(e, file=sys.stderr)
         return 1
@@ -450,7 +432,13 @@ def run(argv: list[str]) -> int:
             memo.cache_clear()
         print("error: out of memory", file=sys.stderr)
         return 2
+    finally:
+        if digits:
+            sys.set_int_max_str_digits(digits)
 
 
 def main() -> None:
+    # A reader that closes the pipe early ends lrq as it ends any Unix filter.
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(run(sys.argv[1:]))

@@ -2,7 +2,7 @@
 
 sum      := ["+"|"-"] term (("+"|"-") term)*        (also the bare "0")
 term     := [rational "*"] basis
-rational := ["-"] int ["/" uint]
+rational := ["+"|"-"] int ["/" uint]
 basis    := atom ("@" atom)*                        ("@" builds tensor terms)
 
 Atoms depend on the kind: graphs follow
@@ -69,7 +69,7 @@ class _Parser:
         return int(self.text[start:self.pos])
 
     def try_rational(self) -> int | Fraction | None:
-        """Parse int["/"uint] if the input starts with one; else None.
+        """Parse ["+"|"-"] int ["/" uint] if the input starts with one; else None.
         Only a written division gives a Fraction."""
         save = self.pos
         sign = 1

@@ -185,8 +185,12 @@ def run_two_level(argv: list[str]) -> int:
         args = _build_parser().parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
+    digits = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if digits:
+        sys.set_int_max_str_digits(0)
     try:
-        return args.func(args)
+        sys.stdout.writelines(args.func(args))
+        return 0
     except ParseError as e:
         print(e, file=sys.stderr)
         return 1
@@ -201,6 +205,9 @@ def run_two_level(argv: list[str]) -> int:
             memo.cache_clear()
         print("error: out of memory", file=sys.stderr)
         return 2
+    finally:
+        if digits:
+            sys.set_int_max_str_digits(digits)
 
 
 def antipode_by_takeuchi(t: LoopGraph) -> LinComb:

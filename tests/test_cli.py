@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 from fractions import Fraction
@@ -19,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 import lrq
 from lrq import airy, complexes, hopfops, loopgraphs, permutations, subalgebras, trees
 from lrq.airy import MAX_NEG_EULER
-from lrq.cli import MAX_ENUMERATE_ORDER, _build_parser, _json_terms, _write_sum, run
+from lrq.cli import MAX_ENUMERATE_ORDER, _build_parser, _json_terms, _sum_chunks, run
 from lrq.complexes import MAX_COHOMOLOGY_ORDER
 from lrq.exprs import parse
 from lrq.freemodule import LinComb, sum_text
@@ -873,6 +874,8 @@ def test_fuzzed_command_lines_exit_cleanly(argv):
     code, out, err = answer(run, argv)
     assert code in (0, 1, 2)
     assert "Traceback" not in err
+    # A refused line writes nothing to stdout.
+    assert code == 0 or out == ""
     if code == 0 and "--json" in argv:
         json.loads(out)
     # The one-parse dispatch answers as the two-level parse.
@@ -943,10 +946,77 @@ json_terms = st.lists(st.tuples(
 
 @given(json_terms)
 def test_json_terms_format_each_term_by_its_coefficient(terms):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        _write_sum(argparse.Namespace(json=True), terms)
-    assert out.getvalue() == json.dumps(
+    out = "".join(_sum_chunks(argparse.Namespace(json=True), terms, ""))
+    assert out == json.dumps(
         [{"coeff": [c.numerator, c.denominator],
           "basis": [str(f) for f in b] if isinstance(b, tuple) else str(b)}
          for b, c in terms])
+
+
+# Lines refused before anything is written: one past each size bound, the
+# comb and permutation pairs past MAX_PRODUCT_TERMS, a negative order and
+# an invalid word.
+REFUSED_LINES = [
+    (["psi", "T" * (MAX_PSI_LENGTH + 1)], 2),
+    (["correlator", "--order", str(MAX_CORRELATOR_ORDER + 1)], 2),
+    (["genfun", "--max-degree", str(MAX_GENFUN_DEGREE + 1)], 2),
+    (["enumerate", "graphs", "--order", str(MAX_ENUMERATE_ORDER + 1),
+      "--genus", str((MAX_ENUMERATE_ORDER + 1) // 2)], 2),
+    (["enumerate", "trees", "--order", str(MAX_ENUMERATE_ORDER + 1)], 2),
+    (["enumerate", "words", "--order", str(MAX_GENFUN_DEGREE + 1)], 2),
+    (["product", "(|v" * 10 + "|" + ")" * 10, "(" * 11 + "|" + "v|)" * 11], 2),
+    (["perm-product", "[10,9,8,7,6,5,4,3,2,1]", "[11,10,9,8,7,6,5,4,3,2,1]"], 2),
+    (["cohomology", "--order", str(MAX_COHOMOLOGY_ORDER + 1), "--genus", "1"], 2),
+    (["airy", "--genus", "0", "--legs", str(MAX_NEG_EULER + 3)], 2),
+    (["axioms", "--axiom", "antipode", "--max-order", str(MAX_AXIOM_ORDER + 1)], 2),
+    (["enumerate", "graphs", "--order", "-1"], 2),
+    (["psi", "LL"], 1),
+]
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize("argv, want", REFUSED_LINES,
+                         ids=[" ".join(argv)[:40] for argv, _ in REFUSED_LINES])
+def test_a_refused_line_writes_nothing_to_stdout(capsys, argv, want, flags):
+    code, out, err = invoke(capsys, *argv, *flags)
+    assert (code, out) == (want, "")
+    assert err
+
+
+# 10^3000 - 1 and its square, written without converting an int of more
+# than 4300 digits to a string in this process.
+NINES = "9" * 3000
+NINES_SQUARED = "9" * 2999 + "8" + "0" * 2999 + "1"
+
+
+def test_integers_of_any_length_print(capsys):
+    before = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    left = right = f"{NINES}*(|v|)"
+    code, out, err = invoke(capsys, "product", left, right)
+    assert (code, err) == (0, "")
+    assert out == f"{NINES_SQUARED}*(|v(|v|)) + {NINES_SQUARED}*((|v|)v|)\n"
+    code, out, err = invoke(capsys, "product", left, right, "--json")
+    assert (code, err) == (0, "")
+    assert out == (f'[{{"coeff": [{NINES_SQUARED}, 1], "basis": "(|v(|v|))"}}, '
+                   f'{{"coeff": [{NINES_SQUARED}, 1], "basis": "((|v|)v|)"}}]\n')
+    ones = "1" * 5000
+    assert invoke(capsys, "parse-check", f"{ones}*(|v|)") == (0, f"{ones}*(|v|)\n", "")
+    code, out, err = invoke(capsys, "parse-check", "--kind", "permutation", f"[{ones}]")
+    assert (code, out) == (1, "")
+    assert err.startswith("syntax error at offset 5002: not a permutation word")
+    # The cap on int-string conversion is lifted only while a command runs.
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == before
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")
+def test_a_closed_pipe_ends_lrq_by_sigpipe():
+    src = str(Path(lrq.__file__).resolve().parents[1])
+    # The correlator of order 8 prints 2.8 MB, far more than a pipe holds.
+    proc = subprocess.Popen([sys.executable, "-m", "lrq", "correlator", "--order", "8"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env={**os.environ, "PYTHONPATH": src})
+    assert proc.stdout.read(10) == b"h^0: (|v(|"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (-signal.SIGPIPE, b"")

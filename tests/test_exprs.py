@@ -54,6 +54,14 @@ def test_zero_and_coefficient_forms():
     assert parse("3*(|v|)", "graph-sum") == LinComb.basis(TREE, 3)
 
 
+def test_a_coefficient_takes_a_plus_sign(capsys):
+    # rational := ["+"|"-"] int ["/" uint], after the sum's own sign.
+    assert run(["parse-check", "++3*|"]) == 0
+    assert capsys.readouterr() == ("3*|\n", "")
+    assert run(["parse-check", "(|v|) + +2*|"]) == 0
+    assert capsys.readouterr() == ("2*| + (|v|)\n", "")
+
+
 def test_parse_tensor_terms():
     expr = parse("(|v|)@(|o|)", "graph-sum")
     assert expr == LinComb.basis((TREE, ONELOOP))
