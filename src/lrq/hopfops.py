@@ -283,10 +283,13 @@ def check_axiom(axiom: str, max_total_order: int):
 
     The bound limits the sum of the total orders of the inputs.  Returns
     None on success, otherwise the first counterexample (a tuple of basis
-    graphs) in the order of `bounded_tuples`.  Bounds above MAX_AXIOM_ORDER
-    are refused before anything is built.
+    graphs) in the order of `bounded_tuples`.  A negative bound, which
+    would check nothing, and bounds above MAX_AXIOM_ORDER are refused before
+    anything is built.
     """
     m = max_total_order
+    if m < 0:
+        raise ValueError("total order must be nonnegative")
     if m > MAX_AXIOM_ORDER:
         raise ValueError(
             f"total order {m} is beyond the axiom bound m <= {MAX_AXIOM_ORDER}"

@@ -65,19 +65,23 @@ graph string, as they all begin with "(".  Three consequences:
   strings) + ")"`` with ``pre = "(" + L + m``.  The list of L holds every
   graph of each order and genus it bounds, in canonical order, so cut to
   one order and genus it is that family in order, and each L is read as
-  the next member of its own family.
+  the next member of its own family.  A block holds no slot mask: a
+  graph's slots are those of L, the root's mark at slot |L| and those of R
+  shifted past it, and a node table reads them off its nodes L and R.
 
 The walk keeps four memos, all keyed (order, genus, regular) and named
 together by `WALK_MEMOS`.  `_lists` holds the orders, as bytes, and the
 slot masks of every graph of order and genus at most its key's, and
 `_masks` the slot masks of each family, that list cut to one order and
-genus; neither builds a graph.
+genus; neither builds a graph.  Only the regular family reads `_masks`,
+to keep under a looped root the R whose slot 0 is unlooped; the family of
+every mask reads none.
 The family tables hold one entry per graph of a family: `_nodes` the
 interned graphs, and `_texts` the printed graphs, which `family_text`
 writes.  A node table's graph (L m R) is built once, through `graph_of`,
-from the tree shapes of its L and R and its slots, so `enumerate_graphs`
-returns a copy of its family's table and a repeated enumeration builds
-nothing; the trees of each order are the genus-0 table.
+from the tree shapes of its L and R and its slots, read off L, m and R, so
+`enumerate_graphs` returns a copy of its family's table and a repeated
+enumeration builds nothing; the trees of each order are the genus-0 table.
 A graph's string is built once, from its L's string, its mark and its R's
 string, and every block that holds it shares that one string.  So `lrq
 correlator`, `lrq enumerate`, `lrq psi` and `str(full_correlator(n))` print
@@ -347,12 +351,11 @@ def _top_genus(n: int, regular: bool) -> int:
 
 def _walk(n: int, g: int, regular: bool, table):
     """The graphs of order n and genus g, of every mask or only the regular
-    ones, in canonical order, as blocks (L, slots, p, mark, Rs, rslots) for
-    the graphs (L m R) with one left graph L of order p and one root mark m,
-    whose slots are `slots | r << (p + 1)` for the slots r of each right
-    graph; the leaf, of order 0, is no block.  The run Rs is never empty.
-    L and Rs are entries of `table`: the node table `_nodes` or the text
-    table `_texts`.
+    ones, in canonical order, as blocks (L, m, Rs) for the graphs (L m R)
+    with one left graph L and one root mark m, R running over the run Rs;
+    the leaf, of order 0, is no block.  The run Rs is never empty.  L and
+    Rs are entries of `table`: the node table `_nodes` or the text table
+    `_texts`.  A block carries no slots: a node's are on the node.
 
     The left graphs L run over the list `_lists(n - 1, g, regular)`.  That
     list, cut to one order and genus, is the family of that order and genus
@@ -374,36 +377,29 @@ def _walk(n: int, g: int, regular: bool, table):
         lefts, unlooped, looped = run
         left = next(lefts)
         if unlooped:
-            yield left, lslots, p, "v", *unlooped
+            yield left, "v", unlooped
         # In the regular family a looped root needs slot p - 1 unlooped.
         if looped and not (regular and lslots << 1 >> p & 1):
-            yield left, lslots | 1 << p, p, "o", *looped
+            yield left, "o", looped
 
 
 def _runs(n: int, g: int, regular: bool, table, p: int, gl: int):
     """For the walk of `_walk(n, g, regular, table)`, over its left graphs L
     of order p and genus gl: an iterator over the entries of those L in
-    order, and the runs (Rs, rslots) of right graphs under an unlooped and a
-    looped root, each None when empty.  When L has more unlooped vertices
-    than the family's n - g, no R completes it: both runs are None, the
-    entries too, and no table is read.  A looped root leaves R one loop
-    less and, in the regular family, needs no looped slot next to it: slot
-    p + 1 is slot 0 of R."""
+    order, and the runs of right graphs under an unlooped and a looped
+    root, each empty when no R completes it.  When L has more unlooped
+    vertices than the family's n - g, no R completes it: both runs are
+    empty, the entries None, and no table is read.  A looped root leaves R
+    one loop less and, in the regular family, needs slot 0 of R unlooped
+    (slot p + 1 of the graph, next to the root): the one filter that reads
+    the family masks `_masks`, as a text table's entries carry no slots."""
     if p - gl > n - g:
-        return repeat(None), None, None
+        return repeat(None), (), ()
     q, rest = n - 1 - p, g - gl
-    unlooped = looped = None
-    rights = table(q, rest, regular)
-    if rights:
-        unlooped = rights, _masks(q, rest, regular)
-    if rest and (rights := table(q, rest - 1, regular)):
-        rslots = _masks(q, rest - 1, regular)
-        if regular:
-            free = [not s & 1 for s in rslots]
-            rights, rslots = list(compress(rights, free)), list(compress(rslots, free))
-        if rights:
-            looped = rights, rslots
-    return iter(table(p, gl, regular)), unlooped, looped
+    looped = table(q, rest - 1, regular) if rest else ()
+    if regular and looped:
+        looped = list(compress(looped, [not s & 1 for s in _masks(q, rest - 1, regular)]))
+    return iter(table(p, gl, regular)), table(q, rest, regular), looped
 
 
 @lru_cache(maxsize=None)
@@ -473,13 +469,13 @@ def _family_table(leaf, entries):
 
 def _node_entries(blocks):
     """The interned graphs (L m R) of a family's blocks, each built through
-    `graph_of` from its key: the tree shapes of L and R, and the slots."""
-    for left, slots, p, _, rights, rslots in blocks:
-        ltree, shift = with_slots(left, 0), p + 1
-        for r, s in zip(rights, rslots):
-            # R is its own shape when it has no loop.
-            rtree = graph_of((r._ltree, r._rtree, 0)) if s else r
-            yield graph_of((ltree, rtree, slots | s << shift))
+    `graph_of` from its key: the tree shapes of L and R, and the slots,
+    read off the nodes L and R and the mark."""
+    for left, mark, rights in blocks:
+        ltree, p = with_slots(left, 0), left.order
+        root = left.slots | (mark == "o") << p
+        for r in rights:
+            yield graph_of((ltree, with_slots(r, 0), root | r.slots << p + 1))
 
 
 # The node tables: each family's graphs, interned.
@@ -489,7 +485,7 @@ _nodes = _family_table(LEAF, _node_entries)
 def _text_entries(blocks):
     """The printed graphs (L m R) of a family's blocks, each built once from
     the strings of L and R and the mark."""
-    for left, _, _, mark, rights, _ in blocks:
+    for left, mark, rights in blocks:
         pre = f"({left}{mark}"
         for r in rights:
             yield f"{pre}{r})"
@@ -521,7 +517,7 @@ def family_text(n: int, g: int, regular: bool = False, head: str = "",
 def _block_texts(blocks, head, tail, between):
     close = f"){tail}"
     sep = ""
-    for left, _, _, mark, rights, _ in blocks:
+    for left, mark, rights in blocks:
         pre = f"{head}({left}{mark}"
         yield sep + pre + f"{close}{between}{pre}".join(rights) + close
         sep = between
@@ -539,7 +535,7 @@ def _graphs(n: int, mask: int) -> tuple[LoopGraph, ...]:
     if n == 0:
         return (LEAF,)
     return tuple(graph_of((left, right, mask))
-                 for left, _, _, _, rights, _ in _walk(n, 0, False, _nodes) for right in rights)
+                 for left, _, rights in _walk(n, 0, False, _nodes) for right in rights)
 
 
 def enumerate_graphs(n: int, g: int, regular_only: bool = False) -> list[LoopGraph]:

@@ -23,6 +23,17 @@ text tables (`family_text`): a correlator as the regular graphs of each
 genus, and a word as the trees of its length with the word's marks written
 in, since the graphs of one mask sort as their shapes.
 
+Before the quotient, with adjacent L letters allowed, the product of the
+letters of a word w over {T, L} is still every tree of order |w| carrying
+w's mask once: the proof in `psi_word` never uses regularity.  So distinct
+words have disjoint supports, and T and L generate a free algebra.  T and L
+are primitive, Δ_h is multiplicative and the antipode S anti-multiplicative,
+so Δ_h(w) is the unshuffle coproduct, the sum over the subsets S of the
+positions of w_S ⊗ w_(S^c), and S(w) = (-1)^|w| times w reversed.  The
+tests pin all three facts for the 127 words of length at most 6; the Hopf
+laws they rest on are checked exhaustively only up to total order
+`hopfops.MAX_AXIOM_ORDER`.
+
 A full correlator is every regular graph of its order and genus once; it
 is not an expansion of the Airy correlator W^g_k of `lrq.airy`.  Expand the
 recursion of W^g_k fully, down to W^0_2, and compare its number of terms

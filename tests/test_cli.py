@@ -455,21 +455,28 @@ CORRELATOR_DIGESTS = {
 }
 
 
-# SHA-256 of the stdout of `lrq enumerate graphs --order 9 --genus 4`, the
-# worst genus at the enumerate bound, pinned from the writer of one graph at
-# a time before the graphs were printed in blocks.
+# SHA-256 of the stdout of `lrq enumerate graphs --order 9 --genus g`, keyed
+# by g and the flags.  Genus 4, the worst genus at the enumerate bound, was
+# pinned from the writer of one graph at a time before the graphs were
+# printed in blocks; genus 8, whose left graphs are almost all skipped, and
+# the regular genus 3, whose looped roots filter their right graphs, before
+# the blocks of the walk dropped their slot masks.
 ENUMERATE_DIGESTS = {
-    "": "1f7b5dbc382056495d5810ac942b9e0f9c8dabf6b0c186bc966e1c4f7e702058",
-    "--json": "06aca51967af462edfcfc5d5fe7923090bf1150e959a9657fd117282f8c5509d",
+    "4": "1f7b5dbc382056495d5810ac942b9e0f9c8dabf6b0c186bc966e1c4f7e702058",
+    "4 --json": "06aca51967af462edfcfc5d5fe7923090bf1150e959a9657fd117282f8c5509d",
+    "8": "af58f611eee250678bc2e1e2fbcd0184e11c00706fe755136d8390ff94a23d45",
+    "8 --json": "effc7d4567c1989794bd9d63518e64159d15e4968106734a13741f6f466e90c3",
+    "3 --regular": "f22e2e16558c668ed07ec5228e86dc8d11ef12675837bbb847be384af873a517",
+    "3 --regular --json": "d9b9c8cf9db3d152132e34817f822ec05cc25a4e39666e62bfbcf2e87671a73e",
 }
 
 
-@pytest.mark.parametrize("flags", ENUMERATE_DIGESTS)
-def test_enumerate_output_digests(capsys, flags):
-    argv = ("enumerate", "graphs", "--order", "9", "--genus", "4", *flags.split())
-    code, out, err = invoke(capsys, *argv)
+@pytest.mark.parametrize("args", ENUMERATE_DIGESTS)
+def test_enumerate_output_digests(capsys, args):
+    genus, *flags = args.split()
+    code, out, err = invoke(capsys, "enumerate", "graphs", "--order", "9", "--genus", genus, *flags)
     assert (code, err) == (0, "")
-    assert hashlib.sha256(out.encode()).hexdigest() == ENUMERATE_DIGESTS[flags]
+    assert hashlib.sha256(out.encode()).hexdigest() == ENUMERATE_DIGESTS[args]
 
 
 @pytest.mark.parametrize("args", CORRELATOR_DIGESTS)
@@ -954,8 +961,8 @@ def test_json_terms_format_each_term_by_its_coefficient(terms):
 
 
 # Lines refused before anything is written: one past each size bound, the
-# comb and permutation pairs past MAX_PRODUCT_TERMS, a negative order and
-# an invalid word.
+# comb and permutation pairs past MAX_PRODUCT_TERMS, a negative order, a
+# negative axiom bound and an invalid word.
 REFUSED_LINES = [
     (["psi", "T" * (MAX_PSI_LENGTH + 1)], 2),
     (["correlator", "--order", str(MAX_CORRELATOR_ORDER + 1)], 2),
@@ -970,6 +977,7 @@ REFUSED_LINES = [
     (["airy", "--genus", "0", "--legs", str(MAX_NEG_EULER + 3)], 2),
     (["axioms", "--axiom", "antipode", "--max-order", str(MAX_AXIOM_ORDER + 1)], 2),
     (["enumerate", "graphs", "--order", "-1"], 2),
+    (["axioms", "--axiom", "assoc", "--max-order", "-1"], 2),
     (["psi", "LL"], 1),
 ]
 

@@ -378,6 +378,17 @@ def test_check_axiom_rejects_unknown():
         check_axiom("frobenius", 3)
 
 
+def test_check_axiom_refuses_a_negative_bound(monkeypatch):
+    def built(*args):
+        raise AssertionError(f"built {args} before checking the bound")
+
+    monkeypatch.setattr(hopfops, "graphs_up_to_total_order", built)
+    for axiom in hopfops.AXIOMS:
+        for m in (-1, -10**6):
+            with pytest.raises(ValueError, match="^total order must be nonnegative$"):
+                check_axiom(axiom, m)
+
+
 def test_delta_h_sum_is_linear():
     x = gsum("2*(|o|) + 1/3*(|v|)")
     expected = 2 * delta_h(ONELOOP) + Fraction(1, 3) * delta_h(TREE)

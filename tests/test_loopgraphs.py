@@ -341,6 +341,31 @@ def test_an_empty_family_reads_no_order_list():
     assert loopgraphs._lists.cache_info().currsize == keys
 
 
+def test_a_full_family_reads_no_family_masks(monkeypatch):
+    # Only the regular family's looped roots filter their right graphs by
+    # the family masks; a full family reads none, from empty memos on.
+    for memo in loopgraphs.WALK_MEMOS:
+        memo.cache_clear()
+    masks = loopgraphs._masks
+    regular_reads = []
+
+    def regular_only(n, g, regular):
+        if not regular:
+            raise AssertionError(f"a full family read the masks of {(n, g)}")
+        regular_reads.append((n, g))
+        return masks(n, g, regular)
+
+    monkeypatch.setattr(loopgraphs, "_masks", regular_only)
+    for regular in (False, True):
+        for n in range(8):
+            for gg in range(n + 1):
+                count = len(slot_masks(n, gg, regular)) * comb(2 * n, n) // (n + 1)
+                assert len(enumerate_graphs(n, gg, regular)) == count, (n, gg)
+                text = "".join(family_text(n, gg, regular))
+                assert text.count(" + ") == max(count - 1, 0), (n, gg)
+    assert regular_reads
+
+
 def test_regular_masks_are_the_filtered_combinations():
     # Oracles: every g-subset of n slots summed bit by bit, dropping those
     # with two adjacent; and the regular masks summed bit by bit from their

@@ -3,7 +3,7 @@ function coefficients."""
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 from math import comb, factorial
 
 import pytest
@@ -14,6 +14,7 @@ from lrq.freemodule import LinComb, bilinear_extend
 from lrq import loopgraphs, subalgebras
 from lrq.hopfops import (
     UNIT,
+    antipode,
     delta_h,
     delta_h_sum,
     graphs_up_to_total_order,
@@ -178,6 +179,48 @@ def test_psi_word_refuses_a_word_beyond_the_bound(monkeypatch):
     # The bound itself is accepted.
     assert psi_word(Word("L" + "T" * (MAX_PSI_LENGTH - 1))).is_zero()
     assert built == [(MAX_PSI_LENGTH, 1)]
+
+
+# Every word over {T, L} of length at most 6, adjacent L letters allowed: 127
+# words, shortest first.
+FREE_WORDS = ["".join(w) for n in range(7) for w in product("TL", repeat=n)]
+
+
+def free_graphs(w: str) -> tuple:
+    """Every tree of order |w| carrying w's mask, bit i set when letter i is
+    L, adjacent L letters or not."""
+    return loopgraphs._graphs(len(w), sum(1 << i for i, x in enumerate(w) if x == "L"))
+
+
+def free_word(w: str) -> LinComb:
+    return LinComb.sum_of(free_graphs(w))
+
+
+def test_a_free_word_is_the_product_of_its_letters():
+    # Oracle: the letters multiplied from the unit, T = (|v|), L = (|o|).
+    products = {"": UNIT}
+    for w in FREE_WORDS:
+        if w:
+            products[w] = star_h_sum(products[w[:-1]], T if w[-1] == "T" else L)
+        assert products[w] == free_word(w), w
+
+
+def test_a_free_word_has_the_unshuffle_coproduct():
+    # The sum over the subsets S of positions of w_S (x) w_(S^c): T and L
+    # are primitive, and distinct words have disjoint supports.
+    for w in FREE_WORDS:
+        acc = {}
+        for s in range(1 << len(w)):
+            inside = "".join(x for i, x in enumerate(w) if s >> i & 1)
+            outside = "".join(x for i, x in enumerate(w) if not s >> i & 1)
+            for ab in product(free_graphs(inside), free_graphs(outside)):
+                acc[ab] = acc.get(ab, 0) + 1
+        assert delta_h_sum(free_word(w)) == LinComb.of_dict(acc), w
+
+
+def test_a_free_word_has_the_reversal_antipode():
+    for w in FREE_WORDS:
+        assert antipode(free_word(w)) == (-1) ** len(w) * free_word(w[::-1]), w
 
 
 def test_enumerate_words_examples():
