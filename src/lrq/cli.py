@@ -4,7 +4,9 @@ Exit codes: 0 success, 1 expression syntax error, 2 domain error (including
 input nested too deeply for the recursive algebra, a request beyond a size
 bound, and running out of memory).
 Output is deterministic (canonical ordering everywhere); --json switches
-every command to its JSON form.
+every command to its JSON form.  Only `lrq airy` loads `lrq.airy`: the Airy
+engine shares no code with the graph engine, so no other command compiles
+or imports it.
 
 `run` is the only writer to stdout.  Each subcommand returns its output as
 an iterable of str chunks, a lazy one where it streams and a one-item list
@@ -43,7 +45,7 @@ from functools import lru_cache
 from itertools import chain, repeat
 from math import comb
 
-from . import airy, complexes, hopfops, loopgraphs, permutations, subalgebras, trees
+from . import complexes, hopfops, loopgraphs, permutations, subalgebras, trees
 from .exprs import ParseError, parse
 from .freemodule import LinComb, sum_text
 
@@ -284,6 +286,8 @@ def cmd_genfun(args):
 
 
 def cmd_airy(args):
+    from . import airy  # an independent engine that only this command runs
+
     corr = airy.airy_correlator(args.genus, args.legs)
     return chain(corr.json_chunks() if args.json else corr.text_chunks(), ["\n"])
 

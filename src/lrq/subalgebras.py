@@ -32,7 +32,10 @@ so Δ_h(w) is the unshuffle coproduct, the sum over the subsets S of the
 positions of w_S ⊗ w_(S^c), and S(w) = (-1)^|w| times w reversed.  The
 tests pin all three facts for the 127 words of length at most 6; the Hopf
 laws they rest on are checked exhaustively only up to total order
-`hopfops.MAX_AXIOM_ORDER`.
+`hopfops.MAX_AXIOM_ORDER`, 8.  As sum-level oracles the tests also pin S and
+Δ_h on T^8, the sum of all 1430 trees of order 8, whose coproduct is the sum
+over k of C(8, k) T^k ⊗ T^(8-k), and on the words LTTLTLT and TLLTTLT of
+total order 10, above that bound.
 
 A full correlator is every regular graph of its order and genus once; it
 is not an expansion of the Airy correlator W^g_k of `lrq.airy`.  Expand the
@@ -238,8 +241,11 @@ def delta_h_quotient_counterexample(max_total_order: int):
     the projected coproducts over pairs of regular basis graphs, walked as
     `check_axiom` walks them, and returns the first mismatch (or None).  The
     projected coproduct fails to be an algebra map, so a counterexample
-    exists already at small total order.
+    exists already at small total order.  A negative bound, which would
+    search nothing, is refused before anything is built.
     """
+    if max_total_order < 0:
+        raise ValueError("total order must be nonnegative")
 
     def proj_tensor(x: LinComb) -> LinComb:
         return LinComb(

@@ -624,6 +624,25 @@ def test_parser_is_not_built_at_import():
     assert done.stdout == "0\n"
 
 
+def test_only_airy_loads_the_airy_engine():
+    # The Airy engine shares no code with the graph engine, so only `lrq airy` loads it.
+    lines = [list(JSON_EXAMPLES[c]) for c in subcommands() if c != "airy"]
+    probe = f"""if True:
+        import contextlib, io, sys
+        from lrq.cli import run
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes = [run(line) for line in {lines!r}]
+        print(codes, "lrq.airy" in sys.modules)
+        code = run(["airy", "--genus", "1", "--legs", "1"])
+        print(code, "lrq.airy" in sys.modules)
+    """
+    src = str(Path(lrq.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": src})
+    assert done.stdout == f"{[0] * len(lines)} False\n1/16 * p^-4\n0 True\n"
+    assert done.stderr == ""
+
+
 def test_parse_check_deeply_nested_graph(capsys):
     deep = "(" * 5000 + "|" + "v|)" * 5000
     code, out, err = invoke(capsys, "parse-check", deep)

@@ -205,10 +205,17 @@ def test_a_free_word_is_the_product_of_its_letters():
         assert products[w] == free_word(w), w
 
 
+# Sum-level oracles at and above the total order to which the Hopf laws are
+# checked graph by graph (`hopfops.MAX_AXIOM_ORDER`, 8): T^8, all 1430 trees
+# of order 8, whose unshuffle coproduct is the sum over k of
+# C(8, k) T^k (x) T^(8-k), and two words of total order 10.
+HOPF_WORDS = FREE_WORDS + ["T" * 8, "LTTLTLT", "TLLTTLT"]
+
+
 def test_a_free_word_has_the_unshuffle_coproduct():
     # The sum over the subsets S of positions of w_S (x) w_(S^c): T and L
     # are primitive, and distinct words have disjoint supports.
-    for w in FREE_WORDS:
+    for w in HOPF_WORDS:
         acc = {}
         for s in range(1 << len(w)):
             inside = "".join(x for i, x in enumerate(w) if s >> i & 1)
@@ -219,7 +226,7 @@ def test_a_free_word_has_the_unshuffle_coproduct():
 
 
 def test_a_free_word_has_the_reversal_antipode():
-    for w in FREE_WORDS:
+    for w in HOPF_WORDS:
         assert antipode(free_word(w)) == (-1) ** len(w) * free_word(w[::-1]), w
 
 
@@ -323,6 +330,16 @@ def test_correlator_graphs_are_not_the_recursion_terms(g, k, terms, graphs):
 def test_quotient_counterexample_first_appears_at_total_order_4():
     witnesses = [delta_h_quotient_counterexample(m) for m in range(6)]
     assert witnesses == [None] * 4 + [(ONELOOP, ONELOOP)] * 2
+
+
+def test_quotient_counterexample_refuses_a_negative_bound(monkeypatch):
+    def built(*args):
+        raise AssertionError(f"built {args} before checking the bound")
+
+    monkeypatch.setattr(subalgebras, "graphs_up_to_total_order", built)
+    for m in (-1, -10**6):
+        with pytest.raises(ValueError, match="^total order must be nonnegative$"):
+            delta_h_quotient_counterexample(m)
 
 
 def test_generating_function_examples():
