@@ -267,14 +267,16 @@ def cmd_psi(args):
 
 def cmd_correlator(args):
     n = args.order
-    # Each genus is the sum of its graphs, or with --json the list of its
-    # terms, all with coefficient 1.
-    form = _GRAPH_SUM_FORMS[args.json]
+    if not args.json:
+        yield from subalgebras.correlator_text(n)
+        yield "\n"
+        return
+    # Each genus is the JSON list of its graphs' terms, all with coefficient 1.
     for k, g in enumerate(subalgebras.correlator_genera(n)):
-        yield f'{", " if k else "{"}"{g}": [' if args.json else f"h^{g}: "
-        yield from loopgraphs.family_text(n, g, True, *form)
-        yield "]" if args.json else "\n"
-    yield "}\n" if args.json else ""
+        yield f'{", " if k else "{"}"{g}": ['
+        yield from loopgraphs.family_text(n, g, True, *_GRAPH_SUM_FORMS[True])
+        yield "]"
+    yield "}\n"
 
 
 def cmd_genfun(args):

@@ -84,7 +84,7 @@ from the tree shapes of its L and R and its slots, read off L, m and R, so
 enumeration builds nothing; the trees of each order are the genus-0 table.
 A graph's string is built once, from its L's string, its mark and its R's
 string, and every block that holds it shares that one string.  So `lrq
-correlator`, `lrq enumerate`, `lrq psi` and `str(full_correlator(n))` print
+correlator`, `lrq enumerate`, `lrq psi` and `full_correlator(n)` print
 their graphs from the text tables, interning no graph and reading no node
 table; `lrq psi` reads the trees of the word's length, genus 0, and writes
 the word's marks into the text of each block.
@@ -103,14 +103,14 @@ Interned nodes live for the whole process: the table holds every node ever
 built, and so do the memo caches of `_graphs`, the walk and `lrq.hopfops`.
 On CPython 3.11 a node takes 88 bytes and its table entry (a 3-tuple key
 and a dict slot) about 100 more, and a node table 8 bytes an entry.  After
-reading the sum of every genus of `full_correlator(8)` (`exp[g]`) and
+reading the sum of `enumerate_graphs(8, g, True)` for every genus g and
 `del` of the sums, 20.5 MiB stay held for 96 697 nodes, tables included,
-and 26.7 MiB if each sum was printed, as every graph then keeps its string:
+and 26.9 MiB if each sum was printed, as every graph then keeps its string:
 the node tables keep the regular graphs of the lower orders that the
-families of order 8 are built from.  Printing the expansion (`str`) holds
-2.2 MiB, the order, mask and text tables of orders at most 7, and builds no
-node; `lrq correlator --order 9` in the same process then holds 9.8 MiB
-more.  The text tables then hold 8.2 MiB, one string for each of the
+families of order 8 are built from.  Printing the expansion
+(`full_correlator(8)`) holds 2.2 MiB, the order, mask and text tables of
+orders at most 7, and builds no node; `lrq correlator --order 9` in the
+same process then holds 9.8 MiB more.  The text tables then hold 8.2 MiB, one string for each of the
 97 000 or so regular graphs of orders at most 8, the order lists 2.8 MiB
 under 46 keys (a byte and a tuple slot an entry, and the masks' ints) and
 the family masks 0.7 MiB.  After `lrq correlator --order 10` 83.6 MiB stay

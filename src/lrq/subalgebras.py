@@ -23,19 +23,46 @@ text tables (`family_text`): a correlator as the regular graphs of each
 genus, and a word as the trees of its length with the word's marks written
 in, since the graphs of one mask sort as their shapes.
 
-Before the quotient, with adjacent L letters allowed, the product of the
-letters of a word w over {T, L} is still every tree of order |w| carrying
-w's mask once: the proof in `psi_word` never uses regularity.  So distinct
-words have disjoint supports, and T and L generate a free algebra.  T and L
-are primitive, Δ_h is multiplicative and the antipode S anti-multiplicative,
-so Δ_h(w) is the unshuffle coproduct, the sum over the subsets S of the
-positions of w_S ⊗ w_(S^c), and S(w) = (-1)^|w| times w reversed.  The
-tests pin all three facts for the 127 words of length at most 6; the Hopf
-laws they rest on are checked exhaustively only up to total order
-`hopfops.MAX_AXIOM_ORDER`, 8.  As sum-level oracles the tests also pin S and
-Δ_h on T^8, the sum of all 1430 trees of order 8, whose coproduct is the sum
-over k of C(8, k) T^k ⊗ T^(8-k), and on the words LTTLTLT and TLLTTLT of
-total order 10, above that bound.
+The word algebra, and why the quotient is no Hopf algebra.  Let F be the
+subalgebra of k[Y∞]_h generated by T = (|v|) and L = (|o|), where words may
+have adjacent L letters, and let I = (L^2) be the two-sided ideal of F
+generated by L^2.
+
+  Statement.  T and L are primitive, and F is free on them at every order.
+  On a word w, Δ_h(w) is the unshuffle coproduct, the sum over the subsets
+  S of the positions of w of w_S ⊗ w_(S^c), and S(w) = (-1)^|w| times w
+  reversed.  A^h_TopRec is F/I, and I is not a coideal, so A^h_TopRec does
+  not inherit the Hopf algebra structure.
+
+  Proof.  With 1 the leaf |, Δ_h(x) = x⊗1 + 1⊗x for x = T and x = L
+  (`lrq coproduct "(|o|)"` prints `|@(|o|) + (|o|)@|`): T and L are
+  primitive.  The product of the letters of a word w is every tree of
+  order |w| carrying w's mask once: the proof in `psi_word` never uses
+  regularity.  Distinct words have distinct lengths or masks, so their
+  products have disjoint supports and are linearly independent, and F is
+  free on T and L.  Δ_h is multiplicative, so Δ_h(w) is the product of the
+  letters' x⊗1 + 1⊗x, which is the unshuffle sum; S is anti-multiplicative
+  and S(x) = -x on a primitive x, so S(w) is the reversed word times
+  (-1)^|w|.
+  These two steps rest on the Hopf laws, which `check_axiom` checks
+  exhaustively only up to total order `hopfops.MAX_AXIOM_ORDER`, 8.  I is
+  spanned by the words with two adjacent L letters, whose products are
+  irregular graphs, while a valid word's product is regular; so the
+  projection to the regular quotient kills exactly I on F, and its image,
+  A^h_TopRec, is F/I.  By the unshuffle, Δ_h(L^2) = L^2⊗1 + 2 L⊗L + 1⊗L^2.
+  The words are a basis of F, so I⊗F + F⊗I is spanned by the tensors of
+  two words one of which has adjacent L letters, and L⊗L, with L ∉ I, is
+  not in it.  So Δ_h(L^2) is not in I⊗F + F⊗I, and I is not a coideal.
+  On graphs: L * L projects to 0, while the projected Δ_h(L)Δ_h(L) is
+  2 L⊗L.  That is the pair (L, L) which `delta_h_quotient_counterexample`
+  finds by brute-force search, first at total order 4.
+
+The tests pin ψ of the words, their unshuffle coproduct and their reversal
+antipode for the 127 words of length at most 6, the word LL among them, and
+so Δ_h(L^2) above.  As sum-level oracles they also pin S and Δ_h on T^8,
+the sum of all 1430 trees of order 8, whose coproduct is the sum over k of
+C(8, k) T^k ⊗ T^(8-k), and on the words LTTLTLT and TLLTTLT of total order
+10, above the axiom bound.
 
 A full correlator is every regular graph of its order and genus once; it
 is not an expansion of the Airy correlator W^g_k of `lrq.airy`.  Expand the
@@ -65,7 +92,7 @@ from .hopfops import (
     star_h_sum,
     tensor_star,
 )
-from .loopgraphs import _graphs, enumerate_graphs, family_text, is_regular, slot_masks
+from .loopgraphs import _graphs, family_text, is_regular, slot_masks
 
 # Largest word length `psi_word` and order `full_correlator` accept, by the
 # rule that the worst CLI call finishes within 30 s and 1 GiB.  The CLI
@@ -179,44 +206,29 @@ def enumerate_words(n: int, g: int) -> list[Word]:
             for m in slot_masks(n, g, regular=True)]
 
 
-@dataclass(frozen=True)
-class QuantumExpansion:
-    """The order-n expansion in the loop-counting parameter h: at key g, the
-    sum of all length-n words with g loops, which by `psi_word` is every
-    regular graph of order n and genus g, each with coefficient 1.
+def correlator_text(n: int):
+    """The order-n expansion in the loop-counting parameter h, as text: for
+    each genus g, "h^g: " and then the sum of every regular graph of order n
+    and genus g, each with coefficient 1, with a newline between genera.  By
+    `psi_word` the sum at h^g is that of all length-n words with g loops.
 
-    The parameter is purely a grading key.  The expansion is a view over
-    the walk: printing it writes each genus from the text tables as `lrq
-    correlator` does, interning no graph and sorting nothing, since the walk
-    is in canonical order (the lemma of `lrq.loopgraphs`), and the graph sum
-    at key g is built only when it is read, from a copy of the family's node
-    table (`enumerate_graphs`).  A key outside `correlator_genera` raises
-    KeyError.
+    The parameter is purely a grading key.  The sums are written in blocks
+    from the walk's text tables (`family_text`), interning no graph and
+    sorting nothing, since the walk is in canonical order (the lemma of
+    `lrq.loopgraphs`).  `lrq correlator` writes these chunks.  Orders above
+    MAX_CORRELATOR_ORDER are refused at the first chunk, before anything is
+    built.
     """
-
-    order: int
-
-    def __post_init__(self):
-        correlator_genera(self.order)  # refuses an order beyond the bound
-
-    def genera(self) -> list[int]:
-        return list(correlator_genera(self.order))
-
-    def __getitem__(self, g: int) -> LinComb:
-        if g not in correlator_genera(self.order):
-            raise KeyError(g)
-        return LinComb.sum_of(enumerate_graphs(self.order, g, True))
-
-    def __str__(self) -> str:
-        n = self.order
-        return "\n".join(f"h^{g}: " + "".join(family_text(n, g, True))
-                         for g in correlator_genera(n))
+    for g in correlator_genera(n):
+        yield f"\nh^{g}: " if g else "h^0: "
+        yield from family_text(n, g, True)
 
 
-def full_correlator(n: int) -> QuantumExpansion:
-    """The order-n expansion; orders above MAX_CORRELATOR_ORDER are refused
-    here, before anything is built."""
-    return QuantumExpansion(n)
+def full_correlator(n: int) -> str:
+    """The text of the order-n expansion (`correlator_text`), without a
+    final newline; orders above MAX_CORRELATOR_ORDER are refused here,
+    before anything is built."""
+    return "".join(correlator_text(n))
 
 
 def correlator_genera(n: int) -> range:
@@ -241,7 +253,8 @@ def delta_h_quotient_counterexample(max_total_order: int):
     the projected coproducts over pairs of regular basis graphs, walked as
     `check_axiom` walks them, and returns the first mismatch (or None).  The
     projected coproduct fails to be an algebra map, so a counterexample
-    exists already at small total order.  A negative bound, which would
+    exists already at small total order: the module docstring proves that
+    the pair (L, L), of total order 4, is one.  A negative bound, which would
     search nothing, is refused before anything is built.
     """
     if max_total_order < 0:

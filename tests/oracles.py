@@ -2,10 +2,11 @@
 contracting homotopy, the symmetric groups and the definition of their star
 product, tensor products of sums, the lone basis element of a parsed sum,
 the support of a sum, the canonical order with a nested key per tensor
-factor, the generating function of the words, the slot masks bit by bit,
-the regular slot-mask complex K_n^reg and its cohomology by elimination,
-the graph families written one term at a time, the command line parsed in
-two levels, and the antipode by Takeuchi's formula."""
+factor, the graph sums of the h-expansion, the generating function of the
+words, the slot masks bit by bit, the regular slot-mask complex K_n^reg and
+its cohomology by elimination, the graph families written one term at a
+time, the command line parsed in two levels, and the antipode by Takeuchi's
+formula."""
 
 import sys
 from fractions import Fraction
@@ -19,7 +20,7 @@ from lrq.exprs import ParseError, parse
 from lrq.freemodule import LinComb, bilinear_extend, sort_key, sum_text
 from lrq.loopgraphs import LEAF, LoopGraph, enumerate_graphs
 from lrq.permutations import Permutation
-from lrq.subalgebras import Word
+from lrq.subalgebras import Word, correlator_genera
 from lrq.trees import enumerate_trees
 
 
@@ -113,6 +114,13 @@ def tensor(*factors: LinComb) -> LinComb:
     for f in factors:
         out = [(key + (b,), c * c2) for key, c in out for b, c2 in f.items()]
     return LinComb(out)
+
+
+def correlator_sums(n: int) -> dict[int, LinComb]:
+    """The order-n expansion in h as graph sums: at each genus g of
+    `correlator_genera(n)`, every regular graph of order n and genus g,
+    each with coefficient 1, built from the family's node table."""
+    return {g: LinComb.sum_of(enumerate_graphs(n, g, True)) for g in correlator_genera(n)}
 
 
 def genfun_table(max_degree: int) -> dict:

@@ -6,7 +6,7 @@ from dataclasses import fields
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
-from math import prod
+from math import factorial, prod
 from pathlib import Path
 
 import pytest
@@ -356,6 +356,47 @@ def test_matches_witten_kontsevich(g, k):
         if value:
             want[tuple(-(2 * d + 2) for d in ds)] = value / 2 ** (2 * g - 2 + k)
     assert airy_correlator(g, k).coeff.coeffs == want
+
+
+def partitions(total, parts, largest):
+    """Every nonincreasing tuple of `parts` integers from 0 to `largest`
+    summing to `total`."""
+    if not parts:
+        if not total:
+            yield ()
+        return
+    for first in range(min(total, largest), -1, -1):
+        for tail in partitions(total - first, parts - 1, first):
+            yield (first,) + tail
+
+
+def orbit_value(g, ds, intersection):
+    """The coefficient of one monomial of the orbit of ds in W^g_k, in the
+    normalization of `test_matches_witten_kontsevich`, with <tau_ds>_g =
+    intersection."""
+    return (intersection * prod(double_factorial(2 * d + 1) for d in ds)
+            / 2 ** (2 * g - 2 + len(ds)))
+
+
+def test_genus_zero_orbits_match_the_closed_form():
+    # <tau_d1...tau_dk>_0 = (k-3)!/prod d_i! for every orbit up to the
+    # configured bound, past the DVV oracle's 2g-2+k <= 8.
+    orbits = 0
+    for k in range(3, MAX_NEG_EULER + 3):
+        want = {tuple(-(2 * d + 2) for d in ds):
+                orbit_value(0, ds, Fraction(factorial(k - 3), prod(map(factorial, ds))))
+                for ds in partitions(k - 3, k, k - 3)}
+        assert airy_correlator(0, k).orbits == want, k
+        orbits += len(want)
+    assert orbits == 195
+
+
+@pytest.mark.parametrize("g", range(1, 7))
+def test_one_point_orbits_match_the_closed_form(g):
+    # <tau_{3g-2}>_g = 1/(24^g g!).
+    d = 3 * g - 2
+    want = {(-(2 * d + 2),): orbit_value(g, (d,), Fraction(1, 24 ** g * factorial(g)))}
+    assert airy_correlator(g, 1).orbits == want
 
 
 def test_airy_table_lists_the_one_leg_pairs(monkeypatch, capsys):

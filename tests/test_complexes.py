@@ -23,7 +23,7 @@ from lrq.complexes import (
 )
 from lrq.exprs import parse
 from lrq.freemodule import LinComb
-from lrq.hopfops import star_h, star_h_sum
+from lrq.hopfops import bounded_tuples, graphs_up_to_total_order, star_h, star_h_sum
 from lrq.loopgraphs import (
     LEAF,
     ONELOOP,
@@ -702,3 +702,32 @@ def test_leibniz_probe_tree_loop_recorded():
     assert second.is_zero()
     assert lhs == first + second
     assert lhs == first - second
+
+
+def leibniz_failures(sign) -> list[tuple[str, str]]:
+    """The pairs (x, y) of basis graphs of total order at most 6, in the
+    order `bounded_tuples` walks them, on which d(x*y) = d(x)*y +
+    sign(x) x*d(y) fails, printed."""
+    failures = []
+    for x, y in bounded_tuples(graphs_up_to_total_order(6), 2, 6):
+        lhs, first, second = leibniz_sides(LinComb.basis(x), LinComb.basis(y))
+        if lhs != first + sign(x) * second:
+            failures.append((str(x), str(y)))
+    return failures
+
+
+def test_d_is_a_derivation_with_the_koszul_sign():
+    # Graded by total order, "v" is odd and "o" even, so passing d across x
+    # costs -1 to the power of its unlooped slots, x.order - x.genus.
+    assert sum(1 for _ in bounded_tuples(graphs_up_to_total_order(6), 2, 6)) == 1820
+    assert leibniz_failures(lambda x: (-1) ** (x.order + x.genus)) == []
+
+
+@pytest.mark.parametrize("sign, count, first", [
+    (lambda x: 1, 375, ("(|v|)", "(|v|)")),
+    (lambda x: (-1) ** x.genus, 357, ("(|v|)", "(|v|)")),
+    (lambda x: (-1) ** x.order, 190, ("(|o|)", "(|v|)")),
+], ids=["1", "genus", "order"])
+def test_d_is_no_derivation_with_another_sign(sign, count, first):
+    failures = leibniz_failures(sign)
+    assert (len(failures), failures[0]) == (count, first)

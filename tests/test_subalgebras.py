@@ -4,7 +4,7 @@ function coefficients."""
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
-from math import comb, factorial
+from math import ceil, comb, factorial
 
 import pytest
 
@@ -33,6 +33,7 @@ from lrq.subalgebras import (
     MAX_GENFUN_DEGREE,
     MAX_PSI_LENGTH,
     Word,
+    correlator_genera,
     delta_h_quotient_counterexample,
     enumerate_words,
     full_correlator,
@@ -42,7 +43,7 @@ from lrq.subalgebras import (
     star_reg,
 )
 from lrq.trees import enumerate_trees
-from oracles import genfun_table, single_basis, support
+from oracles import correlator_sums, genfun_table, single_basis, support
 from test_hopfops import star_tree
 
 L = LinComb.basis(ONELOOP)
@@ -238,51 +239,51 @@ def test_enumerate_words_examples():
 
 
 def test_full_correlator_order_1():
-    exp = full_correlator(1)
-    assert exp.genera() == [0, 1]
+    exp = correlator_sums(1)
+    assert list(exp) == [0, 1]
     assert exp[0] == T
     assert exp[1] == L
 
 
 def test_full_correlator_order_3_counts():
-    exp = full_correlator(3)
-    assert exp.genera() == [0, 1, 2]
+    exp = correlator_sums(3)
+    assert list(exp) == [0, 1, 2]
     assert len(support(exp[1])) == 15
-    assert sum(len(support(exp[g])) for g in exp.genera()) == 25
+    assert sum(len(support(x)) for x in exp.values()) == 25
 
 
 def test_full_correlator_uniform_bidegrees():
     for n in range(5):
-        exp = full_correlator(n)
-        assert exp.genera() == list(range(-(-n // 2) + 1))
-        for g in exp.genera():
-            for t, _ in exp[g].items():
+        exp = correlator_sums(n)
+        assert list(exp) == list(range(-(-n // 2) + 1))
+        for g, x in exp.items():
+            for t, _ in x.items():
                 assert t.genus == g and t.order == n
 
 
 def test_full_correlator_is_the_sum_of_the_word_folds():
     for n in range(8):
-        exp = full_correlator(n)
-        for g in exp.genera():
+        for g, x in correlator_sums(n).items():
             want = LinComb()
             for w in enumerate_words(n, g):
                 want += psi_fold(w)
-            assert exp[g] == want, (n, g)
+            assert x == want, (n, g)
 
 
 def test_full_correlator_has_no_genus_outside_its_range():
     for n in range(7):
-        exp = full_correlator(n)
-        for g in (-1, -(-n // 2) + 1):
-            with pytest.raises(KeyError):
-                exp[g]
+        # Each line of the text is one genus, "h^g: " and its sum.
+        printed = [int(line[2:line.index(":")]) for line in full_correlator(n).split("\n")]
+        assert printed == list(correlator_genera(n)) == list(range(ceil(n / 2) + 1)), n
+        # A regular graph of order n has at most ceil(n/2) loops.
+        assert enumerate_graphs(n, ceil(n / 2) + 1, True) == [], n
 
 
 def test_full_correlator_refuses_an_order_beyond_the_bound(monkeypatch):
     def enumerated(*args):
         raise AssertionError(f"enumerated {args} before checking the bound")
 
-    monkeypatch.setattr(subalgebras, "enumerate_graphs", enumerated)
+    monkeypatch.setattr(subalgebras, "family_text", enumerated)
     monkeypatch.setattr(loopgraphs, "_walk", enumerated)
     bound = f"beyond the correlator bound n <= {MAX_CORRELATOR_ORDER}"
     for n in (MAX_CORRELATOR_ORDER + 1, 10**6):
@@ -310,7 +311,7 @@ def recursion_terms(g: int, k: int) -> int:
 
 def labelled_correlator_graphs(g: int, k: int) -> int:
     # Regular graphs of order 2g-2+k and genus g, with the k-1 legs labelled.
-    return len(full_correlator(2 * g - 2 + k)[g]) * factorial(k - 1)
+    return len(correlator_sums(2 * g - 2 + k)[g]) * factorial(k - 1)
 
 
 @pytest.mark.parametrize("g,k", [(0, 3), (0, 4), (0, 5), (1, 1), (1, 2), (2, 1)])
@@ -421,31 +422,31 @@ def test_coproduct_fails_on_regular_quotient():
     assert lhs != rhs_projected
 
 
-def test_quantum_expansion_str():
-    assert str(full_correlator(1)) == "h^0: (|v|)\nh^1: (|o|)"
+def test_full_correlator_text_order_1():
+    assert full_correlator(1) == "h^0: (|v|)\nh^1: (|o|)"
 
 
-def sorted_print(exp) -> str:
-    """The expansion printed through the LinComb of each genus, which sorts
-    its graphs by sort_key (oracle)."""
-    return "\n".join(f"h^{g}: {exp[g]}" for g in exp.genera())
+def sorted_print(n: int) -> str:
+    """The order-n expansion printed through the LinComb of each genus,
+    which sorts its graphs by sort_key (oracle)."""
+    return "\n".join(f"h^{g}: {x}" for g, x in correlator_sums(n).items())
 
 
 def test_full_correlator_prints_as_its_sorted_graph_sums():
     for n in range(8):
-        assert str(full_correlator(n)) == sorted_print(full_correlator(n)), n
+        assert full_correlator(n) == sorted_print(n), n
 
 
 def test_full_correlator_prints_without_interning_a_graph(monkeypatch, capsys):
     def interned(key):
         raise AssertionError(f"interned {key} to print it")
 
-    want = sorted_print(full_correlator(7))
+    want = sorted_print(7)
     lines = "".join(f"{t}\n" for t in enumerate_graphs(7, 3))
     monkeypatch.setattr(loopgraphs, "graph_of", interned)
     loopgraphs._nodes.cache_clear()
     before = set(loopgraphs._NODES)
-    assert str(full_correlator(7)) == want
+    assert full_correlator(7) == want
     assert run(["enumerate", "graphs", "--order", "7", "--genus", "3"]) == 0
     assert capsys.readouterr().out == lines
     # Printing reads no node table and builds no node, as by the CLI.
