@@ -2,9 +2,10 @@
 """Table of exact Airy-curve correlators for all stable (g, k) in range.
 
 Lists every genus/leg pair with 1 <= 2g - 2 + k <= the chosen bound together
-with its exact Laurent coefficient, written one monomial at a time.  A bound
-beyond the recursion's own (``lrq.airy.MAX_NEG_EULER``) is refused before
-anything is computed.
+with its exact Laurent coefficient, written as the correlator's text chunks
+(``Correlator.text_chunks``), a few dozen monomials each.  A bound beyond the
+recursion's own (``lrq.airy.MAX_NEG_EULER``) is refused before anything is
+computed.
 """
 
 import argparse

@@ -61,8 +61,11 @@ The coefficients are therefore computed only on these target keys.  W^g_k
 is symmetric in its variables (Eynard-Orantin 2007), so U^g_k[a] depends
 only on the multiset of the a_i: it is memoized on (g, sorted key), the
 smallest entry serves as a_0, and the splittings are summed over the
-sub-multisets A of L, each with its number of labelled choices.  A
-Correlator stores one coefficient per orbit of the leg permutations.
+sub-multisets A of L, each with its number of labelled choices.  A side's
+contribution F^h_A depends only on h and the multiset A, and the same side
+recurs in the splittings of many keys, so it is memoized too, per (genus,
+sorted legs).  A Correlator stores one coefficient per orbit of the leg
+permutations.
 
 Printing.  A writer formats each orbit's coefficient once, into a table of
 printed entries (the coefficient's text with its sign, or the tail
@@ -77,9 +80,13 @@ the multiset: the code is injective.  One iterative depth-first walk over
 the even compositions of the degree, largest a_0 first, then largest a_1,
 and so on (ascending exponent vectors), carries down the printed prefix of
 the legs fixed so far and its partial code, and looks up each monomial's
-entry with one dict lookup.  It hands the writer a few dozen monomials at
-a time, so no correlator is ever held expanded to every ordering of each
-key.
+entry with one dict lookup.  The walk ends in a table of the last
+min(k, 3) legs, built once per correlator leg by leg from the last one:
+for each sum of their halves, the printed tails of those legs with their
+partial codes, largest a_i first.  So the walk's stack holds prefixes of
+the first k - 3 legs only, and each prefix runs through one list of the
+table.  It hands the writer a few dozen monomials at a time, so no
+correlator is ever held expanded to every ordering of each key.
 
 The series route computes the same numerators from truncation-tracked
 series and serves as the tests' independent check of the coefficient
@@ -105,9 +112,9 @@ _EXACT = 10**9  # "trusted through any exponent we will ever look at"
 
 # Recursion bound on 2g - 2 + k, by the rule that the worst call finishes
 # within 30 s and 1 GiB.  Its largest pair, (0, 14), prints its 2 496 144
-# monomials in 2.5 to 3.1 s as text or JSON, at 17 MiB peak, and
-# scripts/airy_table.py --max-euler 12 takes 6.8 to 7.1 s (Python 3.11.7 on
-# a 2-core Intel Xeon).
+# monomials in 1.6 to 2.2 s as text or JSON, at 18 MiB peak, and
+# scripts/airy_table.py --max-euler 12 takes 3.7 to 4.1 s at 19 MiB
+# (alternating cold runs, Python 3.11.7 on a 2-core Intel Xeon).
 MAX_NEG_EULER = 12
 
 
@@ -378,19 +385,20 @@ class Correlator:
         bits = [1 << (k.bit_length() * b) for b in range(top + 1)]
         get = {sum(bits[-e // 2] for e in key): entry(c) for key, c in self.orbits.items()}.get
         pieces = [[piece(i, 2 * b) for b in range(top + 1)] for i in range(k)]
-        # The last one or two legs in one loop: (tail, code) by their sum of halves.
+        # The last min(k, 3) legs in one table, built from the last leg back:
+        # tails[r] lists their (tail, code) of sum of halves r, largest a_i first.
         last = pieces[-1]
-        if k == 1:
-            tails = [[(last[r], bits[r])] for r in range(top + 1)]
-        else:
-            tails = [[(pieces[-2][b] + last[r - b], bits[b] + bits[r - b])
-                      for b in range(r - 1, 0, -1)] for r in range(top + 2)]
+        tails = [[]] + [[(last[r], bits[r])] for r in range(1, top + 1)]
+        stop = max(k - 3, 0)  # the first leg in the table
+        for p in reversed(pieces[stop:-1]):
+            tails = [[(p[b] + x, bits[b] + c) for b in range(r - 1, 0, -1) for x, c in tails[r - b]]
+                     for r in range(len(tails) + 1)]
         out: list = []
         # (leg, halves left, prefix, its code); the first prefix is "" or ().
         stack = [(0, half, last[0][:0], 0)]
         while stack:
             i, rest, prefix, code = stack.pop()
-            if i < k - 2:
+            if i < stop:
                 # Every later leg takes at least 1; pushed smallest first, so
                 # the largest a_i is popped first.
                 p = pieces[i]
@@ -538,6 +546,7 @@ def _target_keys(total: int, parts: int, least: int = 2):
             yield (first,) + rest
 
 
+@lru_cache(maxsize=None)
 def _side(h: int, chosen: tuple[int, ...]) -> int:
     """The coefficient one side (h, chosen legs) of a splitting term contributes.
 

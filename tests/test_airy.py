@@ -252,7 +252,16 @@ def arrangements(key):
             yield (v,) + tail
 
 
-@pytest.mark.parametrize("g,k", stable_pairs(9))
+def walk_pairs(max_euler):
+    """stable_pairs(max_euler), then every pair with at most four legs up to
+    the configured bound: the ones whose legs all, or all but one, sit in
+    the walk's last-legs table."""
+    small = stable_pairs(max_euler)
+    return small + [(g, k) for g, k in stable_pairs(MAX_NEG_EULER)
+                    if k <= 4 and (g, k) not in small]
+
+
+@pytest.mark.parametrize("g,k", walk_pairs(9))
 def test_walk_prints_the_sorted_expansion(g, k):
     # The canonical walk against the orbit table expanded to every ordering
     # of each key and sorted whole.
@@ -397,6 +406,47 @@ def test_one_point_orbits_match_the_closed_form(g):
     d = 3 * g - 2
     want = {(-(2 * d + 2),): orbit_value(g, (d,), Fraction(1, 24 ** g * factorial(g)))}
     assert airy_correlator(g, 1).orbits == want
+
+
+def intersections(g, k):
+    """<tau_ds>_g for every nonzero orbit of W^g_k, keyed by the
+    nonincreasing ds: the inverse of `orbit_value`."""
+    out = {}
+    for exps, c in airy_correlator(g, k).orbits.items():
+        ds = tuple((-e - 2) // 2 for e in exps)
+        out[ds] = c * 2 ** (2 * g - 2 + k) / prod(double_factorial(2 * d + 1) for d in ds)
+    return out
+
+
+def add_index(ds, d):
+    """The nonincreasing tuple ds with one more index d."""
+    return tuple(sorted(ds + (d,), reverse=True))
+
+
+@pytest.mark.parametrize("g,k", stable_pairs(MAX_NEG_EULER - 1))
+def test_string_equation(g, k):
+    # <tau_0 tau_D>_g = sum_i <tau_(D - e_i)>_g, from the orbits of
+    # W^g_(k+1) and W^g_k alone, with no recursion of its own.
+    small, big = intersections(g, k), intersections(g, k + 1)
+    total = 3 * g - 2 + k
+    checked = 0
+    for ds in partitions(total, k, total):
+        want = sum(small.get(add_index(ds[:i] + ds[i + 1:], d - 1), 0)
+                   for i, d in enumerate(ds) if d)
+        assert big.get(add_index(ds, 0), 0) == want, ds
+        checked += bool(want)
+    assert checked
+
+
+@pytest.mark.parametrize("g,k", stable_pairs(MAX_NEG_EULER - 1))
+def test_dilaton_equation(g, k):
+    # <tau_1 tau_D>_g = (2g - 2 + k) <tau_D>_g, from the orbits of W^g_(k+1)
+    # and W^g_k alone.
+    small, big = intersections(g, k), intersections(g, k + 1)
+    total = 3 * g - 3 + k
+    for ds in partitions(total, k, total):
+        assert big.get(add_index(ds, 1), 0) == (2 * g - 2 + k) * small.get(ds, 0), ds
+    assert small
 
 
 def test_airy_table_lists_the_one_leg_pairs(monkeypatch, capsys):

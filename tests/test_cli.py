@@ -28,7 +28,7 @@ from lrq.hopfops import MAX_AXIOM_ORDER
 from lrq.loopgraphs import enumerate_graphs
 from lrq.subalgebras import MAX_CORRELATOR_ORDER, MAX_GENFUN_DEGREE, MAX_PSI_LENGTH
 from oracles import correlator_sums, genfun_table, run_two_level, single_basis, support
-from test_airy import arrangements, stable_pairs
+from test_airy import arrangements, walk_pairs
 
 
 def invoke(capsys, *argv):
@@ -415,7 +415,7 @@ def test_every_subcommand_writes_json(capsys, command):
         assert out == json.dumps(invoke(capsys, *argv)[1].rstrip("\n")) + "\n"
 
 
-@pytest.mark.parametrize("genus, legs", stable_pairs(8))
+@pytest.mark.parametrize("genus, legs", walk_pairs(8))
 def test_airy_output_is_streamed_in_canonical_order(capsys, genus, legs):
     # The oracle expands the orbit table to every ordering of each key and
     # sorts the whole expansion, without the walk or its orbit codes.
