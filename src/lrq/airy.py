@@ -36,8 +36,18 @@ So U^1_1[4] = 1, and otherwise
 where the second sum runs over the splittings of the labelled legs L, with
 no side of genus 0 and no legs (W^0_1 = 0), and F^h_A is what the side
 (h, A) contributes at its q power.  That power is fixed by homogeneity: it
-is q^-b with b = 6h - 2 + 4|A| - sum a_A (also for the Bergman factor, whose
-q^(a_j-2) is this q^-b), and a sub-correlator side with b < 2 contributes 0.
+is q^-b with b = 6h - 2 + 4|A| - sum a_A (also for the Bergman factor,
+whose q^(a_j-2) is this q^-b).  The two sides are read at q^-b_A and q^-b_B
+of a bracket read at q^-(a_0-2), so b_A + b_B = a_0 - 2 (on a target key,
+below, sum a_L = 6g - 6 + 4k - a_0 gives the same).  A sub-correlator side
+with b < 2 contributes 0 by the support lemma below, while the Bergman
+factor gives a_j - 1 >= 1, so each splitting A + B = L visits only the
+genera h at which both sides can be nonzero: 2 <= b_A <= a_0 - 4 while
+neither side is the Bergman factor, and h = 0 (h = g) when A (B) is one
+leg, if the other side is then the Bergman factor too or has b >= 2.  That
+skips a pair (h, A) exactly when one of its sides is a sub-correlator with
+b < 2, so the sum is unchanged; no side of genus 0 and no legs is visited,
+since its b is -2.
 
 Support, by induction on 2g - 2 + k: U^g_k[a] can be nonzero only when
 every a_i is even and at least 2 and sum a_i = 6g - 6 + 4k.  It holds for
@@ -61,10 +71,14 @@ The coefficients are therefore computed only on these target keys.  W^g_k
 is symmetric in its variables (Eynard-Orantin 2007), so U^g_k[a] depends
 only on the multiset of the a_i: it is memoized on (g, sorted key), the
 smallest entry serves as a_0, and the splittings are summed over the
-sub-multisets A of L, each with its number of labelled choices.  A side's
-contribution F^h_A depends only on h and the multiset A, and the same side
-recurs in the splittings of many keys, so it is memoized too, per (genus,
-sorted legs).  A Correlator stores one coefficient per orbit of the leg
+sub-multisets A of L, each with its number of labelled choices.  They are
+built once per key, run by run of equal legs: a run of n legs v offers the
+pieces (v^c, v^(n-c), C(n, c), c, c v) for c = 0..n, and each splitting is
+one piece per run, concatenated, with the choice counts multiplied and |A|
+and sum a_A added, which is all that b_A needs.  A side's contribution
+F^h_A depends only on h and the multiset A, and the same side recurs in
+the splittings of many keys, so it is memoized too, per (genus, sorted
+legs).  A Correlator stores one coefficient per orbit of the leg
 permutations.
 
 Printing.  A writer formats each orbit's coefficient once, into a table of
@@ -104,7 +118,7 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, groupby, product
+from itertools import combinations, groupby
 from math import comb
 from operator import add
 
@@ -551,17 +565,23 @@ def _side(h: int, chosen: tuple[int, ...]) -> int:
     """The coefficient one side (h, chosen legs) of a splitting term contributes.
 
     Its q power -b is fixed by homogeneity; the Bergman factor, genus 0 with
-    one leg a, gives a - 1 (at q^(a-2), which is q^-b).
+    one leg a, gives a - 1 (at q^(a-2), which is q^-b).  `_numerator` asks
+    for no other side with b < 2, where the support lemma gives 0.
     """
     if h == 0 and len(chosen) == 1:
         return chosen[0] - 1
     b = 6 * h - 2 + 4 * len(chosen) - sum(chosen)
-    return _numerator(h, tuple(sorted(chosen + (b,)))) if b >= 2 else 0
+    return _numerator(h, tuple(sorted(chosen + (b,))))
 
 
 @lru_cache(maxsize=None)
 def _numerator(g: int, key: tuple[int, ...]) -> int:
-    """The coefficient of prod_i p_i^-key[i] in 4^(3g-2+k) W^g_k; `key` is sorted."""
+    """The coefficient of prod_i p_i^-key[i] in 4^(3g-2+k) W^g_k; `key` is sorted.
+
+    The splittings of the legs are built once, run by run, each with its
+    labelled-choice count, |A| and sum A; for each, only the genera h at
+    which both sides can be nonzero are visited (module docstring).
+    """
     a0, legs = key[0], key[1:]
     if g == 1 and not legs:
         return 1  # 4 W^0_2(q, qbar), read at (1, 1)'s only key, a0 = 4
@@ -569,17 +589,23 @@ def _numerator(g: int, key: tuple[int, ...]) -> int:
     if g:
         for b in range(2, a0 - 3, 2):
             total += 4 * _numerator(g - 1, tuple(sorted(legs + (b, a0 - 2 - b))))
-    runs = [(v, len(list(same))) for v, same in groupby(legs)]
-    for counts in product(*(range(n + 1) for _, n in runs)):
-        chosen, rest, ways = (), (), 1
-        for (v, n), c in zip(runs, counts):
-            chosen += (v,) * c
-            rest += (v,) * (n - c)
-            ways *= comb(n, c)
-        for h in range(g + 1):
-            # W_1^0 vanishes: no side may be the genus-0 one-point function.
-            if (h == 0 and not chosen) or (h == g and not rest):
-                continue
+    # (A, B, labelled choices, |A|, sum A) for every sub-multiset A of legs.
+    splits = [((), (), 1, 0, 0)]
+    for v, same in groupby(legs):
+        n = len(list(same))
+        pieces = [((v,) * c, (v,) * (n - c), comb(n, c), c, c * v) for c in range(n + 1)]
+        splits = [(a + pa, r + pr, w * pw, s + ps, t + pt)
+                  for a, r, w, s, t in splits for pa, pr, pw, ps, pt in pieces]
+    for chosen, rest, ways, size, weight in splits:
+        # b_A = 6h + c and b_B = a0 - 2 - b_A; a sub-correlator needs b >= 2.
+        c = 4 * size - weight - 2
+        lo, hi = -((c - 2) // 6), (a0 - 4 - c) // 6
+        hs = range(lo if lo > 0 else 0, (hi if hi < g else g) + 1)
+        if size == 1 and (a0 + weight > 4 or not g and len(rest) == 1):
+            hs = (0, *hs)  # A is the Bergman factor
+        if len(rest) == 1 and 6 * g + c >= 2:
+            hs = (*hs, g)  # B is the Bergman factor, A a sub-correlator
+        for h in hs:
             total += ways * _side(h, chosen) * _side(g - h, rest)
     return total
 

@@ -1,11 +1,13 @@
 """Airy-curve recursion: series kernels, residues, exact correlators."""
 
+import hashlib
+import re
 import runpy
 import sys
 from dataclasses import fields
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations, permutations, zip_longest
 from math import factorial, prod
 from pathlib import Path
 
@@ -16,6 +18,7 @@ from lrq.airy import (
     MAX_NEG_EULER,
     LaurentPoly,
     QSeries,
+    _numerator,
     _numerators,
     _residue_recursion,
     _target_keys,
@@ -261,13 +264,30 @@ def walk_pairs(max_euler):
                     if k <= 4 and (g, k) not in small]
 
 
+def assert_same_text(got, want):
+    """Require the printed expansion `got` to equal `want` byte for byte,
+    by length and SHA-256, naming the first differing monomial on failure.
+    Comparing multi-megabyte strings with == makes pytest build a
+    character diff of them, which does not finish in minutes."""
+    def digest(text):
+        return len(text), hashlib.sha256(text.encode()).hexdigest()
+
+    def first_difference():
+        # A monomial starts at its sign (text) or at its "[[-" (JSON).
+        pairs = zip_longest(*(re.split(r"(?= [+-] |\[\[-)", t) for t in (got, want)))
+        i, (x, y) = next((i, p) for i, p in enumerate(pairs) if p[0] != p[1])
+        return f"monomial {i} differs: got {x!r}, want {y!r}"
+
+    assert digest(got) == digest(want), first_difference()
+
+
 @pytest.mark.parametrize("g,k", walk_pairs(9))
 def test_walk_prints_the_sorted_expansion(g, k):
     # The canonical walk against the orbit table expanded to every ordering
     # of each key and sorted whole.
     corr = airy_correlator(g, k)
     expansion = {exps: c for key, c in corr.orbits.items() for exps in arrangements(key)}
-    assert str(corr) == format_laurent(sorted(expansion.items()))
+    assert_same_text(str(corr), format_laurent(sorted(expansion.items())))
 
 
 def test_cache_holds_orbit_tables_only():
@@ -406,6 +426,36 @@ def test_one_point_orbits_match_the_closed_form(g):
     d = 3 * g - 2
     want = {(-(2 * d + 2),): orbit_value(g, (d,), Fraction(1, 24 ** g * factorial(g)))}
     assert airy_correlator(g, 1).orbits == want
+
+
+def numerators_past_the_bound(g, k):
+    """W^g_k's coefficient on each target key, keyed by the nonincreasing
+    ds of the key, through the recursion alone: `_target_keys` and
+    `_numerator`, which `MAX_NEG_EULER` does not guard."""
+    return {tuple((a - 2) // 2 for a in reversed(key)):
+            Fraction(_numerator(g, key), 4 ** (3 * g - 2 + k))
+            for key in _target_keys(6 * g - 6 + 4 * k, k)}
+
+
+def test_genus_zero_numerators_match_the_closed_form_past_the_bound():
+    # <tau_d1...tau_dk>_0 = (k-3)!/prod d_i! on every target key up to
+    # k = 20, far past the printing bound: the sums over the splittings
+    # visit only the genera that homogeneity allows.
+    keys = 0
+    for k in range(3, 21):
+        want = {ds: orbit_value(0, ds, Fraction(factorial(k - 3), prod(map(factorial, ds))))
+                for ds in partitions(k - 3, k, k - 3)}
+        assert numerators_past_the_bound(0, k) == want, k
+        keys += len(want)
+    assert keys == 1212
+
+
+@pytest.mark.parametrize("g", range(1, 13))
+def test_one_point_numerators_match_the_closed_form_past_the_bound(g):
+    # <tau_{3g-2}>_g = 1/(24^g g!), up to 2g - 2 + k = 23.
+    d = 3 * g - 2
+    want = {(d,): orbit_value(g, (d,), Fraction(1, 24 ** g * factorial(g)))}
+    assert numerators_past_the_bound(g, 1) == want
 
 
 def intersections(g, k):

@@ -28,7 +28,7 @@ from lrq.hopfops import MAX_AXIOM_ORDER
 from lrq.loopgraphs import enumerate_graphs
 from lrq.subalgebras import MAX_CORRELATOR_ORDER, MAX_GENFUN_DEGREE, MAX_PSI_LENGTH
 from oracles import correlator_sums, genfun_table, run_two_level, single_basis, support
-from test_airy import arrangements, walk_pairs
+from test_airy import arrangements, assert_same_text, walk_pairs
 
 
 def invoke(capsys, *argv):
@@ -422,9 +422,13 @@ def test_airy_output_is_streamed_in_canonical_order(capsys, genus, legs):
     orbits = airy.airy_correlator(genus, legs).orbits
     expansion = sorted((exps, c) for key, c in orbits.items() for exps in arrangements(key))
     argv = ("airy", "--genus", str(genus), "--legs", str(legs))
-    assert invoke(capsys, *argv) == (0, airy.format_laurent(expansion) + "\n", "")
+    code, out, err = invoke(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert_same_text(out, airy.format_laurent(expansion) + "\n")
+    code, out, err = invoke(capsys, *argv, "--json")
+    assert (code, err) == (0, "")
     want = json.dumps([[list(exps), c.numerator, c.denominator] for exps, c in expansion])
-    assert invoke(capsys, *argv, "--json") == (0, want + "\n", "")
+    assert_same_text(out, want + "\n")
 
 
 # SHA-256 of the stdout of `lrq airy`, pinned from the writer that printed
