@@ -102,14 +102,17 @@ the first k - 3 legs only, and each prefix runs through one list of the
 table.  It hands the writer a few dozen monomials at a time, so no
 correlator is ever held expanded to every ordering of each key.
 
-The series route computes the same numerators from truncation-tracked
-series and serves as the tests' independent check of the coefficient
-route: a QSeries knows the highest q exponent it is trusted through, and a
-residue is only read inside the trusted range.  `_residue_recursion` reads
-each sub-correlator as 4^(3h-2+k) times its coefficients, checked to be
-integers, forms every bracket term from them and the Bergman expansion by
-plain QSeries products, sums the terms, and reads the residue of four times
-the kernel times that bracket.
+The series route, which computes the same numerators from truncation-tracked
+series, is the tests' oracle and lives with them (tests/airy_series.py).
+Its `LaurentPoly`, `QSeries`, `kernel_series` and `residue_at_zero` stay
+here, with what they need, only because perfbench/tracer.py binds them by
+name; no command of this package calls them.  Besides the series route
+(2g - 2 + k <= 7) and the DVV recursion (<= 8), the tests check
+`_numerator` past the printing bound against independent results: the
+genus-0 and one-point closed forms, Witten's KdV equation (genus <= 5 on
+its left side, with up to six legs besides tau_1 tau_0^2), Dijkgraaf's
+two-point function (genus <= 25) and the genus-one closed form (at most 14
+legs).
 """
 
 from __future__ import annotations
@@ -118,7 +121,7 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, groupby
+from itertools import groupby
 from math import comb
 from operator import add
 
@@ -251,14 +254,6 @@ def format_laurent(terms: Iterable) -> str:
     return _lead(text) if text else "0"
 
 
-def laurent_json(poly: LaurentPoly) -> list:
-    """JSON form: a list of (exponent vector, numerator, denominator) triples."""
-    return [
-        [list(exps), poly.coeffs[exps].numerator, poly.coeffs[exps].denominator]
-        for exps in sorted(poly.coeffs)
-    ]
-
-
 class QSeries:
     """Truncated Laurent series in q whose coefficients are Laurent polynomials.
 
@@ -323,20 +318,6 @@ class QSeries:
         )
 
 
-def bergman_series(leg: int, order: int, nvars: int | None = None) -> QSeries:
-    """Expansion of 1/(q - p_leg)^2 around q = 0, through q^order."""
-    if order < 0:
-        raise ValueError("truncation order must be nonnegative")
-    if nvars is None:
-        nvars = leg + 1
-    coeffs = {}
-    for m in range(order + 1):
-        exps = [0] * nvars
-        exps[leg] = -(m + 2)
-        coeffs[m] = LaurentPoly.monomial(nvars, exps, m + 1)
-    return QSeries(nvars, coeffs, valid=order)
-
-
 def kernel_series(order: int, nvars: int = 1) -> QSeries:
     """Expansion of the recursion kernel 1/(4q(q^2 - p^2)) through q^order.
 
@@ -353,15 +334,6 @@ def kernel_series(order: int, nvars: int = 1) -> QSeries:
         coeffs[2 * m - 1] = LaurentPoly.monomial(nvars, exps, Fraction(-1, 4))
         m += 1
     return QSeries(nvars, coeffs, valid=order)
-
-
-def conjugate_leg(s: QSeries) -> QSeries:
-    """Substitute q -> -q and multiply by -1 (the conjugated leg's d(-q) = -dq)."""
-    return QSeries(
-        s.nvars,
-        {e: p.scale((-1) ** (e + 1)) for e, p in s.coeffs.items()},
-        s.valid,
-    )
 
 
 def residue_at_zero(s: QSeries) -> LaurentPoly:
@@ -440,7 +412,8 @@ class Correlator:
             yield "0"
 
     def json_chunks(self) -> Iterator[str]:
-        """`json.dumps(laurent_json(self.coeff))`, a few dozen monomials at a time."""
+        """The expansion as a JSON list of [exponent vector, numerator,
+        denominator] triples, ascending, a few dozen monomials at a time."""
         yield "["
         cut = 2  # the ", " before the first monomial
         for out in self._chunks(lambda i, a: f", -{a}" if i else f", [[-{a}",
@@ -449,104 +422,8 @@ class Correlator:
             cut = 0
         yield "]"
 
-    @property
-    def coeff(self) -> LaurentPoly:
-        """The whole expansion, built anew on each read."""
-        acc: dict = {}
-        for out in self._chunks(lambda i, a: (-a,), lambda c: c, False):
-            items = iter(out)
-            for prefix, x, c in zip(items, items, items):
-                acc[prefix + x] = c
-        return _owning(self.legs, acc)
-
     def __str__(self) -> str:
         return "".join(self.text_chunks())
-
-
-def default_truncation(g: int, k: int) -> int:
-    # Deepest q pole fed into the residue is 6g + 2k - 3, with margin.
-    return 2 * (3 * g - 2 + k) + 4
-
-
-def _attach(poly: LaurentPoly, roles: list, nvars: int) -> QSeries:
-    """Substitute an already-computed correlator into the residue variable.
-
-    roles[i] says what the i-th variable of `poly` becomes: "q", "qbar"
-    (= -q, with one -1 for the conjugated leg), or a global variable index.
-    The result is exact.
-    """
-    n_conj = sum(1 for r in roles if r == "qbar")
-    acc: dict = {}
-    for exps, c in poly.coeffs.items():
-        qe = 0
-        sign = (-1) ** n_conj
-        pexps = [0] * nvars
-        for e, role in zip(exps, roles):
-            if role == "q":
-                qe += e
-            elif role == "qbar":
-                qe += e
-                if e % 2:
-                    sign = -sign
-            else:
-                pexps[role] += e
-        key = tuple(pexps)
-        bucket = acc.setdefault(qe, {})
-        bucket[key] = bucket.get(key, 0) + sign * c
-    return QSeries(nvars, {e: _owning(nvars, d) for e, d in acc.items()}, _EXACT)
-
-
-def _factor(h: int, sub_legs: tuple[int, ...], which: str, nvars: int, order: int) -> QSeries:
-    """One factor 4^(3h-1+|sub_legs|) W^h(q or qbar, sub_legs) of a splitting term."""
-    k_f = len(sub_legs) + 1
-    if h == 0 and k_f == 2:
-        s = bergman_series(sub_legs[0], order, nvars)
-        return conjugate_leg(s) if which == "qbar" else s
-    return _attach(_numerators(h, k_f), [which] + list(sub_legs), nvars)
-
-
-def _numerators(g: int, k: int) -> LaurentPoly:
-    """4^(3g-2+k) W^g_k, read from `airy_correlator`: the form in which the
-    series route reads a sub-correlator.  Its coefficients must be integers,
-    and are kept as ints, which multiply much faster than Fractions."""
-    u = airy_correlator(g, k).coeff.scale(4 ** (3 * g - 2 + k))
-    if any(c.denominator != 1 for c in u.coeffs.values()):
-        raise ArithmeticError(f"4^(3g-2+k) W^{g}_{k} is not integral: {u}")
-    return _owning(k, {e: int(c) for e, c in u.coeffs.items()})
-
-
-def _residue_recursion(g: int, k: int, order: int) -> LaurentPoly:
-    """4^(3g-2+k) W^g_k, with integer coefficients, by the series route.
-
-    Sub-correlators come from `airy_correlator`.  The Bergman factors and
-    the kernel are expanded through q^order; an order too small for the
-    residue raises ValueError.
-    """
-    nv = k
-    legs = list(range(1, k))
-    # The bracket terms, scaled by 4^(3g-2+k).
-    terms = []
-    if g == 1 and k == 1:
-        # 4 W_2^0(q, qbar) = 4/(q - qbar)^2 at qbar = -q, with the leg sign.
-        terms.append(QSeries(nv, {-2: LaurentPoly.const(nv, -1)}))
-    elif g >= 1:
-        sub = _numerators(g - 1, k + 1)
-        terms.append(_attach(sub, ["q", "qbar"] + legs, nv).scale(4))
-    for h in range(g + 1):
-        for size in range(k):
-            for chosen in combinations(legs, size):
-                rest = tuple(v for v in legs if v not in chosen)
-                # W_1^0 vanishes: drop the splittings where either side would
-                # be the genus-0 one-point function.
-                if (h == 0 and not chosen) or (h == g and not rest):
-                    continue
-                f1 = _factor(h, chosen, "q", nv, order)
-                f2 = _factor(g - h, rest, "qbar", nv, order)
-                terms.append(f1 * f2)
-    # Their sum, trusted as far as every term is.
-    bracket = QSeries(nv, [(e, p) for t in terms for e, p in t.coeffs.items()],
-                      min(t.valid for t in terms))
-    return residue_at_zero(kernel_series(order, nv).scale(4) * bracket)
 
 
 def _target_keys(total: int, parts: int, least: int = 2):

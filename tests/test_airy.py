@@ -4,11 +4,12 @@ import hashlib
 import re
 import runpy
 import sys
+from collections import Counter
 from dataclasses import fields
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, zip_longest
-from math import factorial, prod
+from math import comb, factorial, prod
 from pathlib import Path
 
 import pytest
@@ -19,17 +20,20 @@ from lrq.airy import (
     LaurentPoly,
     QSeries,
     _numerator,
-    _numerators,
-    _residue_recursion,
     _target_keys,
     airy_correlator,
+    format_laurent,
+    kernel_series,
+    residue_at_zero,
+)
+from airy_series import (
+    _numerators,
+    _residue_recursion,
     bergman_series,
     conjugate_leg,
     default_truncation,
-    format_laurent,
-    kernel_series,
+    expansion,
     laurent_json,
-    residue_at_zero,
 )
 
 
@@ -158,13 +162,13 @@ def test_residue_requires_enough_truncation():
 
 def test_three_point_function():
     got = airy_correlator(0, 3)
-    assert got.coeff == mono(3, (-2, -2, -2), Fraction(1, 2))
+    assert expansion(got) == mono(3, (-2, -2, -2), Fraction(1, 2))
     assert str(got) == "1/2 * p^-2 * p1^-2 * p2^-2"
 
 
 def test_one_loop_one_point_function():
     got = airy_correlator(1, 1)
-    assert got.coeff == mono(1, (-4,), Fraction(1, 16))
+    assert expansion(got) == mono(1, (-4,), Fraction(1, 16))
     assert str(got) == "1/16 * p^-4"
 
 
@@ -184,14 +188,15 @@ def test_unstable_requests_rejected():
 def test_correlator_invariants(g, k):
     corr = airy_correlator(g, k)
     assert (corr.genus, corr.legs) == (g, k)
-    assert corr.coeff.nvars == k
+    poly = expansion(corr)
+    assert poly.nvars == k
     # homogeneity, parity, pole depth
-    for exps, _ in corr.coeff.coeffs.items():
+    for exps, _ in poly.coeffs.items():
         assert sum(exps) == -(6 * g - 6 + 4 * k)
         assert all(e % 2 == 0 and e <= -2 for e in exps)
     # symmetry under every leg permutation
     for perm in permutations(range(k)):
-        assert corr.coeff.permute_vars(perm) == corr.coeff
+        assert poly.permute_vars(perm) == poly
 
 
 @pytest.mark.parametrize("g,k", stable_pairs(7))
@@ -199,7 +204,18 @@ def test_series_route_matches_the_coefficient_route(g, k):
     # One step of the series recursion, fed the coefficient route's
     # sub-correlators, gives the coefficient route's numerators.
     exact = _numerators(g, k)
+    assert expansion(airy_correlator(g, k)).scale(4 ** (3 * g - 2 + k)) == exact
     assert _residue_recursion(g, k, default_truncation(g, k)) == exact
+
+
+@pytest.mark.parametrize("g,k", stable_pairs(8))
+def test_expansion_lists_every_ordering_of_each_orbit(g, k):
+    # An orbit whose exponents repeat n_1, n_2, ... times has k!/prod n_i!
+    # orderings, and no two orbits share one.
+    corr = airy_correlator(g, k)
+    sizes = sum(factorial(k) // prod(map(factorial, Counter(key).values()))
+                for key in corr.orbits)
+    assert len(expansion(corr).coeffs) == sizes
 
 
 @pytest.mark.parametrize("g,k", [(0, 3), (0, 4), (1, 1), (1, 2), (2, 1)])
@@ -244,17 +260,6 @@ def test_format_and_json():
     assert format_laurent([]) == "0"
 
 
-def arrangements(key):
-    """Every distinct ordering of the tuple `key`, in ascending order."""
-    if not key:
-        yield ()
-        return
-    for v in sorted(set(key)):
-        i = key.index(v)
-        for tail in arrangements(key[:i] + key[i + 1:]):
-            yield (v,) + tail
-
-
 def walk_pairs(max_euler):
     """stable_pairs(max_euler), then every pair with at most four legs up to
     the configured bound: the ones whose legs all, or all but one, sit in
@@ -286,8 +291,7 @@ def test_walk_prints_the_sorted_expansion(g, k):
     # The canonical walk against the orbit table expanded to every ordering
     # of each key and sorted whole.
     corr = airy_correlator(g, k)
-    expansion = {exps: c for key, c in corr.orbits.items() for exps in arrangements(key)}
-    assert_same_text(str(corr), format_laurent(sorted(expansion.items())))
+    assert_same_text(str(corr), str(expansion(corr)))
 
 
 def test_cache_holds_orbit_tables_only():
@@ -307,11 +311,11 @@ def test_one_point_functions_match_intersection_numbers():
     # 1/16 = 3 * (1/24) * c  =>  c = 1/2.  With <tau_{3g-2}>_g = 1/(24^g g!),
     # genus 2 predicts 945/1152/8 = 105/1024 and genus 3 predicts
     # 2027025/82944/32 = 25025/32768, two independent cross-checks.
-    assert airy_correlator(1, 1).coeff == mono(1, (-4,), Fraction(3, 24) / 2)
-    assert airy_correlator(2, 1).coeff == mono(
+    assert expansion(airy_correlator(1, 1)) == mono(1, (-4,), Fraction(3, 24) / 2)
+    assert expansion(airy_correlator(2, 1)) == mono(
         1, (-10,), Fraction(945, 1152) / 8
     )
-    assert airy_correlator(3, 1).coeff == mono(
+    assert expansion(airy_correlator(3, 1)) == mono(
         1, (-16,), Fraction(2027025, 82944) / 32
     )
 
@@ -384,7 +388,7 @@ def test_matches_witten_kontsevich(g, k):
         value = witten_kontsevich(g, ds) * prod(double_factorial(2 * d + 1) for d in ds)
         if value:
             want[tuple(-(2 * d + 2) for d in ds)] = value / 2 ** (2 * g - 2 + k)
-    assert airy_correlator(g, k).coeff.coeffs == want
+    assert expansion(airy_correlator(g, k)).coeffs == want
 
 
 def partitions(total, parts, largest):
@@ -456,6 +460,100 @@ def test_one_point_numerators_match_the_closed_form_past_the_bound(g):
     d = 3 * g - 2
     want = {(d,): orbit_value(g, (d,), Fraction(1, 24 ** g * factorial(g)))}
     assert numerators_past_the_bound(g, 1) == want
+
+
+def intersection(ds):
+    """<tau_ds>_g, the genus fixed by the dimension (0 off it, and for an
+    unstable bracket), through `_numerator` alone, which `MAX_NEG_EULER`
+    does not guard."""
+    return _intersection(tuple(sorted(ds)))
+
+
+@lru_cache(maxsize=None)
+def _intersection(ds):
+    """The intersection number of the sorted indices ds."""
+    n = len(ds)
+    g, r = divmod(sum(ds) - n + 3, 3)
+    if r or g < 0 or 2 * g - 2 + n <= 0:
+        return Fraction(0)
+    u = Fraction(_numerator(g, tuple(2 * d + 2 for d in ds)), 4 ** (3 * g - 2 + n))
+    return u * 2 ** (2 * g - 2 + n) / prod(double_factorial(2 * d + 1) for d in ds)
+
+
+@pytest.mark.parametrize("g", range(6))
+def test_kdv_equation(g):
+    # Witten's KdV equation, coefficientwise: for every list D, with the
+    # left side in genus g,
+    # <tau_1 tau_0^2 tau_D> = sum_(A + B = D) <tau_0^2 tau_A><tau_0^3 tau_B>
+    #                         + (1/12) <tau_0^5 tau_D>,
+    # over the labelled splittings of D.  Each bracket's genus is fixed by
+    # the dimension, so the relation ties different genera together; both
+    # sides reach 2g - 2 + k = 17 at g = 5 and |D| = 6.
+    relations = 0
+    for m in range(7):
+        total = 3 * g - 1 + m  # sum D
+        for ds in partitions(total, m, total) if total >= 0 else ():
+            right = intersection((0,) * 5 + ds) / 12
+            for size in range(m + 1):
+                for chosen in combinations(range(m), size):
+                    a = tuple(ds[i] for i in chosen)
+                    b = tuple(d for i, d in enumerate(ds) if i not in chosen)
+                    right += intersection((0, 0) + a) * intersection((0, 0, 0) + b)
+            assert intersection((1, 0, 0) + ds) == right != 0, ds
+            relations += 1
+    assert relations == [19, 51, 107, 204, 350, 573][g]  # 1304 in all
+
+
+def two_point_dijkgraaf(g):
+    """<tau_a tau_b>_g for a = 0, ..., 3g - 1 and a + b = 3g - 1, from
+    Dijkgraaf's two-point function
+    sum <tau_a tau_b> x^a y^b
+        = exp((x^3 + y^3)/24) / (x + y) * sum_n n!/(2n+1)! (xy(x + y)/2)^n.
+    Its degree-3g part before the division is
+    c = sum_(k+n=g) (x^3 + y^3)^k / (24^k k!) * n!/(2n+1)! (xy(x + y)/2)^n,
+    divided here by x + y exactly; c[i] is the coefficient of x^i y^(3g-i)."""
+    c = [Fraction(0)] * (3 * g + 1)
+    for k in range(g + 1):
+        n = g - k
+        w = Fraction(factorial(n), factorial(2 * n + 1) * 24 ** k * factorial(k) * 2 ** n)
+        for i in range(k + 1):
+            for j in range(n + 1):
+                c[3 * i + n + j] += w * comb(k, i) * comb(n, j)
+    quotient, carry = [], 0
+    for ci in c[:-1]:
+        carry = ci - carry  # c[i] = q[i - 1] + q[i]
+        quotient.append(carry)
+    assert c[-1] == carry  # x + y divides c
+    return quotient
+
+
+@pytest.mark.parametrize("g", range(1, 26))
+def test_two_point_function_matches_dijkgraaf(g):
+    # Every <tau_a tau_b>_g: 494 keys up to g = 25, where 2g - 2 + k = 50.
+    want = two_point_dijkgraaf(g)
+    assert want == want[::-1]
+    assert numerators_past_the_bound(g, 2) == {
+        (3 * g - 1 - a, a): orbit_value(g, (a, 3 * g - 1 - a), want[a])
+        for a in range((3 * g - 1) // 2 + 1)}
+
+
+@pytest.mark.parametrize("n", range(1, 15))
+def test_genus_one_matches_the_closed_form(n):
+    # <tau_d1 ... tau_dn>_1 = (1/24) (n; d) (1 - sum_(i=2..n)
+    # (i-2)! (n-i)!/n! e_i(d)), with (n; d) the multinomial coefficient and
+    # e_i the elementary symmetric polynomials of the d_j, built by the
+    # product recursion prod_j (1 + d_j t).  507 keys up to n = 14.
+    want = {}
+    for ds in partitions(n, n, n):
+        e = [1] + [0] * n
+        for d in ds:
+            for i in range(n, 0, -1):
+                e[i] += e[i - 1] * d
+        tail = sum(Fraction(factorial(i - 2) * factorial(n - i), factorial(n)) * e[i]
+                   for i in range(2, n + 1))
+        value = Fraction(factorial(n), 24 * prod(map(factorial, ds))) * (1 - tail)
+        want[ds] = orbit_value(1, ds, value)
+    assert numerators_past_the_bound(1, n) == want
 
 
 def intersections(g, k):

@@ -27,8 +27,9 @@ from lrq.freemodule import LinComb, sum_text
 from lrq.hopfops import MAX_AXIOM_ORDER
 from lrq.loopgraphs import enumerate_graphs
 from lrq.subalgebras import MAX_CORRELATOR_ORDER, MAX_GENFUN_DEGREE, MAX_PSI_LENGTH
+from airy_series import expansion
 from oracles import correlator_sums, genfun_table, run_two_level, single_basis, support
-from test_airy import arrangements, assert_same_text, walk_pairs
+from test_airy import assert_same_text, walk_pairs
 
 
 def invoke(capsys, *argv):
@@ -419,15 +420,14 @@ def test_every_subcommand_writes_json(capsys, command):
 def test_airy_output_is_streamed_in_canonical_order(capsys, genus, legs):
     # The oracle expands the orbit table to every ordering of each key and
     # sorts the whole expansion, without the walk or its orbit codes.
-    orbits = airy.airy_correlator(genus, legs).orbits
-    expansion = sorted((exps, c) for key, c in orbits.items() for exps in arrangements(key))
+    terms = sorted(expansion(airy.airy_correlator(genus, legs)).coeffs.items())
     argv = ("airy", "--genus", str(genus), "--legs", str(legs))
     code, out, err = invoke(capsys, *argv)
     assert (code, err) == (0, "")
-    assert_same_text(out, airy.format_laurent(expansion) + "\n")
+    assert_same_text(out, airy.format_laurent(terms) + "\n")
     code, out, err = invoke(capsys, *argv, "--json")
     assert (code, err) == (0, "")
-    want = json.dumps([[list(exps), c.numerator, c.denominator] for exps, c in expansion])
+    want = json.dumps([[list(exps), c.numerator, c.denominator] for exps, c in terms])
     assert_same_text(out, want + "\n")
 
 
