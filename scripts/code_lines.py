@@ -1,20 +1,16 @@
 #!/usr/bin/env python3
-"""Code lines of each module of a package, and their total.
+"""Code lines of each module of ``src/lrq``, and their total.
 
 A code line is a line of the source that is not blank, not a comment (its
 text starts with "#" once stripped) and not part of a docstring.  The
 docstrings are found with ``ast``: the string literal that opens a module,
 class or function body, over every line it spans.  Comments are found by
 the line text alone, so a line inside another multi-line string literal
-that starts with "#" also counts as a comment.  With no argument the
-modules counted are those of ``src/lrq``; give a directory to count the
-``*.py`` files in it instead.
+that starts with "#" also counts as a comment.
 
-    python scripts/code_lines.py            # src/lrq
-    python scripts/code_lines.py some/dir
+    python scripts/code_lines.py
 """
 
-import argparse
 import ast
 from pathlib import Path
 
@@ -40,19 +36,18 @@ def code_lines(source: str) -> int:
                if number not in skip and line.strip() and not line.lstrip().startswith("#"))
 
 
-def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__,
-                                 formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("package", nargs="?", type=Path,
-                    default=Path(__file__).resolve().parents[1] / "src" / "lrq",
-                    help="directory of the modules (default: src/lrq)")
-    args = ap.parse_args()
+def report(directory: Path) -> None:
+    """Print the code lines of each ``*.py`` file in `directory`, then the total."""
     total = 0
-    for path in sorted(args.package.glob("*.py")):
+    for path in sorted(directory.glob("*.py")):
         n = code_lines(path.read_text())
         total += n
         print(f"{n:>6}  {path.name}")
     print(f"{total:>6}  total")
+
+
+def main() -> None:
+    report(Path(__file__).resolve().parents[1] / "src" / "lrq")
 
 
 if __name__ == "__main__":

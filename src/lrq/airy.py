@@ -380,8 +380,8 @@ class Correlator:
             tails = [[(p[b] + x, bits[b] + c) for b in range(r - 1, 0, -1) for x, c in tails[r - b]]
                      for r in range(len(tails) + 1)]
         out: list = []
-        # (leg, halves left, prefix, its code); the first prefix is "" or ().
-        stack = [(0, half, last[0][:0], 0)]
+        # (leg, halves left, prefix, its code).
+        stack = [(0, half, "", 0)]
         while stack:
             i, rest, prefix, code = stack.pop()
             if i < stop:

@@ -204,7 +204,6 @@ def test_series_route_matches_the_coefficient_route(g, k):
     # One step of the series recursion, fed the coefficient route's
     # sub-correlators, gives the coefficient route's numerators.
     exact = _numerators(g, k)
-    assert expansion(airy_correlator(g, k)).scale(4 ** (3 * g - 2 + k)) == exact
     assert _residue_recursion(g, k, default_truncation(g, k)) == exact
 
 

@@ -27,7 +27,7 @@ from lrq.freemodule import LinComb, sum_text
 from lrq.hopfops import MAX_AXIOM_ORDER
 from lrq.loopgraphs import enumerate_graphs
 from lrq.subalgebras import MAX_CORRELATOR_ORDER, MAX_GENFUN_DEGREE, MAX_PSI_LENGTH
-from airy_series import expansion
+from airy_series import expansion, laurent_json
 from oracles import correlator_sums, genfun_table, run_two_level, single_basis, support
 from test_airy import assert_same_text, walk_pairs
 
@@ -420,15 +420,14 @@ def test_every_subcommand_writes_json(capsys, command):
 def test_airy_output_is_streamed_in_canonical_order(capsys, genus, legs):
     # The oracle expands the orbit table to every ordering of each key and
     # sorts the whole expansion, without the walk or its orbit codes.
-    terms = sorted(expansion(airy.airy_correlator(genus, legs)).coeffs.items())
+    poly = expansion(airy.airy_correlator(genus, legs))
     argv = ("airy", "--genus", str(genus), "--legs", str(legs))
     code, out, err = invoke(capsys, *argv)
     assert (code, err) == (0, "")
-    assert_same_text(out, airy.format_laurent(terms) + "\n")
+    assert_same_text(out, airy.format_laurent(sorted(poly.coeffs.items())) + "\n")
     code, out, err = invoke(capsys, *argv, "--json")
     assert (code, err) == (0, "")
-    want = json.dumps([[list(exps), c.numerator, c.denominator] for exps, c in terms])
-    assert_same_text(out, want + "\n")
+    assert_same_text(out, json.dumps(laurent_json(poly)) + "\n")
 
 
 # SHA-256 of the stdout of `lrq airy`, pinned from the writer that printed

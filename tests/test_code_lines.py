@@ -1,7 +1,6 @@
 """scripts/code_lines.py: code lines without docstrings, comments or blanks."""
 
 import runpy
-import sys
 from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "code_lines.py"
@@ -36,7 +35,7 @@ def area(box):  # code
 '''
 
 
-def test_code_lines_skips_docstrings_comments_and_blanks(tmp_path, monkeypatch, capsys):
+def test_code_lines_skips_docstrings_comments_and_blanks(tmp_path, capsys):
     script = runpy.run_path(str(SCRIPT))
     marked = sum(line.endswith("# code") for line in SAMPLE.splitlines())
     assert marked == 7
@@ -45,6 +44,5 @@ def test_code_lines_skips_docstrings_comments_and_blanks(tmp_path, monkeypatch, 
     assert script["code_lines"](SAMPLE) == marked + 1
     (tmp_path / "sample.py").write_text(SAMPLE)
     (tmp_path / "empty.py").write_text('"""Only a docstring."""\n\n# and a comment\n')
-    monkeypatch.setattr(sys, "argv", ["code_lines.py", str(tmp_path)])
-    script["main"]()
+    script["report"](tmp_path)
     assert capsys.readouterr().out == "     0  empty.py\n     8  sample.py\n     8  total\n"
